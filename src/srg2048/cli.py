@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import os
 import sys
+import tempfile
 import time
 import zipfile
 from dataclasses import dataclass, field
@@ -23,6 +24,7 @@ import numpy as np
 from . import coclique, coset_graph, golay, io_formats
 from .errors import (
     DatFormatError,
+    GraphConstructionError,
     InvalidDistanceError,
     SrgError,
     VerificationError,
@@ -54,15 +56,25 @@ class RunConfig:
 
 
 def parse_size_targets(text: str) -> tuple[int, ...]:
-    """Accept 'LO-HI', a single size, or a comma list of either."""
+    """Accept 'LO-HI', a single size, or a comma list of either.
+
+    Raises ValueError on a part that is not a size or range, on a range
+    with LO > HI, and when no size is given.
+    """
     targets: set[int] = set()
     for part in text.split(","):
         part = part.strip()
-        if "-" in part:
-            lo, hi = part.split("-", 1)
-            targets.update(range(int(lo), int(hi) + 1))
-        elif part:
-            targets.add(int(part))
+        if not part:
+            continue
+        lo_text, dash, hi_text = part.partition("-")
+        try:
+            lo = int(lo_text)
+            hi = int(hi_text) if dash else lo
+        except ValueError:
+            raise ValueError(f"not a size or LO-HI range: {part!r}") from None
+        if lo > hi:
+            raise ValueError(f"empty range {part!r}: {lo} > {hi}")
+        targets.update(range(lo, hi + 1))
     if not targets:
         raise ValueError(f"no sizes in {text!r}")
     return tuple(sorted(targets))
@@ -84,21 +96,35 @@ def _cache_path(cfg: RunConfig, code: golay.GolayCode) -> str:
 
 
 def save_graph_cache(path: str, g: coset_graph.Graph, code: golay.GolayCode) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "wb") as fh:  # keep the exact filename, savez would add .npz
-        np.savez_compressed(
-            fh,
-            version=np.int64(CACHE_VERSION),
-            generators=np.array(code.generators, dtype=np.uint32),
-            packed=g.packed,
-            checksum=np.str_(hashlib.sha256(g.packed.tobytes()).hexdigest()),
-        )
+    """Write the cache atomically: a temporary file beside it, then a rename,
+    so a reader never sees a half-written file."""
+    directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".graph-", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:  # savez on a path would add .npz
+            np.savez_compressed(
+                fh,
+                version=np.int64(CACHE_VERSION),
+                generators=np.array(code.generators, dtype=np.uint32),
+                packed=g.packed,
+                checksum=np.str_(hashlib.sha256(g.packed.tobytes()).hexdigest()),
+            )
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_graph_cache(
     path: str, code: golay.GolayCode, reps: coset_graph.CosetReps
 ) -> coset_graph.Graph | None:
-    """Rebuild the graph from a cache file; None if absent or stale."""
+    """Rebuild the graph from a cache file; None if absent, stale or malformed.
+
+    Besides the version, generators and checksum, the rows must have the
+    graph's shape and dtype, no loops and degree 276.  Symmetry is not
+    checked: it would cost far more than the load itself.
+    """
     if not os.path.exists(path):
         return None
     try:
@@ -112,9 +138,15 @@ def load_graph_cache(
             packed = payload["packed"]
             if hashlib.sha256(packed.tobytes()).hexdigest() != str(payload["checksum"]):
                 return None
-            return coset_graph.Graph(packed, len(reps), vertex_reps=reps)
-    except (OSError, ValueError, KeyError, zipfile.BadZipFile):
+        g = coset_graph.Graph(packed, len(reps), vertex_reps=reps)
+    except (OSError, ValueError, KeyError, zipfile.BadZipFile, GraphConstructionError):
         return None
+    v = np.arange(g.n)
+    if ((packed[v, v >> 3] >> (v & 7)) & 1).any():
+        return None
+    if (g.degrees() != coset_graph.DEGREE).any():
+        return None
+    return g
 
 
 def _build_code(cfg: RunConfig) -> golay.GolayCode:
@@ -307,6 +339,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _size_targets_arg(text: str) -> tuple[int, ...]:
+    try:
+        return parse_size_targets(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="srg2048",
@@ -330,7 +369,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="search maximal cocliques and write a .dat file")
     p.add_argument("--out", help="output .dat path")
-    p.add_argument("--sizes", default="20-40", help="targets, e.g. 20-40 or 72 (default 20-40)")
+    p.add_argument(
+        "--sizes",
+        type=_size_targets_arg,
+        default="20-40",
+        help="targets, e.g. 20-40, 72 or 20,25-30 (default 20-40)",
+    )
     p.add_argument("--seed", type=int, default=coclique.DEFAULT_SEED)
     p.add_argument("--budget", type=int, default=coclique.DEFAULT_BUDGET)
     p.add_argument("--workers", type=int, default=1)
@@ -358,8 +402,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg.seed = getattr(args, "seed", coclique.DEFAULT_SEED)
     cfg.budget = getattr(args, "budget", coclique.DEFAULT_BUDGET)
     cfg.workers = getattr(args, "workers", 1)
-    if hasattr(args, "sizes"):
-        cfg.sizes = parse_size_targets(args.sizes)
+    cfg.sizes = getattr(args, "sizes", ())
     return cfg
 
 

@@ -24,6 +24,14 @@ four members of a previously found set and re-extend.  Small target sizes
 the removal cap exceeds two.  Every emitted set is re-verified through the
 checking path, deduplicated, and the first set of each size is kept.  For
 a fixed seed the output is a pure function of the inputs.
+
+Residual degrees (neighbours among the still-eligible vertices) are
+recomputed at each degree-guided step as popcounts of the candidates'
+adjacency rows ANDed with the packed eligibility mask, both taken as 64-bit
+words.  While every vertex is eligible the residual degree is the row
+degree, so that step reuses the degrees computed once per search.  Both
+shortcuts give the same degrees, hence the same RNG draws and the same
+output, as a plain recount.
 """
 
 from __future__ import annotations
@@ -167,7 +175,8 @@ class SearchConfig:
 
 def _complete(
     adj: np.ndarray,
-    packed: np.ndarray,
+    words: np.ndarray,
+    row_degrees: np.ndarray,
     eligible: np.ndarray,
     members: list[int],
     rng: random.Random,
@@ -181,20 +190,34 @@ def _complete(
     mode "max"/"min": pick randomly among the `depth` highest/lowest
     residual-degree candidates.
     mode "blend": per step, a max-pick with probability q, else uniform.
+
+    `words` are the adjacency rows as 64-bit words and `row_degrees` their
+    popcounts.  A residual degree is popcount(row & eligible) over the
+    words; when every vertex is eligible it equals the row degree, which
+    is used as is.
     """
+    n = eligible.size
+    # eligible becomes a view into a buffer padded with False to whole
+    # words, so packing the buffer gives the mask in the rows' layout
+    ebits = np.zeros(words.shape[1] * 64, dtype=bool)
+    ebits[:n] = eligible
+    eligible = ebits[:n]
     while True:
-        cands = np.flatnonzero(eligible)
+        cands = eligible.nonzero()[0]
         if cands.size == 0:
             break
         degree_pick = mode in ("max", "min") or (mode == "blend" and rng.random() < q)
         if not degree_pick:
             v = int(cands[rng.randrange(cands.size)])
         else:
-            epacked = np.packbits(eligible, bitorder="little")
-            degs = np.bitwise_count(packed[cands] & epacked[None, :]).sum(
-                axis=1, dtype=np.int64
-            )
-            order = np.argsort(-degs if mode != "min" else degs, kind="stable")
+            if cands.size == n:
+                degs = row_degrees
+            else:
+                emask = np.packbits(ebits, bitorder="little").view(np.uint64)
+                degs = np.bitwise_count(words[cands] & emask).sum(
+                    axis=1, dtype=row_degrees.dtype
+                )
+            order = (-degs if mode != "min" else degs).argsort(kind="stable")
             take = min(cands.size, 1 + rng.randrange(max(depth, 1)))
             v = int(cands[order[rng.randrange(take)]])
         members.append(v)
@@ -203,7 +226,7 @@ def _complete(
     return sorted(members)
 
 
-def _fresh_run(adj, packed, n, rng) -> list[int]:
+def _fresh_run(adj, words, row_degrees, rng) -> list[int]:
     roll = rng.random()
     if roll < 0.30:
         mode, depth, q = "uniform", 1, 0.0
@@ -213,11 +236,13 @@ def _fresh_run(adj, packed, n, rng) -> list[int]:
         mode, depth, q = "blend", 1, 0.3 + 0.6 * rng.random()
     else:
         mode, depth, q = "min", rng.choice([1, 2]), 0.0
-    eligible = np.ones(n, dtype=bool)
-    return _complete(adj, packed, eligible, [], rng, mode, depth, q)
+    eligible = np.ones(len(adj), dtype=bool)
+    return _complete(adj, words, row_degrees, eligible, [], rng, mode, depth, q)
 
 
-def _perturb_run(adj, packed, n, rng, source: list[int], max_remove: int) -> list[int]:
+def _perturb_run(
+    adj, words, row_degrees, rng, source: list[int], max_remove: int
+) -> list[int]:
     j = min(rng.choice([1, 2, 2, 3, 3, 4]), max_remove, len(source) - 1)
     keep = list(source)
     for _ in range(j):
@@ -228,7 +253,7 @@ def _perturb_run(adj, packed, n, rng, source: list[int], max_remove: int) -> lis
         mode, depth = "max", rng.choice([1, 2])
     else:
         mode, depth = "uniform", 1
-    return _complete(adj, packed, eligible, keep, rng, mode, depth)
+    return _complete(adj, words, row_degrees, eligible, keep, rng, mode, depth)
 
 
 def search_maximal(
@@ -254,23 +279,26 @@ def search_maximal(
     hard_cap = COCLIQUE_SIZE_CAP if g.vertex_reps is not None else g.n
     rng = random.Random(seed)
     adj = g.adjacency_bool()
-    packed = g.packed
+    words = g.words
+    # degrees below 2^15 fit int16, for which the stable argsort is a radix sort
+    row_degrees = g.degrees().astype(np.int16 if g.n < 1 << 15 else np.int32)
 
     found: dict[int, VertexSet] = {}
     pool: dict[int, list[list[int]]] = {}
     seen: set[tuple[int, ...]] = set()
 
+    def near_missing() -> set[int]:
+        """Sizes within focus_window of a target not found yet."""
+        w = cfg.focus_window
+        return {m + d for m in targets - found.keys() for d in range(-w, w + 1)}
+
+    focus = near_missing()
+
     def pool_pick() -> list[int]:
         sizes = sorted(pool)
-        missing = targets - found.keys()
-        if missing:
-            near = [
-                s
-                for s in sizes
-                if any(abs(s - m) <= cfg.focus_window for m in missing)
-            ]
-            if near and rng.random() < 0.8:
-                sizes = near
+        near = [s for s in sizes if s in focus]
+        if near and rng.random() < 0.8:
+            sizes = near
         bucket = pool[sizes[rng.randrange(len(sizes))]]
         return bucket[rng.randrange(len(bucket))]
 
@@ -278,9 +306,11 @@ def search_maximal(
         if cfg.stop_when_complete and targets <= found.keys():
             break
         if not pool or rng.random() < cfg.fresh_fraction:
-            members = _fresh_run(adj, packed, g.n, rng)
+            members = _fresh_run(adj, words, row_degrees, rng)
         else:
-            members = _perturb_run(adj, packed, g.n, rng, pool_pick(), cfg.max_remove)
+            members = _perturb_run(
+                adj, words, row_degrees, rng, pool_pick(), cfg.max_remove
+            )
         size = len(members)
         if size > hard_cap:
             raise InternalConsistencyError(
@@ -298,6 +328,7 @@ def search_maximal(
             )
         if size not in found:
             found[size] = candidate
+            focus = near_missing()
         bucket = pool.setdefault(size, [])
         if len(bucket) < cfg.pool_per_size:
             bucket.append(members)

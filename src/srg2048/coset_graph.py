@@ -295,16 +295,30 @@ def adjacent_many_oracle(code: GolayCode, xs: np.ndarray, ys: np.ndarray) -> np.
     return out
 
 
+def row_bytes(n: int) -> int:
+    """Bytes per packed adjacency row: n bits rounded up to whole 64-bit words."""
+    return 8 * -(-n // 64)
+
+
 class Graph:
     """Adjacency as per-vertex packed bitset rows plus derived views.
 
-    Bit v of row u is (packed[u, v >> 3] >> (v & 7)) & 1.  Rows double as
-    arbitrary-precision integers (row_int) for set-algebra callers.
+    Bit v of row u is (packed[u, v >> 3] >> (v & 7)) & 1.  Rows are
+    row_bytes(n) long, zero-padded past bit n - 1, so `words` can view them
+    as 64-bit words for popcount kernels; for n = 2048 nothing is padded.
+    Rows double as arbitrary-precision integers (row_int) for set-algebra
+    callers.
     """
 
     def __init__(self, packed: np.ndarray, n: int, vertex_reps: CosetReps | None = None):
+        if packed.dtype != np.uint8 or packed.shape != (n, row_bytes(n)):
+            raise GraphConstructionError(
+                f"packed rows must be uint8 of shape {(n, row_bytes(n))}, "
+                f"got {packed.dtype} {packed.shape}"
+            )
         self.n = n
         self.packed = packed
+        self.words = packed.view(np.uint64)
         self.vertex_reps = vertex_reps
         self._row_ints: list[int] | None = None
         self._bool: np.ndarray | None = None
@@ -321,7 +335,9 @@ class Graph:
             raise GraphConstructionError("adjacency matrix has a loop")
         if not np.array_equal(adj, adj.T):
             raise GraphConstructionError("adjacency matrix not symmetric")
-        g = cls(np.packbits(adj, axis=1, bitorder="little"), n, vertex_reps)
+        packed = np.zeros((n, row_bytes(n)), dtype=np.uint8)
+        packed[:, : -(-n // 8)] = np.packbits(adj, axis=1, bitorder="little")
+        g = cls(packed, n, vertex_reps)
         g._bool = adj
         return g
 
@@ -347,7 +363,11 @@ class Graph:
         return self._row_ints[u]
 
     def degree(self, u: int) -> int:
-        return int(np.bitwise_count(self.packed[u]).sum())
+        return int(np.bitwise_count(self.words[u]).sum())
+
+    def degrees(self) -> np.ndarray:
+        """All row degrees as an int32 array."""
+        return np.bitwise_count(self.words).sum(axis=1, dtype=np.int32)
 
     def neighbors(self, u: int) -> np.ndarray:
         if self._neighbors is None:
@@ -421,13 +441,14 @@ TARGET_PARAMS = SrgParams(N_VERTICES, DEGREE, 44, 36)
 def verify_srg(g: Graph) -> SrgParams:
     """Exhaustive strongly-regular check over all vertex pairs.
 
-    Common-neighbor counts come from popcounts of ANDed bitset rows, a
-    route independent of how the graph was constructed.  Raises
-    VerificationError with a witness vertex or pair on any non-constancy.
+    Common-neighbor counts come from popcounts of ANDed bitset rows, taken
+    as 64-bit words, a route independent of how the graph was constructed.
+    Raises VerificationError with a witness vertex or pair on any
+    non-constancy.
     """
     n = g.n
-    packed = g.packed
-    degrees = np.bitwise_count(packed).sum(axis=1, dtype=np.int64)
+    words = g.words
+    degrees = g.degrees()
     k = int(degrees[0])
     bad = np.flatnonzero(degrees != k)
     if bad.size:
@@ -440,7 +461,7 @@ def verify_srg(g: Graph) -> SrgParams:
     lam: int | None = None
     mu: int | None = None
     for u in range(n - 1):
-        common = np.bitwise_count(packed[u] & packed[u + 1 :]).sum(axis=1, dtype=np.int64)
+        common = np.bitwise_count(words[u] & words[u + 1 :]).sum(axis=1, dtype=np.int32)
         arow = adj[u, u + 1 :]
         for flag, name, current in ((arow, "lambda", lam), (~arow, "mu", mu)):
             vals = common[flag]

@@ -1,11 +1,17 @@
+import hashlib
+
+import numpy as np
 import pytest
 
 from srg2048.cli import (
+    CACHE_VERSION,
     EXIT_FORMAT,
     EXIT_OK,
     EXIT_VERIFY,
+    load_graph_cache,
     main,
     parse_size_targets,
+    save_graph_cache,
 )
 from srg2048.golay import DEFAULT_GENERATOR_ROWS
 
@@ -16,6 +22,22 @@ def test_parse_size_targets():
     assert parse_size_targets("20,25-26") == (20, 25, 26)
     with pytest.raises(ValueError):
         parse_size_targets("")
+    with pytest.raises(ValueError, match="not a size"):
+        parse_size_targets("abc")
+    with pytest.raises(ValueError, match="empty range"):
+        parse_size_targets("40-20")
+
+
+@pytest.mark.parametrize(
+    "sizes, message", [("abc", "not a size"), ("40-20", "empty range")]
+)
+def test_search_bad_sizes_is_usage_error(capsys, sizes, message):
+    with pytest.raises(SystemExit) as info:
+        main(["search", "--sizes", sizes])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--sizes" in err and message in err
+    assert "Traceback" not in err
 
 
 def test_verify_command(capsys):
@@ -132,6 +154,70 @@ def test_stale_cache_is_rebuilt(tmp_path, code, reps, graph):
     payload = cache.read_bytes()
     cache.write_bytes(payload[:-7])  # corrupt the archive
     assert load_graph_cache(str(cache), code, reps) is None
+
+
+def _write_raw_cache(path, code, packed):
+    """A cache file whose checksum matches whatever rows it holds."""
+    with open(path, "wb") as fh:
+        np.savez_compressed(
+            fh,
+            version=np.int64(CACHE_VERSION),
+            generators=np.array(code.generators, dtype=np.uint32),
+            packed=packed,
+            checksum=np.str_(hashlib.sha256(packed.tobytes()).hexdigest()),
+        )
+
+
+def _corrupt_rows(graph, kind):
+    if kind == "shape":
+        return np.zeros((10, 3), dtype=np.uint8)
+    if kind == "dtype":
+        return graph.packed.astype(np.uint16)
+    packed = graph.packed.copy()
+    if kind == "loop":  # vertex 0 joined to itself, cut from its first neighbour
+        packed[0, 0] |= 1
+        nb = int(np.flatnonzero(graph.adjacency_bool()[0])[0])
+        packed[0, nb >> 3] &= ~np.uint8(1 << (nb & 7))
+    else:  # "degree": row 0 gains or loses vertex 2047
+        packed[0, 255] ^= 0x80
+    return packed
+
+
+@pytest.mark.parametrize("kind", ["shape", "dtype", "loop", "degree"])
+def test_malformed_cache_is_rejected(tmp_path, code, reps, graph, kind):
+    cache = tmp_path / "graph.npz"
+    _write_raw_cache(cache, code, _corrupt_rows(graph, kind))
+    assert load_graph_cache(str(cache), code, reps) is None
+
+
+def test_misshapen_cache_is_rebuilt_by_verify(tmp_path, capsys, code, reps, graph):
+    cache = tmp_path / "graph.npz"
+    _write_raw_cache(cache, code, _corrupt_rows(graph, "shape"))
+    assert main(["verify", "--cache", str(cache)]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert "all checks passed" in captured.out
+    assert "Traceback" not in captured.err
+    rebuilt = load_graph_cache(str(cache), code, reps)
+    assert rebuilt is not None
+    assert np.array_equal(rebuilt.packed, graph.packed)
+
+
+def test_cache_write_is_atomic(tmp_path, monkeypatch, code, graph):
+    cache = tmp_path / "graph.npz"
+    save_graph_cache(str(cache), graph, code)
+    good = cache.read_bytes()
+    assert [p.name for p in tmp_path.iterdir()] == ["graph.npz"]
+
+    def fail_midway(fh, **arrays):
+        fh.write(b"partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez_compressed", fail_midway)
+    with pytest.raises(OSError, match="disk full"):
+        save_graph_cache(str(cache), graph, code)
+    # the old file is untouched and the temporary file is gone
+    assert cache.read_bytes() == good
+    assert [p.name for p in tmp_path.iterdir()] == ["graph.npz"]
 
 
 def test_search_notes_single_threaded(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from srg2048.coclique import (
     DEFAULT_SEED,
     ExternalProfile,
+    SearchConfig,
     VertexSet,
     external_profile,
     is_coclique,
@@ -16,6 +18,7 @@ from srg2048.coclique import (
 )
 from srg2048.coset_graph import DEGREE, N_VERTICES, translation_map
 from srg2048.errors import DomainError
+from srg2048.io_formats import write_dat
 
 
 # ------------------------------------------------------------- VertexSet
@@ -189,6 +192,53 @@ def test_search_different_seeds_differ(graph):
     a = search_maximal(graph, range(30, 34), budget=1500, seed=7)
     b = search_maximal(graph, range(30, 34), budget=1500, seed=8)
     assert [s.members for s in a] != [s.members for s in b]
+
+
+# sha256 of write_dat over sizes 20..72, budget 500, stop_when_complete
+# off, as written by the search before its 64-bit-word kernel: a faster
+# search must consume the RNG identically and emit the same bytes
+GOLDEN_SEARCH_SHA256 = {
+    7: "d7c8d5e4f4d6f560d3788e9d3ffd07b94a9c09a3df462564b05ca384e876e95b",
+    77: "a20b7aabc5edb4ead85deadbda56b7d633b5699d2de36b63e1f744fe8e3f4242",
+    2048: "c862a616eb7208be9a2d9b65daabf5ace747a0fb57916cb62326125809c8b131",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_SEARCH_SHA256))
+def test_search_output_is_pinned(graph, reps, seed):
+    results = search_maximal(
+        graph,
+        range(20, 73),
+        budget=500,
+        seed=seed,
+        config=SearchConfig(stop_when_complete=False),
+    )
+    digest = hashlib.sha256(write_dat(results, reps)).hexdigest()
+    assert digest == GOLDEN_SEARCH_SHA256[seed]
+
+
+@pytest.mark.parametrize(
+    "name, seed, expected",
+    [
+        ("petersen", 1, [(2, 3, 9), (0, 1, 2, 3)]),
+        ("petersen", 2048, [(2, 3, 9), (3, 6, 8, 9)]),
+        ("cycle5", 7, [(0, 2)]),
+        ("cycle5", 2048, [(2, 4)]),
+    ],
+)
+def test_search_small_graphs_pinned(request, name, seed, expected):
+    # rows of 5 and 10 vertices are padded to a whole 64-bit word
+    g = request.getfixturevalue(name)
+    results = search_maximal(
+        g,
+        range(1, g.n + 1),
+        budget=300,
+        seed=seed,
+        config=SearchConfig(stop_when_complete=False),
+    )
+    assert [s.members for s in results] == expected
+    for s in results:
+        assert is_coclique(g, s) and is_maximal(g, s)
 
 
 def test_search_rejects_bad_budget(graph):

@@ -284,16 +284,8 @@ def test_verify_five_cycle(cycle5):
     assert verify_srg(cycle5).as_tuple() == (5, 2, 0, 1)
 
 
-def test_verify_petersen():
-    # Kneser graph on 2-subsets of a 5-set, disjointness adjacency
-    pairs = list(itertools.combinations(range(5), 2))
-    edges = [
-        (i, j)
-        for i, j in itertools.combinations(range(10), 2)
-        if not set(pairs[i]) & set(pairs[j])
-    ]
-    g = Graph.from_edges(10, edges)
-    assert verify_srg(g).as_tuple() == (10, 3, 0, 1)
+def test_verify_petersen(petersen):
+    assert verify_srg(petersen).as_tuple() == (10, 3, 0, 1)
 
 
 def test_verify_rejects_irregular():
@@ -322,6 +314,29 @@ def test_graph_constructors_reject_bad_input():
     bad[0, 1] = True  # not symmetric
     with pytest.raises(GraphConstructionError, match="symmetric"):
         Graph.from_bool_matrix(bad)
+
+
+def test_rows_are_padded_to_whole_words(cycle5, petersen, graph):
+    for g in (cycle5, petersen):
+        assert g.packed.shape == (g.n, 8)
+        assert g.words.shape == (g.n, 1)
+        assert np.array_equal(
+            np.unpackbits(g.packed, axis=1, bitorder="little")[:, : g.n],
+            g.adjacency_bool(),
+        )
+        assert not np.unpackbits(g.packed, axis=1, bitorder="little")[:, g.n :].any()
+        assert g.degrees().tolist() == [g.degree(u) for u in range(g.n)]
+    # 2048 bits are 32 whole words: no padding, so cache files stay valid
+    assert graph.packed.shape == (N_VERTICES, 256)
+    assert np.array_equal(graph.words.view(np.uint8), graph.packed)
+    assert (graph.degrees() == DEGREE).all()
+
+
+def test_graph_rejects_misshapen_rows():
+    with pytest.raises(GraphConstructionError, match="shape"):
+        Graph(np.zeros((5, 1), dtype=np.uint8), 5)
+    with pytest.raises(GraphConstructionError, match="uint8"):
+        Graph(np.zeros((5, 8), dtype=np.int64), 5)
 
 
 def test_feasibility_identity():
