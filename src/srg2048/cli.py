@@ -17,7 +17,6 @@ import sys
 import tempfile
 import time
 import zipfile
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,29 +36,16 @@ EXIT_DISTANCE = 5
 
 CACHE_VERSION = 1
 
-
-@dataclass
-class RunConfig:
-    command: str
-    generators: str | None = None
-    dat_path: str | None = None
-    out_path: str | None = None
-    gap_path: str | None = None
-    edges_path: str | None = None
-    sets_path: str | None = None
-    seed: int = coclique.DEFAULT_SEED
-    budget: int = coclique.DEFAULT_BUDGET
-    workers: int = 1
-    byteorder: str = "little"
-    sizes: tuple[int, ...] = field(default_factory=tuple)
-    cache: str | None = None
+# check and search report the pair invariant for sets at least this large
+LARGE_SET_FLOOR = 72
 
 
 def parse_size_targets(text: str) -> tuple[int, ...]:
     """Accept 'LO-HI', a single size, or a comma list of either.
 
     Raises ValueError on a part that is not a size or range, on a range
-    with LO > HI, and when no size is given.
+    with LO > HI, on a size above the vertex count, and when no size is
+    given.
     """
     targets: set[int] = set()
     for part in text.split(","):
@@ -74,6 +60,11 @@ def parse_size_targets(text: str) -> tuple[int, ...]:
             raise ValueError(f"not a size or LO-HI range: {part!r}") from None
         if lo > hi:
             raise ValueError(f"empty range {part!r}: {lo} > {hi}")
+        if hi > coset_graph.N_VERTICES:
+            raise ValueError(
+                f"size {hi} out of range: a coclique has 0 to "
+                f"{coset_graph.N_VERTICES} vertices"
+            )
         targets.update(range(lo, hi + 1))
     if not targets:
         raise ValueError(f"no sizes in {text!r}")
@@ -86,9 +77,9 @@ def default_cache_dir() -> str:
     )
 
 
-def _cache_path(cfg: RunConfig, code: golay.GolayCode) -> str:
-    if cfg.cache and cfg.cache != "auto":
-        return cfg.cache
+def _cache_path(args: argparse.Namespace, code: golay.GolayCode) -> str:
+    if args.cache and args.cache != "auto":
+        return args.cache
     digest = hashlib.sha256(
         np.array(code.generators, dtype=np.uint32).tobytes()
     ).hexdigest()[:16]
@@ -149,17 +140,17 @@ def load_graph_cache(
     return g
 
 
-def _build_code(cfg: RunConfig) -> golay.GolayCode:
-    generators = golay.read_generator_file(cfg.generators) if cfg.generators else None
+def _build_code(args: argparse.Namespace) -> golay.GolayCode:
+    generators = golay.read_generator_file(args.generators) if args.generators else None
     return golay.build_code(generators)
 
 
-def _build_context(cfg: RunConfig):
+def _build_context(args: argparse.Namespace):
     """code, reps, graph -- through the cache when enabled."""
-    code = _build_code(cfg)
+    code = _build_code(args)
     reps = coset_graph.build_reps()
     g = None
-    cache_file = _cache_path(cfg, code) if cfg.cache else None
+    cache_file = _cache_path(args, code) if args.cache else None
     if cache_file:
         g = load_graph_cache(cache_file, code, reps)
     if g is None:
@@ -173,22 +164,22 @@ def _format_census(census: dict[int, int]) -> str:
     return " ".join(f"{k}:{census[k]}" for k in sorted(census))
 
 
-def cmd_build(cfg: RunConfig) -> int:
+def cmd_build(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    code, reps, g = _build_context(cfg)
+    code, reps, g = _build_context(args)
     elapsed = time.perf_counter() - t0
     print(f"codewords: {len(code.codewords)}")
     print(f"weight distribution: {_format_census(code.weight_distribution())}")
     print(f"representatives: {len(reps)}")
     print(f"edges: {g.edge_count()}")
     print(f"build time: {elapsed:.2f}s")
-    if cfg.cache:
-        print(f"cache: {_cache_path(cfg, code)}")
+    if args.cache:
+        print(f"cache: {_cache_path(args, code)}")
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    code, reps, g = _build_context(cfg)
+def cmd_verify(args: argparse.Namespace) -> int:
+    code, reps, g = _build_context(args)
     print(f"codewords: {len(code.codewords)}")
     print(f"weight distribution: {_format_census(code.weight_distribution())}")
     counts = reps.class_counts()
@@ -240,11 +231,11 @@ def _describe_set(
     return ", ".join(parts), good
 
 
-def _check_sets(cfg: RunConfig, invariant_floor: int) -> int:
-    with open(cfg.dat_path, "rb") as fh:  # fail fast before the build
+def _check_sets(args: argparse.Namespace, invariant_floor: int) -> int:
+    with open(args.dat, "rb") as fh:  # fail fast before the build
         data = fh.read()
-    code, reps, g = _build_context(cfg)
-    sets = io_formats.read_dat(data, reps, byteorder=cfg.byteorder)
+    code, reps, g = _build_context(args)
+    sets = io_formats.read_dat(data, reps, byteorder=args.byteorder)
     failures = 0
     for i, s in enumerate(sets, start=1):
         line, good = _describe_set(g, s, i, invariant_floor)
@@ -258,56 +249,60 @@ def _check_sets(cfg: RunConfig, invariant_floor: int) -> int:
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 
 
-def cmd_check(cfg: RunConfig) -> int:
-    # the pair invariant is reported for the large sets only, size >= 72
-    return _check_sets(cfg, invariant_floor=72)
+def cmd_check(args: argparse.Namespace) -> int:
+    return _check_sets(args, invariant_floor=LARGE_SET_FLOOR)
 
 
-def cmd_invariants(cfg: RunConfig) -> int:
-    return _check_sets(cfg, invariant_floor=0)
+def cmd_invariants(args: argparse.Namespace) -> int:
+    return _check_sets(args, invariant_floor=0)
 
 
-def cmd_search(cfg: RunConfig) -> int:
-    code, reps, g = _build_context(cfg)
-    targets = cfg.sizes or tuple(range(20, 41))
-    if cfg.workers != 1:
+def cmd_search(args: argparse.Namespace) -> int:
+    code, reps, g = _build_context(args)
+    targets = args.sizes
+    if args.workers != 1:
         print("note: search runs single-threaded; --workers ignored")
     contiguous = targets == tuple(range(targets[0], targets[-1] + 1))
     label = f"{targets[0]}-{targets[-1]}" if contiguous else ",".join(map(str, targets))
-    print(f"seed {cfg.seed}, budget {cfg.budget}, sizes {label}")
+    print(f"seed {args.seed}, budget {args.budget}, sizes {label}")
     t0 = time.perf_counter()
-    results = coclique.search_maximal(g, targets, budget=cfg.budget, seed=cfg.seed)
+    results = coclique.search_maximal(g, targets, budget=args.budget, seed=args.seed)
     elapsed = time.perf_counter() - t0
     achieved = [s.size for s in results]
     missing = sorted(set(targets) - set(achieved))
     print(f"achieved sizes: {' '.join(map(str, achieved)) or 'none'}")
     print(f"missing sizes: {' '.join(map(str, missing)) or 'none'}")
+    row = "".join("X" if t in achieved else "." for t in targets)
+    print(f"coverage {label}: {row} ({len(achieved)} of {len(targets)} sizes)")
     print(f"search time: {elapsed:.1f}s")
-    if cfg.out_path:
-        payload = io_formats.write_dat(results, reps, byteorder=cfg.byteorder)
-        with open(cfg.out_path, "wb") as fh:
+    for i, s in enumerate(results, start=1):
+        if s.size >= LARGE_SET_FLOOR:
+            print(_describe_set(g, s, i, LARGE_SET_FLOOR)[0])
+    if args.out:
+        payload = io_formats.write_dat(results, reps, byteorder=args.byteorder)
+        with open(args.out, "wb") as fh:
             fh.write(payload)
-        print(f"wrote {len(results)} sets to {cfg.out_path}")
+        print(f"wrote {len(results)} sets to {args.out}")
     return EXIT_OK
 
 
-def cmd_export(cfg: RunConfig) -> int:
-    code, reps, g = _build_context(cfg)
+def cmd_export(args: argparse.Namespace) -> int:
+    code, reps, g = _build_context(args)
     sets: list[coclique.VertexSet] = []
-    if cfg.sets_path:
-        with open(cfg.sets_path, "rb") as fh:
-            sets = io_formats.read_dat(fh.read(), reps, byteorder=cfg.byteorder)
-    if cfg.gap_path:
+    if args.sets:
+        with open(args.sets, "rb") as fh:
+            sets = io_formats.read_dat(fh.read(), reps, byteorder=args.byteorder)
+    if args.gap:
         text = io_formats.export_gap(g, sets)
-        with open(cfg.gap_path, "w", encoding="ascii") as fh:
+        with open(args.gap, "w", encoding="ascii") as fh:
             fh.write(text)
-        print(f"wrote gap file {cfg.gap_path} ({len(text)} bytes, {len(sets)} sets)")
-    if cfg.edges_path:
+        print(f"wrote gap file {args.gap} ({len(text)} bytes, {len(sets)} sets)")
+    if args.edges:
         text = io_formats.export_edge_list(g)
-        with open(cfg.edges_path, "w", encoding="ascii") as fh:
+        with open(args.edges, "w", encoding="ascii") as fh:
             fh.write(text)
-        print(f"wrote edge list {cfg.edges_path} ({g.edge_count()} edges)")
-    if not cfg.gap_path and not cfg.edges_path:
+        print(f"wrote edge list {args.edges} ({g.edge_count()} edges)")
+    if not args.gap and not args.edges:
         print("nothing to export: pass --gap and/or --edges")
     return EXIT_OK
 
@@ -346,6 +341,16 @@ def _size_targets_arg(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _budget_arg(text: str) -> int:
+    try:
+        budget = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if budget < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {budget}")
+    return budget
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="srg2048",
@@ -376,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="targets, e.g. 20-40, 72 or 20,25-30 (default 20-40)",
     )
     p.add_argument("--seed", type=int, default=coclique.DEFAULT_SEED)
-    p.add_argument("--budget", type=int, default=coclique.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_budget_arg, default=coclique.DEFAULT_BUDGET)
     p.add_argument("--workers", type=int, default=1)
     _add_common(p)
 
@@ -389,28 +394,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    cfg.generators = getattr(args, "generators", None)
-    cfg.cache = getattr(args, "cache", None)
-    cfg.byteorder = getattr(args, "byteorder", "little")
-    cfg.dat_path = getattr(args, "dat", None)
-    cfg.out_path = getattr(args, "out", None)
-    cfg.gap_path = getattr(args, "gap", None)
-    cfg.edges_path = getattr(args, "edges", None)
-    cfg.sets_path = getattr(args, "sets", None)
-    cfg.seed = getattr(args, "seed", coclique.DEFAULT_SEED)
-    cfg.budget = getattr(args, "budget", coclique.DEFAULT_BUDGET)
-    cfg.workers = getattr(args, "workers", 1)
-    cfg.sizes = getattr(args, "sizes", ())
-    return cfg
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = config_from_args(args)
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command](args)
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return EXIT_FORMAT

@@ -1,7 +1,8 @@
 """Coclique checking, outside-neighbour profiles, and maximal-coclique search.
 
 A coclique (independent set) is checked purely through bitset algebra on
-the graph's adjacency rows.  For a coclique S the *external profile* is
+the graph's adjacency rows: popcounts of their 64-bit words ANDed with the
+set's packed mask.  For a coclique S the *external profile* is
 the histogram, over vertices w outside S, of how many neighbours w has
 inside S; S is maximal exactly when no outside vertex has count 0.  Two
 bookkeeping identities hold for every coclique of a k-regular graph and
@@ -37,13 +38,13 @@ output, as a plain recount.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coset_graph import Graph
 from .errors import DomainError, InternalConsistencyError
+from .golay import census
 
 #: Ratio bound on coclique size in the Golay coset graph; exceeding it
 #: means the construction is broken, not that the search got lucky.
@@ -51,6 +52,14 @@ COCLIQUE_SIZE_CAP = 85
 
 DEFAULT_SEED = 2048
 DEFAULT_BUDGET = 120_000
+
+# The search's fixed tuning: share of fresh runs, pooled sets kept per
+# size, most members a perturbation removes, and how close to a missing
+# target a pooled size must be for perturbation to prefer it.
+FRESH_FRACTION = 0.45
+POOL_PER_SIZE = 4
+MAX_REMOVE = 4
+FOCUS_WINDOW = 3
 
 
 @dataclass(frozen=True)
@@ -111,65 +120,69 @@ class ExternalProfile:
         return " ".join(f"{d}:{self.counts[d]}" for d in sorted(self.counts))
 
 
-def _set_mask(g: Graph, s: VertexSet) -> int:
+def _pack(g: Graph, flags: np.ndarray) -> np.ndarray:
+    """A per-vertex bool vector packed in the rows' 64-bit word layout."""
+    bits = np.zeros(g.words.shape[1] * 64, dtype=bool)
+    bits[: g.n] = flags
+    return np.packbits(bits, bitorder="little").view(np.uint64)
+
+
+def _members_and_mask(g: Graph, s: VertexSet) -> tuple[np.ndarray, np.ndarray]:
+    """The members as an index array, and the set as a packed word mask."""
     if s.members and s.members[-1] >= g.n:
         raise DomainError(
             f"vertex index {s.members[-1]} out of range for a {g.n}-vertex graph"
         )
-    return s.bitmask()
+    members = np.array(s.members, dtype=np.intp)
+    flags = np.zeros(g.n, dtype=bool)
+    flags[members] = True
+    return members, _pack(g, flags)
+
+
+def _outside_counts(g: Graph, s: VertexSet) -> tuple[np.ndarray, np.ndarray]:
+    """|N(w) & S| for every vertex w, and the flags of the w outside S."""
+    members, mask = _members_and_mask(g, s)
+    counts = np.bitwise_count(g.words & mask).sum(axis=1, dtype=np.int32)
+    outside = np.ones(g.n, dtype=bool)
+    outside[members] = False
+    return counts, outside
 
 
 def is_coclique(g: Graph, s: VertexSet) -> bool:
     """True iff no two members are adjacent."""
-    mask = _set_mask(g, s)
-    return all(g.row_int(v) & mask == 0 for v in s.members)
+    members, mask = _members_and_mask(g, s)
+    return not (g.words[members] & mask).any()
 
 
 def is_maximal(g: Graph, s: VertexSet) -> bool:
     """True iff every outside vertex has a neighbour in the coclique."""
     if not is_coclique(g, s):
         raise DomainError("maximality is only defined for cocliques")
-    cover = _set_mask(g, s)
-    for v in s.members:
-        cover |= g.row_int(v)
-    return cover == (1 << g.n) - 1
+    members, mask = _members_and_mask(g, s)
+    cover = np.bitwise_or.reduce(g.words[members], axis=0) | mask
+    return int(np.bitwise_count(cover).sum()) == g.n
 
 
 def external_profile(g: Graph, s: VertexSet) -> ExternalProfile:
     """Histogram of |N(w) & S| over all vertices w outside S."""
-    mask = _set_mask(g, s)
-    counts: Counter[int] = Counter()
-    for w in range(g.n):
-        if not (mask >> w) & 1:
-            counts[(g.row_int(w) & mask).bit_count()] += 1
-    return ExternalProfile(dict(counts))
+    counts, outside = _outside_counts(g, s)
+    return ExternalProfile(census(counts[outside]))
 
 
 def pair_invariant(g: Graph, s: VertexSet) -> int:
     """2-subsets of S with no common neighbour among the count-8 outsiders."""
-    mask = _set_mask(g, s)
-    w8_mask = 0
-    for w in range(g.n):
-        if not (mask >> w) & 1 and (g.row_int(w) & mask).bit_count() == 8:
-            w8_mask |= 1 << w
-    total = 0
-    members = s.members
-    for i, u in enumerate(members):
-        row_u = g.row_int(u) & w8_mask
-        for v in members[i + 1 :]:
-            if row_u & g.row_int(v) == 0:
-                total += 1
-    return total
+    counts, outside = _outside_counts(g, s)
+    rows = g.words[list(s.members)] & _pack(g, outside & (counts == 8))
+    return sum(
+        int(np.count_nonzero(~(rows[i] & rows[i + 1 :]).any(axis=1)))
+        for i in range(len(rows) - 1)
+    )
 
 
 @dataclass
 class SearchConfig:
-    """Knobs of the randomized search; defaults are the documented baseline."""
+    """Whether the search stops once every target size has been found."""
 
-    fresh_fraction: float = 0.45
-    pool_per_size: int = 4
-    max_remove: int = 4
-    focus_window: int = 3
     stop_when_complete: bool = True
 
 
@@ -177,6 +190,7 @@ def _complete(
     adj: np.ndarray,
     words: np.ndarray,
     row_degrees: np.ndarray,
+    scratch: np.ndarray,
     eligible: np.ndarray,
     members: list[int],
     rng: random.Random,
@@ -194,7 +208,10 @@ def _complete(
     `words` are the adjacency rows as 64-bit words and `row_degrees` their
     popcounts.  A residual degree is popcount(row & eligible) over the
     words; when every vertex is eligible it equals the row degree, which
-    is used as is.
+    is used as is.  The candidates' rows are gathered into `scratch`, a
+    buffer shaped like `words` that lives for the whole search: a fresh
+    array of up to n rows at every step costs a page fault per 4 KiB
+    whenever the allocator hands the memory back to the system.
     """
     n = eligible.size
     # eligible becomes a view into a buffer padded with False to whole
@@ -214,9 +231,10 @@ def _complete(
                 degs = row_degrees
             else:
                 emask = np.packbits(ebits, bitorder="little").view(np.uint64)
-                degs = np.bitwise_count(words[cands] & emask).sum(
-                    axis=1, dtype=row_degrees.dtype
-                )
+                # "clip" writes straight into out; the default mode buffers
+                rows = np.take(words, cands, axis=0, out=scratch[: cands.size], mode="clip")
+                rows &= emask
+                degs = np.bitwise_count(rows).sum(axis=1, dtype=row_degrees.dtype)
             order = (-degs if mode != "min" else degs).argsort(kind="stable")
             take = min(cands.size, 1 + rng.randrange(max(depth, 1)))
             v = int(cands[order[rng.randrange(take)]])
@@ -226,7 +244,7 @@ def _complete(
     return sorted(members)
 
 
-def _fresh_run(adj, words, row_degrees, rng) -> list[int]:
+def _fresh_run(adj, words, row_degrees, scratch, rng) -> list[int]:
     roll = rng.random()
     if roll < 0.30:
         mode, depth, q = "uniform", 1, 0.0
@@ -237,13 +255,11 @@ def _fresh_run(adj, words, row_degrees, rng) -> list[int]:
     else:
         mode, depth, q = "min", rng.choice([1, 2]), 0.0
     eligible = np.ones(len(adj), dtype=bool)
-    return _complete(adj, words, row_degrees, eligible, [], rng, mode, depth, q)
+    return _complete(adj, words, row_degrees, scratch, eligible, [], rng, mode, depth, q)
 
 
-def _perturb_run(
-    adj, words, row_degrees, rng, source: list[int], max_remove: int
-) -> list[int]:
-    j = min(rng.choice([1, 2, 2, 3, 3, 4]), max_remove, len(source) - 1)
+def _perturb_run(adj, words, row_degrees, scratch, rng, source: list[int]) -> list[int]:
+    j = min(rng.choice([1, 2, 2, 3, 3, 4]), MAX_REMOVE, len(source) - 1)
     keep = list(source)
     for _ in range(j):
         keep.pop(rng.randrange(len(keep)))
@@ -253,7 +269,7 @@ def _perturb_run(
         mode, depth = "max", rng.choice([1, 2])
     else:
         mode, depth = "uniform", 1
-    return _complete(adj, words, row_degrees, eligible, keep, rng, mode, depth)
+    return _complete(adj, words, row_degrees, scratch, eligible, keep, rng, mode, depth)
 
 
 def search_maximal(
@@ -266,9 +282,9 @@ def search_maximal(
     """Seeded search for maximal cocliques of the requested sizes.
 
     Returns the first-found set of each achieved target size, ordered by
-    size.  Every returned set has been re-verified with is_coclique and
-    is_maximal.  An exhausted budget with missing sizes is not an error;
-    the result simply lacks those sizes.
+    size.  Every returned set has been re-verified with is_maximal, which
+    checks the coclique property first.  An exhausted budget with missing
+    sizes is not an error; the result simply lacks those sizes.
     """
     cfg = config or SearchConfig()
     targets = {int(t) for t in size_targets}
@@ -278,18 +294,19 @@ def search_maximal(
         raise DomainError("size targets out of range")
     hard_cap = COCLIQUE_SIZE_CAP if g.vertex_reps is not None else g.n
     rng = random.Random(seed)
-    adj = g.adjacency_bool()
+    adj = g.row_bits()
     words = g.words
     # degrees below 2^15 fit int16, for which the stable argsort is a radix sort
     row_degrees = g.degrees().astype(np.int16 if g.n < 1 << 15 else np.int32)
+    scratch = np.empty_like(words)
 
     found: dict[int, VertexSet] = {}
     pool: dict[int, list[list[int]]] = {}
     seen: set[tuple[int, ...]] = set()
 
     def near_missing() -> set[int]:
-        """Sizes within focus_window of a target not found yet."""
-        w = cfg.focus_window
+        """Sizes within FOCUS_WINDOW of a target not found yet."""
+        w = FOCUS_WINDOW
         return {m + d for m in targets - found.keys() for d in range(-w, w + 1)}
 
     focus = near_missing()
@@ -305,12 +322,10 @@ def search_maximal(
     for _attempt in range(budget):
         if cfg.stop_when_complete and targets <= found.keys():
             break
-        if not pool or rng.random() < cfg.fresh_fraction:
-            members = _fresh_run(adj, words, row_degrees, rng)
+        if not pool or rng.random() < FRESH_FRACTION:
+            members = _fresh_run(adj, words, row_degrees, scratch, rng)
         else:
-            members = _perturb_run(
-                adj, words, row_degrees, rng, pool_pick(), cfg.max_remove
-            )
+            members = _perturb_run(adj, words, row_degrees, scratch, rng, pool_pick())
         size = len(members)
         if size > hard_cap:
             raise InternalConsistencyError(
@@ -322,7 +337,11 @@ def search_maximal(
             continue
         seen.add(key)
         candidate = VertexSet(key)
-        if not is_coclique(g, candidate) or not is_maximal(g, candidate):
+        try:
+            checked = is_maximal(g, candidate)
+        except DomainError:  # not a coclique
+            checked = False
+        if not checked:
             raise InternalConsistencyError(
                 "search emitted a set that fails the independent checker"
             )
@@ -330,8 +349,8 @@ def search_maximal(
             found[size] = candidate
             focus = near_missing()
         bucket = pool.setdefault(size, [])
-        if len(bucket) < cfg.pool_per_size:
+        if len(bucket) < POOL_PER_SIZE:
             bucket.append(members)
         else:
-            bucket[rng.randrange(cfg.pool_per_size)] = members
+            bucket[rng.randrange(POOL_PER_SIZE)] = members
     return [found[s] for s in sorted(found) if s in targets]

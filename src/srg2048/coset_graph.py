@@ -44,7 +44,7 @@ from .errors import (
     VerificationError,
 )
 from .gf2 import VEC_LIMIT, Vec24, check_vec
-from .golay import GolayCode
+from .golay import GolayCode, census
 
 N_VERTICES = 2048
 DEGREE = 276
@@ -57,7 +57,6 @@ WEIGHT2_VECTORS: np.ndarray = np.sort(
         dtype=np.uint32,
     )
 )
-_WEIGHT2_LIST: list[int] = WEIGHT2_VECTORS.tolist()
 
 _ALL_WEIGHT6: np.ndarray | None = None
 
@@ -115,14 +114,13 @@ class CosetReps:
 
     def class_counts(self) -> dict[int, int]:
         """Census of representatives by weight (0, 2 and 4 for a valid set)."""
-        values, counts = np.unique(np.bitwise_count(self.encodings), return_counts=True)
-        return {int(v): int(c) for v, c in zip(values, counts)}
+        return census(np.bitwise_count(self.encodings))
 
 
 def build_reps() -> CosetReps:
     """Enumerate the canonical representative set."""
     values = [0]
-    values.extend(_WEIGHT2_LIST)
+    values.extend(WEIGHT2_VECTORS.tolist())
     for bits in itertools.combinations(range(1, 24), 3):
         v = 1
         for b in bits:
@@ -172,17 +170,6 @@ def rep_of(code: GolayCode, reps: CosetReps, x: Vec24) -> Vec24:
     return int(reps.encodings[coset_vertex(code, reps, x)])
 
 
-def rep_of_scan(code: GolayCode, reps: CosetReps, x: Vec24) -> Vec24:
-    """Reference implementation of rep_of: linear scan with membership tests."""
-    check_vec(x)
-    if x.bit_count() & 1:
-        raise DomainError(f"vector has odd weight, no coset vertex: {x:024b}")
-    for r in reps.encodings.tolist():
-        if code.contains(x ^ r):
-            return r
-    raise InternalConsistencyError(f"no representative found for {x:024b}")
-
-
 def weight6_distance_table(code: GolayCode) -> np.ndarray:
     """Minimum distance from each weight-6 vector to the weight-8 codewords.
 
@@ -209,9 +196,7 @@ def weight6_distance_table(code: GolayCode) -> np.ndarray:
 
 def weight6_distance_census(code: GolayCode) -> dict[int, int]:
     """How many weight-6 vectors sit at each distance from the weight-8 words."""
-    table = weight6_distance_table(code)
-    values, counts = np.unique(table[_all_weight6()], return_counts=True)
-    return {int(v): int(c) for v, c in zip(values, counts)}
+    return census(weight6_distance_table(code)[_all_weight6()])
 
 
 def min_coset_distance(code: GolayCode, z: Vec24) -> int:
@@ -236,19 +221,6 @@ def min_coset_distance(code: GolayCode, z: Vec24) -> int:
     return best
 
 
-def min_coset_distance_bulk(code: GolayCode, zs: np.ndarray) -> np.ndarray:
-    """Full-scan minima (no early exit) for an array of weight-6 vectors."""
-    zs = np.asarray(zs, dtype=np.uint32)
-    if not np.all(np.bitwise_count(zs) == 6):
-        raise DomainError("weight-8 scan requires weight-6 vectors")
-    out = np.empty(len(zs), dtype=np.uint8)
-    w8 = code.weight8
-    for lo in range(0, len(zs), 16384):
-        chunk = zs[lo : lo + 16384]
-        out[lo : lo + len(chunk)] = np.bitwise_count(chunk[:, None] ^ w8[None, :]).min(axis=1)
-    return out
-
-
 def adjacent(code: GolayCode, x: Vec24, y: Vec24) -> bool:
     """Case analysis on the weight of the representative difference."""
     if not is_representative(x):
@@ -266,33 +238,19 @@ def adjacent(code: GolayCode, x: Vec24, y: Vec24) -> bool:
     return min_coset_distance(code, z) == 2
 
 
-def adjacent_by_translates(code: GolayCode, x: Vec24, y: Vec24) -> bool:
-    """Definition-level oracle: the cosets join iff (x + y) + e lands in the
-    code for some weight-2 vector e.  Independent of the case analysis."""
-    z = x ^ y
-    return any(code.contains(z ^ e) for e in _WEIGHT2_LIST)
-
-
 def adjacent_many(code: GolayCode, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Vectorized case-analysis adjacency for arrays of representatives."""
+    """Vectorized case-analysis adjacency for arrays of representatives.
+
+    The distance table is 0 off the weight-6 vectors, so looking every
+    difference up decides the weight-6 case and is false in the others.
+    """
+    # the table first: its build scratch is freed before z and w exist
+    table6 = weight6_distance_table(code)
     z = np.asarray(xs, dtype=np.uint32) ^ np.asarray(ys, dtype=np.uint32)
     w = np.bitwise_count(z)
-    if not np.all((w == 0) | (w == 2) | (w == 4) | (w == 6)):
+    if ((w & 1) | (w > 6)).any():
         raise DomainError("inputs are not coset representatives")
-    out = w == 2
-    six = w == 6
-    if six.any():
-        out[six] = weight6_distance_table(code)[z[six]] == 2
-    return out
-
-
-def adjacent_many_oracle(code: GolayCode, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Vectorized definition-level oracle (scan of all 276 weight-2 translates)."""
-    z = np.asarray(xs, dtype=np.uint32) ^ np.asarray(ys, dtype=np.uint32)
-    out = np.zeros(len(z), dtype=bool)
-    for e in _WEIGHT2_LIST:
-        out |= code.contains_many(z ^ np.uint32(e))
-    return out
+    return (w == 2) | (table6[z] == 2)
 
 
 def row_bytes(n: int) -> int:
@@ -301,13 +259,12 @@ def row_bytes(n: int) -> int:
 
 
 class Graph:
-    """Adjacency as per-vertex packed bitset rows plus derived views.
+    """Adjacency stored once, as per-vertex packed bitset rows.
 
     Bit v of row u is (packed[u, v >> 3] >> (v & 7)) & 1.  Rows are
     row_bytes(n) long, zero-padded past bit n - 1, so `words` can view them
     as 64-bit words for popcount kernels; for n = 2048 nothing is padded.
-    Rows double as arbitrary-precision integers (row_int) for set-algebra
-    callers.
+    Neighbour lists and edges are unpacked from the rows on each call.
     """
 
     def __init__(self, packed: np.ndarray, n: int, vertex_reps: CosetReps | None = None):
@@ -320,9 +277,6 @@ class Graph:
         self.packed = packed
         self.words = packed.view(np.uint64)
         self.vertex_reps = vertex_reps
-        self._row_ints: list[int] | None = None
-        self._bool: np.ndarray | None = None
-        self._neighbors: list[np.ndarray] | None = None
 
     @classmethod
     def from_bool_matrix(cls, adj: np.ndarray, vertex_reps: CosetReps | None = None) -> "Graph":
@@ -337,9 +291,7 @@ class Graph:
             raise GraphConstructionError("adjacency matrix not symmetric")
         packed = np.zeros((n, row_bytes(n)), dtype=np.uint8)
         packed[:, : -(-n // 8)] = np.packbits(adj, axis=1, bitorder="little")
-        g = cls(packed, n, vertex_reps)
-        g._bool = adj
-        return g
+        return cls(packed, n, vertex_reps)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -350,17 +302,10 @@ class Graph:
             adj[u, v] = adj[v, u] = True
         return cls.from_bool_matrix(adj)
 
-    def adjacency_bool(self) -> np.ndarray:
-        if self._bool is None:
-            self._bool = np.unpackbits(self.packed, axis=1, bitorder="little")[:, : self.n].astype(bool)
-        return self._bool
-
-    def row_int(self, u: int) -> int:
-        if self._row_ints is None:
-            self._row_ints = [
-                int.from_bytes(self.packed[v].tobytes(), "little") for v in range(self.n)
-            ]
-        return self._row_ints[u]
+    def row_bits(self, u: int | slice = slice(None)) -> np.ndarray:
+        """Row u (default: every row) unpacked to bool, one entry per vertex."""
+        bits = np.unpackbits(self.packed[u], axis=-1, bitorder="little")
+        return bits[..., : self.n].view(bool)
 
     def degree(self, u: int) -> int:
         return int(np.bitwise_count(self.words[u]).sum())
@@ -370,10 +315,7 @@ class Graph:
         return np.bitwise_count(self.words).sum(axis=1, dtype=np.int32)
 
     def neighbors(self, u: int) -> np.ndarray:
-        if self._neighbors is None:
-            adj = self.adjacency_bool()
-            self._neighbors = [np.flatnonzero(adj[v]).astype(np.int32) for v in range(self.n)]
-        return self._neighbors[u]
+        return np.flatnonzero(self.row_bits(u)).astype(np.int32)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.packed[u, v >> 3] >> (v & 7)) & 1)
@@ -383,8 +325,7 @@ class Graph:
 
     def edges(self) -> np.ndarray:
         """All edges as an array of (u, v) with u < v, lexicographic."""
-        adj = self.adjacency_bool()
-        uu, vv = np.nonzero(np.triu(adj, k=1))
+        uu, vv = np.nonzero(np.triu(self.row_bits(), k=1))
         return np.column_stack([uu, vv]).astype(np.int32)
 
 
@@ -395,11 +336,8 @@ def build_graph(code: GolayCode, reps: CosetReps) -> Graph:
     every weight-6 difference passes through the invalid-distance guard.
     Raises GraphConstructionError if any vertex degree differs from 276.
     """
-    table6 = weight6_distance_table(code)
     enc = reps.encodings
-    z = enc[:, None] ^ enc[None, :]
-    w = np.bitwise_count(z)
-    adj = (w == 2) | ((w == 6) & (table6[z] == 2))
+    adj = adjacent_many(code, enc[:, None], enc[None, :])
     degrees = adj.sum(axis=1)
     bad = np.flatnonzero(degrees != DEGREE)
     if bad.size:
@@ -407,8 +345,7 @@ def build_graph(code: GolayCode, reps: CosetReps) -> Graph:
         raise GraphConstructionError(
             f"vertex {v} has degree {int(degrees[v])}, expected {DEGREE}"
         )
-    g = Graph.from_bool_matrix(adj, vertex_reps=reps)
-    return g
+    return Graph.from_bool_matrix(adj, vertex_reps=reps)
 
 
 @dataclass(frozen=True)
@@ -457,7 +394,7 @@ def verify_srg(g: Graph) -> SrgParams:
             f"degree not constant: vertex {v} has {int(degrees[v])}, vertex 0 has {k}",
             witness=(v,),
         )
-    adj = g.adjacency_bool()
+    adj = g.row_bits()
     lam: int | None = None
     mu: int | None = None
     for u in range(n - 1):

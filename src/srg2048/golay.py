@@ -40,6 +40,12 @@ CODE_DIMENSION = 12
 CODE_SIZE = 1 << CODE_DIMENSION
 
 
+def census(values: np.ndarray) -> dict[int, int]:
+    """How often each distinct value occurs, keyed in ascending order."""
+    distinct, counts = np.unique(values, return_counts=True)
+    return {int(v): int(c) for v, c in zip(distinct, counts)}
+
+
 class GolayCode:
     """Immutable container for the enumerated code.
 
@@ -83,8 +89,7 @@ class GolayCode:
 
     def weight_distribution(self) -> dict[int, int]:
         """Exact weight census over all 4096 words."""
-        values, counts = np.unique(np.bitwise_count(self.codewords), return_counts=True)
-        return {int(v): int(c) for v, c in zip(values, counts)}
+        return census(np.bitwise_count(self.codewords))
 
 
 def build_code(generators: tuple[int, ...] | None = None) -> GolayCode:
@@ -115,12 +120,9 @@ def build_code(generators: tuple[int, ...] | None = None) -> GolayCode:
             f"{len(codewords)} distinct words, expected {CODE_SIZE}"
         )
 
-    census: dict[int, int] = {}
-    values, counts = np.unique(np.bitwise_count(codewords), return_counts=True)
-    for v, c in zip(values, counts):
-        census[int(v)] = int(c)
-    for w in sorted(set(census) | set(EXPECTED_WEIGHT_DISTRIBUTION)):
-        got = census.get(w, 0)
+    weights = census(np.bitwise_count(codewords))
+    for w in sorted(set(weights) | set(EXPECTED_WEIGHT_DISTRIBUTION)):
+        got = weights.get(w, 0)
         expected = EXPECTED_WEIGHT_DISTRIBUTION.get(w, 0)
         if got != expected:
             raise CodeConstructionError(
@@ -143,9 +145,3 @@ def read_generator_file(path: str) -> tuple[int, ...]:
             f"{path}: expected {CODE_DIMENSION} generator rows, got {len(rows)}"
         )
     return tuple(rows)
-
-
-def min_nonzero_weight(code: GolayCode) -> int:
-    """Smallest weight among nonzero codewords (8 for a valid build)."""
-    nonzero = code.codewords[code.codewords != 0]
-    return int(np.bitwise_count(nonzero).min())

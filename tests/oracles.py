@@ -1,0 +1,113 @@
+"""Reference implementations that only the tests use.
+
+Each one decides its question by a route independent of the package's
+fast path: definition-level scans for the coset machinery, and
+arbitrary-precision integer rows for the coclique checks (the package
+uses popcounts over packed 64-bit words).
+"""
+
+from collections import Counter
+
+import numpy as np
+
+from srg2048.coset_graph import WEIGHT2_VECTORS
+from srg2048.errors import DomainError, InternalConsistencyError
+from srg2048.gf2 import check_vec
+
+_WEIGHT2_LIST = WEIGHT2_VECTORS.tolist()
+
+
+# ------------------------------------------------------------ coset level
+
+
+def rep_of_scan(code, reps, x):
+    """Reference implementation of rep_of: linear scan with membership tests."""
+    check_vec(x)
+    if x.bit_count() & 1:
+        raise DomainError(f"vector has odd weight, no coset vertex: {x:024b}")
+    for r in reps.encodings.tolist():
+        if code.contains(x ^ r):
+            return r
+    raise InternalConsistencyError(f"no representative found for {x:024b}")
+
+
+def min_coset_distance_bulk(code, zs):
+    """Full-scan minima (no early exit) for an array of weight-6 vectors."""
+    zs = np.asarray(zs, dtype=np.uint32)
+    if not np.all(np.bitwise_count(zs) == 6):
+        raise DomainError("weight-8 scan requires weight-6 vectors")
+    out = np.empty(len(zs), dtype=np.uint8)
+    w8 = code.weight8
+    for lo in range(0, len(zs), 16384):
+        chunk = zs[lo : lo + 16384]
+        out[lo : lo + len(chunk)] = np.bitwise_count(chunk[:, None] ^ w8[None, :]).min(axis=1)
+    return out
+
+
+def adjacent_by_translates(code, x, y):
+    """Definition-level oracle: the cosets join iff (x + y) + e lands in the
+    code for some weight-2 vector e.  Independent of the case analysis."""
+    z = x ^ y
+    return any(code.contains(z ^ e) for e in _WEIGHT2_LIST)
+
+
+def adjacent_many_oracle(code, xs, ys):
+    """Vectorized definition-level oracle (scan of all 276 weight-2 translates)."""
+    z = np.asarray(xs, dtype=np.uint32) ^ np.asarray(ys, dtype=np.uint32)
+    out = np.zeros(len(z), dtype=bool)
+    for e in _WEIGHT2_LIST:
+        out |= code.contains_many(z ^ np.uint32(e))
+    return out
+
+
+def min_nonzero_weight(code):
+    """Smallest weight among nonzero codewords (8 for a valid build)."""
+    nonzero = code.codewords[code.codewords != 0]
+    return int(np.bitwise_count(nonzero).min())
+
+
+# ------------------------------------------------------- coclique checks
+
+
+def int_rows(g):
+    """The adjacency rows as Python integers, bit v of row u = edge uv."""
+    return [int.from_bytes(g.packed[u].tobytes(), "little") for u in range(g.n)]
+
+
+def is_coclique_ref(rows, s):
+    mask = s.bitmask()
+    return all(rows[v] & mask == 0 for v in s.members)
+
+
+def is_maximal_ref(rows, s):
+    if not is_coclique_ref(rows, s):
+        raise DomainError("maximality is only defined for cocliques")
+    cover = s.bitmask()
+    for v in s.members:
+        cover |= rows[v]
+    return cover == (1 << len(rows)) - 1
+
+
+def external_profile_ref(rows, s):
+    mask = s.bitmask()
+    counts = Counter()
+    for w, row in enumerate(rows):
+        if not (mask >> w) & 1:
+            counts[(row & mask).bit_count()] += 1
+    return dict(counts)
+
+
+def pair_invariant_ref(rows, s):
+    mask = s.bitmask()
+    w8_mask = 0
+    for w, row in enumerate(rows):
+        if not (mask >> w) & 1 and (row & mask).bit_count() == 8:
+            w8_mask |= 1 << w
+    total = 0
+    members = s.members
+    for i, u in enumerate(members):
+        row_u = rows[u] & w8_mask
+        for v in members[i + 1 :]:
+            if row_u & rows[v] == 0:
+                total += 1
+    return total

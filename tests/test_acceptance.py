@@ -23,9 +23,7 @@ from srg2048.coset_graph import (
     N_VERTICES,
     TARGET_PARAMS,
     adjacent,
-    adjacent_by_translates,
     adjacent_many,
-    adjacent_many_oracle,
     build_reps,
     check_rep_uniqueness,
     delsarte_bound,
@@ -36,6 +34,8 @@ from srg2048.coset_graph import (
 from srg2048.errors import DatFormatError
 from srg2048.golay import build_code
 from srg2048.io_formats import GAP_TRAILER, export_gap, read_dat, write_dat
+
+from oracles import adjacent_by_translates, adjacent_many_oracle
 
 KNOWN_SIZE72_PROFILE = {8: 480, 10: 960, 12: 536}
 KNOWN_SIZE72_INVARIANTS = {166, 276, 336}

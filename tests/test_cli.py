@@ -1,4 +1,7 @@
 import hashlib
+import importlib
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,18 +29,56 @@ def test_parse_size_targets():
         parse_size_targets("abc")
     with pytest.raises(ValueError, match="empty range"):
         parse_size_targets("40-20")
+    with pytest.raises(ValueError, match="out of range"):
+        parse_size_targets("0-3000")
+    assert parse_size_targets("2048") == (2048,)
 
 
+# rejected while parsing, so before the graph is built
 @pytest.mark.parametrize(
-    "sizes, message", [("abc", "not a size"), ("40-20", "empty range")]
+    "sizes, message",
+    [
+        ("abc", "not a size"),
+        ("40-20", "empty range"),
+        ("0-3000", "out of range"),
+        ("20-21 --budget 0", "at least 1"),
+        ("20-21 --budget x", "not an integer"),
+    ],
 )
 def test_search_bad_sizes_is_usage_error(capsys, sizes, message):
+    argv = ["search", "--sizes", *sizes.split()]
     with pytest.raises(SystemExit) as info:
-        main(["search", "--sizes", sizes])
+        main(argv)
     assert info.value.code == 2
     err = capsys.readouterr().err
-    assert "--sizes" in err and message in err
+    assert argv[-2] in err and message in err
     assert "Traceback" not in err
+
+
+def test_search_reports_coverage_and_large_sets(capsys):
+    assert main(["search", "--sizes", "20-72", "--budget", "3000", "--seed", "7"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "missing sizes: 21 23 56 58 59 60 61 62 63 66 67 68 69 70 71" in out
+    row = "X.X.XXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXX.X......XX......X"
+    assert f"coverage 20-72: {row} (38 of 53 sizes)" in out
+    # the one set of size >= 72, described as `check` describes it
+    assert (
+        "set 38: size 72, coclique yes, maximal yes, "
+        "profile 8:480 10:960 12:536, pair invariant 336\n"
+    ) in out
+
+
+def test_traced_names_exist():
+    """Every function the benchmark's tracer patches is still there."""
+    path = Path(__file__).resolve().parents[1] / "srgbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("srgbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for table in (spans.TRACED, spans.GRAPH_SOURCES):
+        for module_name, names in table.items():
+            module = importlib.import_module(f"srg2048.{module_name}")
+            for name in names:
+                assert callable(getattr(module, name, None)), f"{module_name}.{name}"
 
 
 def test_verify_command(capsys):
@@ -176,7 +217,7 @@ def _corrupt_rows(graph, kind):
     packed = graph.packed.copy()
     if kind == "loop":  # vertex 0 joined to itself, cut from its first neighbour
         packed[0, 0] |= 1
-        nb = int(np.flatnonzero(graph.adjacency_bool()[0])[0])
+        nb = int(graph.neighbors(0)[0])
         packed[0, nb >> 3] &= ~np.uint8(1 << (nb & 7))
     else:  # "degree": row 0 gains or loses vertex 2047
         packed[0, 255] ^= 0x80

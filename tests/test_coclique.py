@@ -1,10 +1,13 @@
 import hashlib
+import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from srg2048 import coclique
 from srg2048.coclique import (
     DEFAULT_SEED,
     ExternalProfile,
@@ -17,8 +20,19 @@ from srg2048.coclique import (
     search_maximal,
 )
 from srg2048.coset_graph import DEGREE, N_VERTICES, translation_map
-from srg2048.errors import DomainError
-from srg2048.io_formats import write_dat
+from srg2048.errors import DomainError, InternalConsistencyError
+from srg2048.io_formats import read_dat, write_dat
+
+from oracles import (
+    external_profile_ref,
+    int_rows,
+    is_coclique_ref,
+    is_maximal_ref,
+    pair_invariant_ref,
+)
+
+# 142 maximal cocliques of sizes 20..66 and 72, shipped with the benchmark
+POOL_DAT = Path(__file__).resolve().parents[1] / "srgbench" / "pool.dat"
 
 
 # ------------------------------------------------------------- VertexSet
@@ -89,6 +103,40 @@ def test_is_maximal_rejects_non_coclique(graph):
         is_maximal(graph, VertexSet((0, v)))
 
 
+def _reference_cases(request, reps, case):
+    if case in ("petersen", "cycle5"):  # every subset
+        g = request.getfixturevalue(case)
+        return g, [
+            VertexSet(c) for k in range(g.n + 1) for c in itertools.combinations(range(g.n), k)
+        ]
+    g = request.getfixturevalue("graph")
+    if case == "pool":
+        sets = read_dat(POOL_DAT.read_bytes(), reps)
+        assert len(sets) == 142
+        return g, sets
+    if case == "empty":
+        return g, [VertexSet(())]
+    return g, [VertexSet((0,)), VertexSet((g.n - 1,))]
+
+
+@pytest.mark.parametrize("case", ["pool", "petersen", "cycle5", "empty", "singleton"])
+def test_packed_checks_match_int_row_references(request, reps, case):
+    g, sets = _reference_cases(request, reps, case)
+    rows = int_rows(g)
+    for s in sets:
+        independent = is_coclique(g, s)
+        assert independent == is_coclique_ref(rows, s)
+        if independent:
+            assert is_maximal(g, s) == is_maximal_ref(rows, s)
+        else:
+            with pytest.raises(DomainError):
+                is_maximal(g, s)
+        assert external_profile(g, s).counts == external_profile_ref(rows, s)
+        assert pair_invariant(g, s) == pair_invariant_ref(rows, s)
+    if case == "pool":
+        assert all(is_maximal(g, s) for s in sets)
+
+
 # ------------------------------------------------------------- profiles
 
 
@@ -134,11 +182,10 @@ def test_pair_invariant_two_element_direct(graph):
     value = pair_invariant(graph, s)
     assert value in (0, 1)
     # direct evaluation of the definition
-    mask = s.bitmask()
     w8 = [
         u
         for u in range(graph.n)
-        if not (mask >> u) & 1 and (graph.row_int(u) & mask).bit_count() == 8
+        if u not in s.members and sum(graph.has_edge(u, m) for m in s.members) == 8
     ]
     common = [
         u for u in w8 if graph.has_edge(0, u) and graph.has_edge(w, u)
@@ -239,6 +286,39 @@ def test_search_small_graphs_pinned(request, name, seed, expected):
     assert [s.members for s in results] == expected
     for s in results:
         assert is_coclique(g, s) and is_maximal(g, s)
+
+
+def test_search_checks_each_candidate_once(graph, monkeypatch):
+    calls = {"is_coclique": 0, "is_maximal": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(coclique, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(coclique, name, counted)
+    candidates = set()
+    complete = coclique._complete
+
+    def recorded(*args, **kwargs):
+        members = complete(*args, **kwargs)
+        candidates.add(tuple(members))
+        return members
+
+    monkeypatch.setattr(coclique, "_complete", recorded)
+    search_maximal(
+        graph, range(20, 73), budget=300, seed=7,
+        config=SearchConfig(stop_when_complete=False),
+    )
+    # is_maximal runs the coclique check itself; nothing runs it twice
+    assert calls == {"is_coclique": len(candidates), "is_maximal": len(candidates)}
+
+
+@pytest.mark.parametrize("kind", ["adjacent pair", "not maximal"])
+def test_search_rejects_a_bad_candidate(graph, monkeypatch, kind):
+    members = [0, int(graph.neighbors(0)[0])] if kind == "adjacent pair" else [0]
+    monkeypatch.setattr(coclique, "_fresh_run", lambda *args: list(members))
+    with pytest.raises(InternalConsistencyError, match="independent checker"):
+        search_maximal(graph, [2], budget=1, seed=DEFAULT_SEED)
 
 
 def test_search_rejects_bad_budget(graph):

@@ -13,18 +13,14 @@ from srg2048.coset_graph import (
     Graph,
     SrgParams,
     adjacent,
-    adjacent_by_translates,
     adjacent_many,
-    adjacent_many_oracle,
     build_graph,
     check_rep_uniqueness,
     coset_vertex,
     delsarte_bound,
     is_representative,
     min_coset_distance,
-    min_coset_distance_bulk,
     rep_of,
-    rep_of_scan,
     srg_eigenvalues,
     translation_map,
     verify_srg,
@@ -34,6 +30,13 @@ from srg2048.errors import (
     DomainError,
     GraphConstructionError,
     VerificationError,
+)
+
+from oracles import (
+    adjacent_by_translates,
+    adjacent_many_oracle,
+    min_coset_distance_bulk,
+    rep_of_scan,
 )
 
 
@@ -243,19 +246,20 @@ def test_rows_symmetric_sample(graph):
         assert graph.has_edge(u, v) == graph.has_edge(v, u)
 
 
-def test_row_int_matches_has_edge(graph):
+def test_neighbors_match_has_edge(graph):
     rng = random.Random(16)
     for _ in range(50):
         u = rng.randrange(graph.n)
-        row = graph.row_int(u)
+        row = set(graph.neighbors(u).tolist())
+        bits = graph.row_bits(u)
         for _ in range(20):
             v = rng.randrange(graph.n)
-            assert bool((row >> v) & 1) == graph.has_edge(u, v)
+            assert (v in row) == bool(bits[v]) == graph.has_edge(u, v)
 
 
 def test_vertex_translation_is_automorphism(code, reps, graph):
     rng = random.Random(17)
-    adj = graph.adjacency_bool()
+    adj = graph.row_bits()
     for _ in range(3):
         t = rng.randrange(1 << 24)
         if bin(t).count("1") % 2 == 1:
@@ -320,10 +324,11 @@ def test_rows_are_padded_to_whole_words(cycle5, petersen, graph):
     for g in (cycle5, petersen):
         assert g.packed.shape == (g.n, 8)
         assert g.words.shape == (g.n, 1)
+        expected = [[g.has_edge(u, v) for v in range(g.n)] for u in range(g.n)]
         assert np.array_equal(
-            np.unpackbits(g.packed, axis=1, bitorder="little")[:, : g.n],
-            g.adjacency_bool(),
+            np.unpackbits(g.packed, axis=1, bitorder="little")[:, : g.n], expected
         )
+        assert np.array_equal(g.row_bits(), expected)
         assert not np.unpackbits(g.packed, axis=1, bitorder="little")[:, g.n :].any()
         assert g.degrees().tolist() == [g.degree(u) for u in range(g.n)]
     # 2048 bits are 32 whole words: no padding, so cache files stay valid
@@ -401,7 +406,7 @@ def test_build_graph_matches_oracle_rows(code, reps, graph):
         xs = np.full(N_VERTICES, enc[u], dtype=np.uint32)
         oracle_row = adjacent_many_oracle(code, xs, enc)
         oracle_row[u] = False
-        assert np.array_equal(graph.adjacency_bool()[u], oracle_row)
+        assert np.array_equal(graph.row_bits(u), oracle_row)
 
 
 def test_build_graph_is_deterministic(code, reps, graph):

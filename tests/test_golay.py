@@ -9,9 +9,10 @@ from srg2048.golay import (
     DEFAULT_GENERATOR_ROWS,
     EXPECTED_WEIGHT_DISTRIBUTION,
     build_code,
-    min_nonzero_weight,
     read_generator_file,
 )
+
+from oracles import min_nonzero_weight
 
 
 def test_codeword_count(code):
