@@ -7,8 +7,11 @@ never share a coset (their sum has weight at most 6, below the minimum
 codeword weight), so the labelling is a bijection.
 
 Two cosets join when they have representations differing by a weight-2
-vector.  For representatives x, y this reduces to a case analysis on
-z = x + y:
+vector.  Cosets are told apart by their syndromes (see `golay`), so
+`build_graph` builds a Cayley graph on the 2048 even-weight syndromes: u and
+v join when syn(u) + syn(v) is the syndrome of a weight-2 vector.  The
+paper's case analysis on z = x + y, for representatives x, y, is the
+cross-check:
 
     w(z) = 0 -> same vertex, no edge;
     w(z) = 2 -> edge (z itself is the weight-2 difference);
@@ -19,9 +22,10 @@ In the last case a scan over the 759 weight-8 words may stop at the first
 value <= 4: a word at distance 4 from z would share 5 coordinates with any
 word at distance 2, forcing the two words equal, so distances 2 and 4
 exclude each other.  Any scan result outside {2, 4} is treated as a hard
-error rather than assumed impossible; `build_graph` evaluates the scan for
-every weight-6 difference, so a full build doubles as an exhaustive check
-that the error branch is unreachable.
+error rather than assumed impossible.  The representative differences are
+exactly the 145,499 even vectors of weight at most 6; `build_graph` checks
+the case rule against the syndromes on all of them, through the full scan
+of every weight-6 vector with its guard.
 
 Vertex numbering is the ascending order of representative encodings,
 0-based internally and 1-based in text exports.
@@ -29,6 +33,7 @@ Vertex numbering is the ascending order of representative encodings,
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -43,36 +48,26 @@ from .errors import (
     InvalidDistanceError,
     VerificationError,
 )
-from .gf2 import VEC_LIMIT, Vec24, check_vec
-from .golay import GolayCode, census
+from .gf2 import VEC_BITS, VEC_LIMIT, Vec24, check_vec
+from .golay import SYNDROME_LIMIT, GolayCode, census
 
 N_VERTICES = 2048
 DEGREE = 276
-INVALID_VERTEX = np.uint16(0xFFFF)
-
-#: The 276 weight-2 vectors, ascending; the connection set of the graph.
-WEIGHT2_VECTORS: np.ndarray = np.sort(
-    np.array(
-        [(1 << a) | (1 << b) for a, b in itertools.combinations(range(24), 2)],
-        dtype=np.uint32,
-    )
-)
-
-_ALL_WEIGHT6: np.ndarray | None = None
 
 
-def _all_weight6() -> np.ndarray:
-    """All C(24,6) = 134596 weight-6 encodings (module-level cache)."""
-    global _ALL_WEIGHT6
-    if _ALL_WEIGHT6 is None:
-        values = np.zeros(134596, dtype=np.uint32)
-        for i, bits in enumerate(itertools.combinations(range(24), 6)):
-            v = 0
-            for b in bits:
-                v |= 1 << b
-            values[i] = v
-        _ALL_WEIGHT6 = values
-    return _ALL_WEIGHT6
+@functools.cache
+def vectors_of_weight(w: int) -> np.ndarray:
+    """All C(24, w) vectors of weight w, ascending (cached, read-only)."""
+    count = math.comb(VEC_BITS, w)
+    combos = itertools.chain.from_iterable(itertools.combinations(range(VEC_BITS), w))
+    bits = np.fromiter(combos, dtype=np.uint32, count=count * w).reshape(count, w)
+    values = np.sort((np.uint32(1) << bits).sum(axis=1, dtype=np.uint32))
+    values.setflags(write=False)
+    return values
+
+
+#: The 276 weight-2 vectors, ascending; their syndromes are the connection set.
+WEIGHT2_VECTORS: np.ndarray = vectors_of_weight(2)
 
 
 def is_representative(x: Vec24) -> bool:
@@ -91,7 +86,6 @@ class CosetReps:
 
     def __init__(self, encodings: np.ndarray):
         self.encodings = encodings
-        self._vertex_table: tuple[GolayCode, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self.encodings)
@@ -119,38 +113,28 @@ class CosetReps:
 
 def build_reps() -> CosetReps:
     """Enumerate the canonical representative set."""
-    values = [0]
-    values.extend(WEIGHT2_VECTORS.tolist())
-    for bits in itertools.combinations(range(1, 24), 3):
-        v = 1
-        for b in bits:
-            v |= 1 << b
-        values.append(v)
-    return CosetReps(np.sort(np.array(values, dtype=np.uint32)))
+    weight4 = vectors_of_weight(4)
+    values = [vectors_of_weight(0), WEIGHT2_VECTORS, weight4[(weight4 & 1) == 1]]
+    return CosetReps(np.sort(np.concatenate(values)))
 
 
-def vertex_index_table(code: GolayCode, reps: CosetReps) -> np.ndarray:
-    """Full lookup table: encoding -> vertex index (0xFFFF off the even space).
+def _vertex_of_syndrome(code: GolayCode, reps: CosetReps) -> np.ndarray:
+    """Array over the 4096 syndromes: the vertex whose representative has
+    that syndrome, -1 for the odd-weight cosets.
 
-    The 2048 x 4096 translates of the representatives tile the even-weight
-    half of GF(2)^24 exactly once; the build verifies that tiling, which is
-    an independent confirmation of representative uniqueness.
+    Raises InternalConsistencyError with a witness pair if two
+    representatives share a syndrome, that is, a coset.
     """
-    cached = reps._vertex_table
-    if cached is not None and cached[0] is code:
-        return cached[1]
-    table = np.full(VEC_LIMIT, INVALID_VERTEX, dtype=np.uint16)
-    translates = reps.encodings[:, None] ^ code.codewords[None, :]
-    table[translates.ravel()] = np.repeat(
-        np.arange(len(reps), dtype=np.uint16), len(code.codewords)
-    )
-    filled = int(np.count_nonzero(table != INVALID_VERTEX))
-    if filled != 1 << 23:
+    syn = code.syndromes(reps.encodings)
+    _, first, inverse = np.unique(syn, return_index=True, return_inverse=True)
+    clash = np.flatnonzero(first[inverse] != np.arange(len(syn)))
+    if clash.size:
+        v = int(clash[0])
         raise InternalConsistencyError(
-            f"coset table covers {filled} points, expected {1 << 23}: "
-            "representatives do not tile the even-weight space"
+            f"representatives {int(first[inverse[v]])} and {v} lie in the same coset"
         )
-    reps._vertex_table = (code, table)
+    table = np.full(SYNDROME_LIMIT, -1, dtype=np.int64)
+    table[syn] = np.arange(len(syn))
     return table
 
 
@@ -159,10 +143,7 @@ def coset_vertex(code: GolayCode, reps: CosetReps, x: Vec24) -> int:
     check_vec(x)
     if x.bit_count() & 1:
         raise DomainError(f"vector has odd weight, no coset vertex: {x:024b}")
-    idx = int(vertex_index_table(code, reps)[x])
-    if idx == int(INVALID_VERTEX):
-        raise InternalConsistencyError(f"even-weight vector unmapped: {x:024b}")
-    return idx
+    return int(_vertex_of_syndrome(code, reps)[code.syndrome(x)])
 
 
 def rep_of(code: GolayCode, reps: CosetReps, x: Vec24) -> Vec24:
@@ -173,30 +154,30 @@ def rep_of(code: GolayCode, reps: CosetReps, x: Vec24) -> Vec24:
 def weight6_distance_table(code: GolayCode) -> np.ndarray:
     """Minimum distance from each weight-6 vector to the weight-8 codewords.
 
-    Returns a byte table over all of [0, 2^24) holding the minimum of
-    w(z + c) over the 759 weight-8 words c, for every weight-6 z (other
-    entries are 0).  Raises InvalidDistanceError the moment any minimum
-    falls outside {2, 4}.  Cached on the code instance.
+    Returns one byte per weight-6 vector, in the ascending order of
+    `vectors_of_weight(6)`: the minimum of w(z + c) over the 759 weight-8
+    words c, by a full scan.  Raises InvalidDistanceError the moment any
+    minimum falls outside {2, 4}.  Cached on the code instance.
     """
     if code._weight6_table is not None:
         return code._weight6_table
-    table = np.zeros(VEC_LIMIT, dtype=np.uint8)
-    z6 = _all_weight6()
+    z6 = vectors_of_weight(6)
+    table = np.empty(len(z6), dtype=np.uint8)
     w8 = code.weight8
-    for lo in range(0, len(z6), 16384):
-        chunk = z6[lo : lo + 16384]
+    for lo in range(0, len(z6), 4096):  # 4096 x 759 uint32: 12 MiB of scratch
+        chunk = z6[lo : lo + 4096]
         dist = np.bitwise_count(chunk[:, None] ^ w8[None, :]).min(axis=1)
         bad = np.flatnonzero((dist != 2) & (dist != 4))
         if bad.size:
             raise InvalidDistanceError(int(chunk[bad[0]]), int(dist[bad[0]]))
-        table[chunk] = dist
+        table[lo : lo + len(chunk)] = dist
     code._weight6_table = table
     return table
 
 
 def weight6_distance_census(code: GolayCode) -> dict[int, int]:
     """How many weight-6 vectors sit at each distance from the weight-8 words."""
-    return census(weight6_distance_table(code)[_all_weight6()])
+    return census(weight6_distance_table(code))
 
 
 def min_coset_distance(code: GolayCode, z: Vec24) -> int:
@@ -241,16 +222,16 @@ def adjacent(code: GolayCode, x: Vec24, y: Vec24) -> bool:
 def adjacent_many(code: GolayCode, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Vectorized case-analysis adjacency for arrays of representatives.
 
-    The distance table is 0 off the weight-6 vectors, so looking every
-    difference up decides the weight-6 case and is false in the others.
+    Weight-6 differences are looked up in the distance table by binary
+    search in the ascending weight-6 vectors.
     """
-    # the table first: its build scratch is freed before z and w exist
     table6 = weight6_distance_table(code)
     z = np.asarray(xs, dtype=np.uint32) ^ np.asarray(ys, dtype=np.uint32)
     w = np.bitwise_count(z)
     if ((w & 1) | (w > 6)).any():
         raise DomainError("inputs are not coset representatives")
-    return (w == 2) | (table6[z] == 2)
+    pos = np.searchsorted(vectors_of_weight(6), z).clip(max=len(table6) - 1)
+    return (w == 2) | ((w == 6) & (table6[pos] == 2))
 
 
 def row_bytes(n: int) -> int:
@@ -264,7 +245,7 @@ class Graph:
     Bit v of row u is (packed[u, v >> 3] >> (v & 7)) & 1.  Rows are
     row_bytes(n) long, zero-padded past bit n - 1, so `words` can view them
     as 64-bit words for popcount kernels; for n = 2048 nothing is padded.
-    Neighbour lists and edges are unpacked from the rows on each call.
+    Neighbour lists are unpacked from the rows on each call.
     """
 
     def __init__(self, packed: np.ndarray, n: int, vertex_reps: CosetReps | None = None):
@@ -323,21 +304,27 @@ class Graph:
     def edge_count(self) -> int:
         return int(np.bitwise_count(self.packed).sum()) // 2
 
-    def edges(self) -> np.ndarray:
-        """All edges as an array of (u, v) with u < v, lexicographic."""
-        uu, vv = np.nonzero(np.triu(self.row_bits(), k=1))
-        return np.column_stack([uu, vv]).astype(np.int32)
-
 
 def build_graph(code: GolayCode, reps: CosetReps) -> Graph:
-    """Decide all vertex pairs by the case analysis and assemble the graph.
+    """Assemble the graph as a Cayley graph on the representative syndromes.
 
-    The weight-6 branch is evaluated through the full distance table, so
-    every weight-6 difference passes through the invalid-distance guard.
-    Raises GraphConstructionError if any vertex degree differs from 276.
+    Raises GraphConstructionError if any vertex degree differs from 276,
+    InvalidDistanceError if the weight-8 scan finds a distance outside
+    {2, 4}, and InternalConsistencyError if the case analysis disagrees
+    with the syndromes on any even vector of weight at most 6.
     """
-    enc = reps.encodings
-    adj = adjacent_many(code, enc[:, None], enc[None, :])
+    connection = np.zeros(SYNDROME_LIMIT, dtype=bool)
+    connection[code.syndromes(WEIGHT2_VECTORS)] = True
+    # the case analysis first: the scan's scratch is freed before adj exists
+    z = np.concatenate([vectors_of_weight(w) for w in (0, 2, 4, 6)])
+    off = np.flatnonzero(connection[code.syndromes(z)] != adjacent_many(code, z, 0))
+    if off.size:
+        raise InternalConsistencyError(
+            f"case analysis and syndromes disagree on {off.size} of {len(z)} "
+            f"differences, first {int(z[off[0]]):024b}"
+        )
+    syn = code.syndromes(reps.encodings)
+    adj = connection[syn[:, None] ^ syn[None, :]]
     degrees = adj.sum(axis=1)
     bad = np.flatnonzero(degrees != DEGREE)
     if bad.size:
@@ -461,23 +448,16 @@ def translation_map(code: GolayCode, reps: CosetReps, t: Vec24) -> np.ndarray:
     check_vec(t)
     if t.bit_count() & 1:
         raise DomainError(f"translation must have even weight: {t:024b}")
-    return vertex_index_table(code, reps)[reps.encodings ^ np.uint32(t)].astype(np.int64)
+    return _vertex_of_syndrome(code, reps)[code.syndromes(reps.encodings) ^ code.syndrome(t)]
 
 
 def check_rep_uniqueness(code: GolayCode, reps: CosetReps) -> int:
     """Exhaustively confirm no two distinct representatives share a coset.
 
-    Returns the number of pairs checked; raises InternalConsistencyError
-    with a witness pair if any off-diagonal difference lands in the code.
+    x + y lies in the code exactly when syn(x) = syn(y), so comparing the
+    2048 syndromes decides every pair.  Returns the number of pairs;
+    raises InternalConsistencyError with a witness pair on a shared coset.
     """
-    enc = reps.encodings
-    z = enc[:, None] ^ enc[None, :]
-    in_code = code.contains_many(z.ravel()).reshape(z.shape)
-    np.fill_diagonal(in_code, False)
-    if in_code.any():
-        u, v = (int(i) for i in np.argwhere(in_code)[0])
-        raise InternalConsistencyError(
-            f"representatives {u} and {v} lie in the same coset"
-        )
-    n = len(enc)
+    _vertex_of_syndrome(code, reps)
+    n = len(reps)
     return n * (n - 1) // 2

@@ -7,6 +7,11 @@ That weight census characterizes the code up to coordinate permutation, so
 of trusting the caller; every matrix that passes yields an isomorphic
 coset graph.
 
+Such a code is doubly even, hence self-orthogonal, and its dimension is
+half its length, so it is self-dual: its generator rows in any form are
+parity checks.  The 12-bit syndrome of x (bit i: the parity of x against
+row i) is 0 exactly on the code; x, y share a coset iff syndromes agree.
+
 The built-in default generator matrix is the systematic form [I | B] with
 the classical 12x12 bordered circulant B.
 """
@@ -16,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CodeConstructionError, DomainError
-from .gf2 import VEC_LIMIT, Vec24, parse_vec
+from .gf2 import VEC_LIMIT, Vec24, check_vec, parse_vec
 
 # Systematic [I | B] generator rows, written in the package's string form.
 DEFAULT_GENERATOR_ROWS: tuple[str, ...] = (
@@ -38,6 +43,7 @@ EXPECTED_WEIGHT_DISTRIBUTION: dict[int, int] = {0: 1, 8: 759, 12: 2576, 16: 759,
 
 CODE_DIMENSION = 12
 CODE_SIZE = 1 << CODE_DIMENSION
+SYNDROME_LIMIT = 1 << CODE_DIMENSION  # one syndrome bit per generator row
 
 
 def census(values: np.ndarray) -> dict[int, int]:
@@ -53,9 +59,7 @@ class GolayCode:
         generators: the 12 generator rows as integer encodings.
         codewords:  all 4096 words, ascending, dtype uint32.
         weight8:    the 759 words of weight 8, ascending, dtype uint32.
-    Membership is answered from a direct-addressed bit table (2 MiB), one
-    bit per point of GF(2)^24, so lookups cost a constant regardless of
-    how many millions of queries the adjacency machinery issues.
+    Membership and coset questions are answered from 12-bit syndromes.
     """
 
     def __init__(self, generators: tuple[int, ...], codewords: np.ndarray):
@@ -63,29 +67,34 @@ class GolayCode:
         self.codewords = codewords
         self.weight8 = codewords[np.bitwise_count(codewords) == 8]
         self._weight8_list: list[int] = self.weight8.tolist()
-        member_bits = np.zeros(VEC_LIMIT >> 3, dtype=np.uint8)
-        np.bitwise_or.at(
-            member_bits,
-            codewords >> 3,
-            (np.uint8(1) << (codewords & 7).astype(np.uint8)),
-        )
-        self._member_bits = member_bits
-        # lazily filled caches (see coset_graph)
+        # lazily filled cache (see coset_graph)
         self._weight6_table: np.ndarray | None = None
+
+    def syndrome(self, x: Vec24) -> int:
+        """Bit i is the parity of x against generator row i."""
+        check_vec(x)
+        return sum(((x & g).bit_count() & 1) << i for i, g in enumerate(self.generators))
+
+    def syndromes(self, xs: np.ndarray) -> np.ndarray:
+        """Vectorized syndromes, dtype uint16."""
+        xs = np.asarray(xs, dtype=np.uint32)
+        if (xs >= VEC_LIMIT).any():
+            raise DomainError("vector encoding out of range [0, 2^24)")
+        out = np.zeros(xs.shape, dtype=np.uint16)
+        for i, g in enumerate(self.generators):
+            out |= (np.bitwise_count(xs & np.uint32(g)) & 1).astype(np.uint16) << i
+        return out
 
     def contains(self, x: Vec24) -> bool:
         """True iff x is one of the 4096 codewords."""
-        if not 0 <= x < VEC_LIMIT:
-            raise DomainError(f"vector encoding out of range [0, 2^24): {x}")
-        return bool((self._member_bits[x >> 3] >> (x & 7)) & 1)
+        return self.syndrome(x) == 0
 
     def __contains__(self, x: Vec24) -> bool:
         return self.contains(x)
 
     def contains_many(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized membership over an array of encodings."""
-        xs = np.asarray(xs, dtype=np.uint32)
-        return ((self._member_bits[xs >> 3] >> (xs & 7).astype(np.uint8)) & 1).astype(bool)
+        return self.syndromes(xs) == 0
 
     def weight_distribution(self) -> dict[int, int]:
         """Exact weight census over all 4096 words."""

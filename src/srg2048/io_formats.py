@@ -108,7 +108,7 @@ def export_gap(g: Graph, sets=()) -> str:
     parts: list[str] = ["A:=[\n"]
     last = g.n - 1
     for u in range(g.n):
-        row = ",".join(str(v + 1) for v in g.neighbors(u))
+        row = ",".join(map(str, (g.neighbors(u) + 1).tolist()))
         parts.append(f"[{row}]{',' if u != last else ''}\n")
     parts.append("];\n")
     parts.append("MIS:=[\n")
@@ -123,4 +123,8 @@ def export_gap(g: Graph, sets=()) -> str:
 
 def export_edge_list(g: Graph) -> str:
     """Plain text debug export: one '1-based u v' line per edge, u < v."""
-    return "".join(f"{u + 1} {v + 1}\n" for u, v in g.edges())
+    parts: list[str] = []
+    for u in range(g.n):  # row by row: no edge array or list of pairs at once
+        nbrs = g.neighbors(u)
+        parts.append("".join(f"{u + 1} {v}\n" for v in (nbrs[nbrs > u] + 1).tolist()))
+    return "".join(parts)

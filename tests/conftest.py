@@ -21,6 +21,15 @@ def graph(code, reps):
     return build_graph(code, reps)
 
 
+@pytest.fixture
+def code_missing_an_octad():
+    """A fresh code whose weight-8 list lacks its first octad."""
+    code = build_code()
+    code.weight8 = code.weight8[1:]
+    code._weight8_list = code.weight8.tolist()
+    return code
+
+
 @pytest.fixture(scope="session")
 def cycle5():
     return Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])

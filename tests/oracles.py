@@ -1,34 +1,44 @@
 """Reference implementations that only the tests use.
 
 Each one decides its question by a route independent of the package's
-fast path: definition-level scans for the coset machinery, and
-arbitrary-precision integer rows for the coclique checks (the package
-uses popcounts over packed 64-bit words).
+fast path: definition-level scans for the coset machinery, with membership
+decided by binary search in the enumerated codewords (the package uses
+syndromes), and arbitrary-precision integer rows for the coclique checks
+(the package uses popcounts over packed 64-bit words).
 """
 
+import itertools
 from collections import Counter
 
 import numpy as np
 
-from srg2048.coset_graph import WEIGHT2_VECTORS
 from srg2048.errors import DomainError, InternalConsistencyError
 from srg2048.gf2 import check_vec
 
-_WEIGHT2_LIST = WEIGHT2_VECTORS.tolist()
-
+# enumerated here rather than taken from the package, which builds from them
+_WEIGHT2 = np.array(
+    [(1 << a) | (1 << b) for a, b in itertools.combinations(range(24), 2)], dtype=np.uint32
+)
 
 # ------------------------------------------------------------ coset level
 
 
+def in_code(code, xs):
+    """Membership of each of xs, by binary search in code.codewords."""
+    xs = np.asarray(xs, dtype=np.uint32)
+    pos = np.searchsorted(code.codewords, xs).clip(max=len(code.codewords) - 1)
+    return code.codewords[pos] == xs
+
+
 def rep_of_scan(code, reps, x):
-    """Reference implementation of rep_of: linear scan with membership tests."""
+    """Reference implementation of rep_of: scan of all representatives."""
     check_vec(x)
     if x.bit_count() & 1:
         raise DomainError(f"vector has odd weight, no coset vertex: {x:024b}")
-    for r in reps.encodings.tolist():
-        if code.contains(x ^ r):
-            return r
-    raise InternalConsistencyError(f"no representative found for {x:024b}")
+    found = reps.encodings[in_code(code, reps.encodings ^ np.uint32(x))]
+    if found.size == 0:
+        raise InternalConsistencyError(f"no representative found for {x:024b}")
+    return int(found[0])
 
 
 def min_coset_distance_bulk(code, zs):
@@ -47,16 +57,15 @@ def min_coset_distance_bulk(code, zs):
 def adjacent_by_translates(code, x, y):
     """Definition-level oracle: the cosets join iff (x + y) + e lands in the
     code for some weight-2 vector e.  Independent of the case analysis."""
-    z = x ^ y
-    return any(code.contains(z ^ e) for e in _WEIGHT2_LIST)
+    return bool(in_code(code, _WEIGHT2 ^ np.uint32(x ^ y)).any())
 
 
 def adjacent_many_oracle(code, xs, ys):
     """Vectorized definition-level oracle (scan of all 276 weight-2 translates)."""
     z = np.asarray(xs, dtype=np.uint32) ^ np.asarray(ys, dtype=np.uint32)
     out = np.zeros(len(z), dtype=bool)
-    for e in _WEIGHT2_LIST:
-        out |= code.contains_many(z ^ np.uint32(e))
+    for e in _WEIGHT2:
+        out |= in_code(code, z ^ e)
     return out
 
 

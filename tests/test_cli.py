@@ -6,8 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from srg2048 import golay
 from srg2048.cli import (
     CACHE_VERSION,
+    EXIT_DISTANCE,
     EXIT_FORMAT,
     EXIT_OK,
     EXIT_VERIFY,
@@ -90,6 +92,12 @@ def test_verify_command(capsys):
     assert "srg parameters: (2048, 276, 44, 36)" in out
     assert "delsarte bound: 85" in out
     assert "all checks passed" in out
+
+
+def test_verify_exits_5_when_the_distance_guard_fires(monkeypatch, capsys, code_missing_an_octad):
+    monkeypatch.setattr(golay, "build_code", lambda generators=None: code_missing_an_octad)
+    assert main(["verify"]) == EXIT_DISTANCE
+    assert "invalid distance" in capsys.readouterr().err
 
 
 def test_verify_rejects_corrupted_generators(tmp_path, capsys):

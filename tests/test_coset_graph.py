@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from srg2048 import coset_graph
 from srg2048.coset_graph import (
     DEGREE,
     N_VERTICES,
@@ -29,8 +31,12 @@ from srg2048.coset_graph import (
 from srg2048.errors import (
     DomainError,
     GraphConstructionError,
+    InternalConsistencyError,
+    InvalidDistanceError,
     VerificationError,
 )
+from srg2048.gf2 import parse_vec
+from srg2048.golay import DEFAULT_GENERATOR_ROWS, build_code
 
 from oracles import (
     adjacent_by_translates,
@@ -412,3 +418,55 @@ def test_build_graph_matches_oracle_rows(code, reps, graph):
 def test_build_graph_is_deterministic(code, reps, graph):
     again = build_graph(code, reps)
     assert np.array_equal(again.packed, graph.packed)
+
+
+# sha256 of Graph.packed for the default generators: the cache-file contract
+PACKED_SHA256 = "2d84770e55ec6da007c8af5efa50353ad0d93424114eb8d40761d5e14d8abfba"
+
+
+def test_packed_rows_are_pinned(graph):
+    assert hashlib.sha256(graph.packed.tobytes()).hexdigest() == PACKED_SHA256
+
+
+def test_build_from_non_systematic_generators(reps):
+    # a coordinate permutation, then row additions: the leading 12 columns
+    # are no longer the identity, and the syndromes use the rows as given
+    rng = random.Random(23)
+    perm = list(range(24))
+    rng.shuffle(perm)
+    rows = [
+        sum(1 << perm[b] for b in range(24) if (g >> b) & 1)
+        for g in map(parse_vec, DEFAULT_GENERATOR_ROWS)
+    ]
+    for _ in range(48):
+        i, j = rng.sample(range(12), 2)
+        rows[i] ^= rows[j]
+    identity = [1 << (23 - i) for i in range(12)]
+    assert [r & ~0xFFF for r in rows] != identity
+    code = build_code(tuple(rows))
+    g = build_graph(code, reps)
+    enc = reps.encodings
+    for u in rng.sample(range(N_VERTICES), 3):
+        oracle_row = adjacent_many_oracle(code, np.full(N_VERTICES, enc[u], dtype=np.uint32), enc)
+        oracle_row[u] = False
+        assert np.array_equal(g.row_bits(u), oracle_row)
+    assert verify_srg(g) == TARGET_PARAMS
+
+
+def test_missing_octad_fires_the_distance_guard(code, reps, code_missing_an_octad):
+    # a weight-6 subset of the dropped octad meets every other octad in at
+    # most 4 points, so its distance to the remaining ones is at least 6
+    octad = int(code.weight8[0])
+    with pytest.raises(InvalidDistanceError) as info:
+        build_graph(code_missing_an_octad, reps)
+    assert info.value.distance >= 6
+    assert info.value.vector & ~octad == 0
+
+
+def test_case_rule_is_checked_against_syndromes(code, reps, monkeypatch):
+    z6 = coset_graph.vectors_of_weight(6)
+    monkeypatch.setattr(
+        coset_graph, "weight6_distance_table", lambda code: np.full(len(z6), 4, dtype=np.uint8)
+    )
+    with pytest.raises(InternalConsistencyError, match="21252 of 145499"):
+        build_graph(code, reps)

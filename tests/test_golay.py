@@ -61,6 +61,8 @@ def test_min_nonzero_weight_is_eight(code):
 def test_contains_rejects_out_of_range(code):
     with pytest.raises(DomainError):
         code.contains(1 << 24)
+    with pytest.raises(DomainError):
+        code.contains_many(np.array([0, 1 << 24]))
 
 
 def test_contains_many_matches_scalar(code):
