@@ -88,13 +88,15 @@ def _cache_path(args: argparse.Namespace, code: golay.GolayCode) -> str:
 
 def save_graph_cache(path: str, g: coset_graph.Graph, code: golay.GolayCode) -> None:
     """Write the cache atomically: a temporary file beside it, then a rename,
-    so a reader never sees a half-written file."""
+    so a reader never sees a half-written file.  The archive is not
+    compressed: deflating the rows costs a hundred times more than writing
+    them."""
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".graph-", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:  # savez on a path would add .npz
-            np.savez_compressed(
+            np.savez(
                 fh,
                 version=np.int64(CACHE_VERSION),
                 generators=np.array(code.generators, dtype=np.uint32),
@@ -364,13 +366,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify code, representatives and srg parameters")
     _add_common(p)
 
-    p = sub.add_parser("check", help="check the vertex sets in a .dat file")
-    p.add_argument("dat", help="path to the vertex-set container")
-    _add_common(p)
-
-    p = sub.add_parser("invariants", help="like check, pair invariant for every set")
-    p.add_argument("dat", help="path to the vertex-set container")
-    _add_common(p)
+    for name, text in (
+        ("check", "check the vertex sets in a .dat file"),
+        ("invariants", "like check, pair invariant for every set"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("dat", nargs="?", help="path to the vertex-set container")
+        _add_common(p)
+        p.set_defaults(usage_error=p.error)
 
     p = sub.add_parser("search", help="search maximal cocliques and write a .dat file")
     p.add_argument("--out", help="output .dat path")
@@ -394,8 +397,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _container_from_cache(args: argparse.Namespace) -> None:
+    """`--cache` takes an optional value, so in `check --cache C` it takes
+    the container C: use C as the container and the default cache location."""
+    if args.cache in (None, "auto"):
+        args.usage_error("the following arguments are required: dat")
+    args.dat, args.cache = args.cache, "auto"
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "dat", "") is None:
+        _container_from_cache(args)
     try:
         return _COMMANDS[args.command](args)
     except OSError as exc:

@@ -27,6 +27,10 @@ exactly the 145,499 even vectors of weight at most 6; `build_graph` checks
 the case rule against the syndromes on all of them, through the full scan
 of every weight-6 vector with its guard.
 
+`verify_srg` checks the srg parameters independently of how the graph was
+built: exact common-neighbour counts for all 2,096,128 pairs, from a
+banded float32 product of the 0/1 adjacency matrix with itself.
+
 Vertex numbering is the ascending order of representative encodings,
 0-based internally and 1-based in text exports.
 """
@@ -164,8 +168,8 @@ def weight6_distance_table(code: GolayCode) -> np.ndarray:
     z6 = vectors_of_weight(6)
     table = np.empty(len(z6), dtype=np.uint8)
     w8 = code.weight8
-    for lo in range(0, len(z6), 4096):  # 4096 x 759 uint32: 12 MiB of scratch
-        chunk = z6[lo : lo + 4096]
+    for lo in range(0, len(z6), 512):  # 512 x 759 uint32: 1.5 MiB of scratch
+        chunk = z6[lo : lo + 512]
         dist = np.bitwise_count(chunk[:, None] ^ w8[None, :]).min(axis=1)
         bad = np.flatnonzero((dist != 2) & (dist != 4))
         if bad.size:
@@ -324,7 +328,10 @@ def build_graph(code: GolayCode, reps: CosetReps) -> Graph:
             f"differences, first {int(z[off[0]]):024b}"
         )
     syn = code.syndromes(reps.encodings)
-    adj = connection[syn[:, None] ^ syn[None, :]]
+    n = len(syn)
+    adj = np.empty((n, n), dtype=bool)
+    for lo in range(0, n, 256):  # no n x n array of syndrome differences at once
+        adj[lo : lo + 256] = connection[syn[lo : lo + 256, None] ^ syn[None, :]]
     degrees = adj.sum(axis=1)
     bad = np.flatnonzero(degrees != DEGREE)
     if bad.size:
@@ -362,16 +369,25 @@ class SrgParams:
 TARGET_PARAMS = SrgParams(N_VERTICES, DEGREE, 44, 36)
 
 
+#: Rows per band of the common-neighbour product in `verify_srg`.
+VERIFY_BAND = 256
+
+
 def verify_srg(g: Graph) -> SrgParams:
     """Exhaustive strongly-regular check over all vertex pairs.
 
-    Common-neighbor counts come from popcounts of ANDed bitset rows, taken
-    as 64-bit words, a route independent of how the graph was constructed.
-    Raises VerificationError with a witness vertex or pair on any
-    non-constancy.
+    The common-neighbour count of a pair u < v is entry (u, v) of A @ A for
+    the 0/1 adjacency matrix A, a route independent of how the graph was
+    constructed.  It is taken band by band: VERIFY_BAND unpacked rows as
+    float32 times each later block of VERIFY_BAND rows.  Every partial sum
+    is an integer at most n < 2^24, so the counts are exact in any order of
+    summation.  lambda and mu are the counts of the first adjacent and the
+    first non-adjacent pair in row-major order, and every pair u < v is
+    compared with them.  Raises VerificationError with a witness vertex or
+    pair on any non-constancy: the row-major first bad pair, a lambda
+    mismatch before a mu mismatch in the same row.
     """
     n = g.n
-    words = g.words
     degrees = g.degrees()
     k = int(degrees[0])
     bad = np.flatnonzero(degrees != k)
@@ -381,35 +397,60 @@ def verify_srg(g: Graph) -> SrgParams:
             f"degree not constant: vertex {v} has {int(degrees[v])}, vertex 0 has {k}",
             witness=(v,),
         )
-    adj = g.row_bits()
     lam: int | None = None
     mu: int | None = None
-    for u in range(n - 1):
-        common = np.bitwise_count(words[u] & words[u + 1 :]).sum(axis=1, dtype=np.int32)
-        arow = adj[u, u + 1 :]
-        for flag, name, current in ((arow, "lambda", lam), (~arow, "mu", mu)):
-            vals = common[flag]
-            if vals.size == 0:
-                continue
-            if current is None:
-                current = int(vals[0])
-                if name == "lambda":
-                    lam = current
-                else:
-                    mu = current
-            off = np.flatnonzero(vals != current)
-            if off.size:
-                v = u + 1 + int(np.flatnonzero(flag)[off[0]])
-                raise VerificationError(
-                    f"{name} not constant: pair ({u}, {v}) has {int(common[v - u - 1])} "
-                    f"common neighbours, expected {current}",
-                    witness=(u, v),
-                )
+    height = min(VERIFY_BAND, n)
+    band, block, product = (np.empty((height, n), dtype=np.float32) for _ in range(3))
+    for lo in range(0, n, height):
+        rows = g.row_bits(slice(lo, lo + height))
+        h = len(rows)
+        a = band[:h]
+        np.copyto(a, rows)
+        for blo in range(lo, n, height):
+            b = a
+            if blo > lo:
+                bits = g.row_bits(slice(blo, blo + height))
+                b = block[: len(bits)]
+                np.copyto(b, bits)
+            np.matmul(a, b.T, out=product[:h, blo : blo + len(b)])
+        # the pairs u < v with u in this band: columns from lo, above the diagonal
+        common = product[:h, lo:]
+        adjacent = rows[:, lo:]
+        upper = np.arange(lo, n) > np.arange(lo, lo + h)[:, None]
+        if lam is None:
+            lam = _first_count(common, adjacent & upper)
+        if mu is None:
+            mu = _first_count(common, ~adjacent & upper)
+        # an unset lambda or mu has no pair in this band to be compared with
+        wrong = common != (-1 if mu is None else mu)
+        np.not_equal(common, -1 if lam is None else lam, out=wrong, where=adjacent)
+        wrong &= upper
+        bad_rows = np.flatnonzero(wrong.any(axis=1))
+        if bad_rows.size:
+            r = int(bad_rows[0])
+            wrong_adjacent = wrong[r] & adjacent[r]
+            if wrong_adjacent.any():
+                name, current, flag = "lambda", lam, wrong_adjacent
+            else:
+                name, current, flag = "mu", mu, wrong[r]
+            j = int(np.argmax(flag))
+            u, v = lo + r, lo + j
+            raise VerificationError(
+                f"{name} not constant: pair ({u}, {v}) has {int(common[r, j])} "
+                f"common neighbours, expected {current}",
+                witness=(u, v),
+            )
     if lam is None or mu is None:
         raise VerificationError(
             "degenerate graph: needs both adjacent and non-adjacent pairs"
         )
     return SrgParams(n, k, lam, mu)
+
+
+def _first_count(common: np.ndarray, mask: np.ndarray) -> int | None:
+    """The count at the row-major first True of mask, None if there is none."""
+    i = int(np.argmax(mask))
+    return int(common.flat[i]) if mask.flat[i] else None
 
 
 def delsarte_bound(v: int, k: int, s) -> int:

@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import importlib.util
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -206,7 +207,8 @@ def test_stale_cache_is_rebuilt(tmp_path, code, reps, graph):
 
 
 def _write_raw_cache(path, code, packed):
-    """A cache file whose checksum matches whatever rows it holds."""
+    """A cache file whose checksum matches whatever rows it holds, in the
+    compressed layout that earlier versions wrote."""
     with open(path, "wb") as fh:
         np.savez_compressed(
             fh,
@@ -251,6 +253,23 @@ def test_misshapen_cache_is_rebuilt_by_verify(tmp_path, capsys, code, reps, grap
     assert np.array_equal(rebuilt.packed, graph.packed)
 
 
+def test_cache_is_written_uncompressed(tmp_path, code, graph):
+    cache = tmp_path / "graph.npz"
+    save_graph_cache(str(cache), graph, code)
+    with zipfile.ZipFile(cache) as archive:
+        assert {i.compress_type for i in archive.infolist()} == {zipfile.ZIP_STORED}
+
+
+def test_compressed_cache_still_loads(tmp_path, code, reps, graph):
+    cache = tmp_path / "graph.npz"
+    _write_raw_cache(cache, code, graph.packed)
+    with zipfile.ZipFile(cache) as archive:
+        assert zipfile.ZIP_DEFLATED in {i.compress_type for i in archive.infolist()}
+    loaded = load_graph_cache(str(cache), code, reps)
+    assert loaded is not None
+    assert np.array_equal(loaded.packed, graph.packed)
+
+
 def test_cache_write_is_atomic(tmp_path, monkeypatch, code, graph):
     cache = tmp_path / "graph.npz"
     save_graph_cache(str(cache), graph, code)
@@ -261,7 +280,7 @@ def test_cache_write_is_atomic(tmp_path, monkeypatch, code, graph):
         fh.write(b"partial")
         raise OSError("disk full")
 
-    monkeypatch.setattr(np, "savez_compressed", fail_midway)
+    monkeypatch.setattr(np, "savez", fail_midway)
     with pytest.raises(OSError, match="disk full"):
         save_graph_cache(str(cache), graph, code)
     # the old file is untouched and the temporary file is gone
@@ -273,3 +292,24 @@ def test_search_notes_single_threaded(tmp_path, capsys):
     assert main(["search", "--sizes", "30", "--budget", "800", "--seed", "4",
                  "--workers", "4"]) == EXIT_OK
     assert "single-threaded" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["check", "invariants"])
+def test_container_may_follow_a_bare_cache_flag(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.setenv("SRG2048_CACHE_DIR", str(tmp_path))
+    pool = str(Path(__file__).resolve().parents[1] / "srgbench" / "pool.dat")
+    outputs = []
+    for argv in ([command, "--cache", pool], [command, pool, "--cache"]):
+        assert main(argv) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert "checked 142 sets" in outputs[0]
+    assert [p.suffix for p in tmp_path.iterdir()] == [".npz"]
+
+
+@pytest.mark.parametrize("argv", [["check"], ["check", "--cache"], ["invariants", "--cache"]])
+def test_check_without_container_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "the following arguments are required: dat" in capsys.readouterr().err

@@ -317,6 +317,81 @@ def test_verify_rejects_degenerate_complete():
         verify_srg(g)
 
 
+_CUBE = [(a, a ^ (1 << i)) for a in range(8) for i in range(3) if a < a ^ (1 << i)]
+
+
+def _edited(graph, *edits):
+    """graph with adjacency (x, y) and (y, x) set to value for each edit."""
+    adj = graph.row_bits().copy()
+    for x, y, value in edits:
+        adj[x, y] = adj[y, x] = value
+    return Graph.from_bool_matrix(adj)
+
+
+def _switched(graph, a, b, c, d):
+    """graph with edges ab, cd replaced by ac, bd: every degree is kept."""
+    return _edited(graph, (a, b, False), (c, d, False), (a, c, True), (b, d, True))
+
+
+# messages and witnesses as the row-by-row popcount check reported them
+@pytest.mark.parametrize(
+    "make, message, witness",
+    [
+        (  # triangular prism: the rungs lie in no triangle
+            lambda g: Graph.from_edges(
+                6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]
+            ),
+            "lambda not constant: pair (0, 3) has 0 common neighbours, expected 1",
+            (0, 3),
+        ),
+        (
+            lambda g: Graph.from_edges(8, _CUBE),
+            "mu not constant: pair (0, 7) has 0 common neighbours, expected 2",
+            (0, 7),
+        ),
+        (  # row 0 has a mu mismatch at (0, 3) before the lambda one at (0, 5)
+            lambda g: Graph.from_edges(10, [
+                (0, 1), (0, 4), (0, 5), (0, 9), (1, 2), (1, 4), (1, 5), (2, 3), (2, 5), (2, 6),
+                (3, 5), (3, 6), (3, 8), (4, 7), (4, 9), (6, 7), (6, 8), (7, 8), (7, 9), (8, 9),
+            ]),
+            "lambda not constant: pair (0, 5) has 1 common neighbours, expected 2",
+            (0, 5),
+        ),
+        (  # 150 copies of K4, then a cube: the first bad row lies in a later band
+            lambda g: Graph.from_edges(
+                608,
+                [(4 * c + i, 4 * c + j) for c in range(150)
+                 for i, j in itertools.combinations(range(4), 2)]
+                + [(600 + a, 600 + b) for a, b in _CUBE],
+            ),
+            "lambda not constant: pair (600, 601) has 0 common neighbours, expected 2",
+            (600, 601),
+        ),
+        (  # one symmetric edge toggled
+            lambda g: _edited(g, (5, 2000, not g.has_edge(5, 2000))),
+            "degree not constant: vertex 5 has 277, vertex 0 has 276",
+            (5,),
+        ),
+        (
+            lambda g: _switched(g, 1504, 383, 1385, 146),
+            "mu not constant: pair (0, 383) has 37 common neighbours, expected 36",
+            (0, 383),
+        ),
+        (
+            lambda g: _switched(g, 104, 37, 1561, 887),
+            "lambda not constant: pair (0, 37) has 43 common neighbours, expected 44",
+            (0, 37),
+        ),
+    ],
+    ids=["prism", "cube", "lambda-first", "late-band", "toggle", "switch-mu", "switch-lambda"],
+)
+def test_verify_failures_are_pinned(graph, make, message, witness):
+    with pytest.raises(VerificationError) as info:
+        verify_srg(make(graph))
+    assert str(info.value) == message
+    assert info.value.witness == witness
+
+
 def test_graph_constructors_reject_bad_input():
     with pytest.raises(GraphConstructionError, match="loop"):
         Graph.from_edges(3, [(0, 0)])

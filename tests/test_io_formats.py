@@ -69,6 +69,81 @@ def test_read_accepts_unordered_entries(reps):
     assert sets[0].members == (reps.index_of(3), reps.index_of(5))
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        # second record, third entry: 0x07 has odd weight
+        (bytes([2, 3, 0, 0, 5, 0, 0, 3, 3, 0, 0, 5, 0, 0, 7, 0, 0]),
+         "entry 0x000007 is not a proper coset representation (at byte offset 14)"),
+        # a bad entry is reported before a duplicate in the same record
+        (bytes([3, 3, 0, 0, 3, 0, 0, 7, 0, 0]),
+         "entry 0x000007 is not a proper coset representation (at byte offset 7)"),
+        (bytes([2, 3, 0, 0, 5, 0, 0, 3, 5, 0, 0, 6, 0, 0, 5, 0, 0]),
+         "duplicate entry for vertex 2 in one record (at byte offset 7)"),
+        (bytes([2, 3, 0, 0, 5, 0, 0, 2, 3, 0, 0]),
+         "truncated record: need 7 bytes, stream has 4 (at byte offset 7)"),
+        (bytes([2, 3, 0, 0, 5, 0, 0, 86]),
+         "set size 86 is not in the range from 2 to 85 (at byte offset 7)"),
+    ],
+    ids=["entry", "entry-before-duplicate", "duplicate", "truncated", "size"],
+)
+def test_read_errors_name_the_first_bad_byte(reps, data, message):
+    with pytest.raises(DatFormatError) as info:
+        read_dat(data, reps)
+    assert str(info.value) == message
+
+
+def test_read_big_endian_entries(reps):
+    little = read_dat(bytes([2, 0x80, 0x01, 0x00, 0x05, 0x00, 0x00]), reps)
+    big = read_dat(bytes([2, 0x00, 0x01, 0x80, 0x00, 0x00, 0x05]), reps, byteorder="big")
+    assert big[0].members == little[0].members == (reps.index_of(5), reps.index_of(0x180))
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.binary(max_size=64), st.sampled_from(["little", "big"]))
+def test_arbitrary_bytes_parse_or_raise_format_error(reps, data, byteorder):
+    try:
+        sets = read_dat(data, reps, byteorder=byteorder)
+    except DatFormatError:
+        return
+    again = read_dat(write_dat(sets, reps, byteorder=byteorder), reps, byteorder=byteorder)
+    assert [s.members for s in again] == [s.members for s in sets]
+
+
+@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=2, max_value=6),
+            st.lists(st.integers(min_value=0, max_value=2047), min_size=6, max_size=6),
+            st.integers(min_value=0, max_value=(1 << 24) - 1),
+            st.integers(min_value=0, max_value=5),
+        ),
+        max_size=4,
+    )
+)
+def test_near_valid_streams_parse_or_raise_format_error(reps, records):
+    """Records of representative entries, some with one entry replaced by an
+    arbitrary 24-bit value, so that valid, duplicate and bad entries all occur."""
+    data = bytearray()
+    expected = []
+    for size, vertices, value, slot in records:
+        entries = [reps.encoding_of(v) for v in vertices[:size]]
+        if slot < size and value & 1:
+            entries[slot] = value
+        data.append(size)
+        for e in entries:
+            data += e.to_bytes(3, "little")
+        expected.append(entries)
+    try:
+        sets = read_dat(bytes(data), reps)
+    except DatFormatError:
+        return
+    assert [s.members for s in sets] == [
+        tuple(sorted(reps.index_of(e) for e in entries)) for entries in expected
+    ]
+
+
 def test_write_size_two_is_seven_bytes(reps):
     payload = write_dat([VertexSet((1, 2))], reps)
     assert len(payload) == 7
