@@ -36,7 +36,7 @@ from .coset_graph import (
     translation_map,
     verify_srg,
 )
-from .gf2 import Vec24, add, format_vec, mul, parse_vec, weight
+from .gf2 import Vec24, add, format_vec, parse_vec, weight
 from .golay import DEFAULT_GENERATOR_ROWS, GolayCode, build_code
 from .io_formats import export_edge_list, export_gap, read_dat, write_dat
 

@@ -114,9 +114,9 @@ def load_graph_cache(
 ) -> coset_graph.Graph | None:
     """Rebuild the graph from a cache file; None if absent, stale or malformed.
 
-    Besides the version, generators and checksum, the rows must have the
-    graph's shape and dtype, no loops and degree 276.  Symmetry is not
-    checked: it would cost far more than the load itself.
+    Besides the version, generators and checksum, the rows must pass the
+    structural checks of `Graph` (shape, dtype, no loop, symmetry) and
+    have degree 276.
     """
     if not os.path.exists(path):
         return None
@@ -133,9 +133,6 @@ def load_graph_cache(
                 return None
         g = coset_graph.Graph(packed, len(reps), vertex_reps=reps)
     except (OSError, ValueError, KeyError, zipfile.BadZipFile, GraphConstructionError):
-        return None
-    v = np.arange(g.n)
-    if ((packed[v, v >> 3] >> (v & 7)) & 1).any():
         return None
     if (g.degrees() != coset_graph.DEGREE).any():
         return None
@@ -262,8 +259,6 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 def cmd_search(args: argparse.Namespace) -> int:
     code, reps, g = _build_context(args)
     targets = args.sizes
-    if args.workers != 1:
-        print("note: search runs single-threaded; --workers ignored")
     contiguous = targets == tuple(range(targets[0], targets[-1] + 1))
     label = f"{targets[0]}-{targets[-1]}" if contiguous else ",".join(map(str, targets))
     print(f"seed {args.seed}, budget {args.budget}, sizes {label}")
@@ -385,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=coclique.DEFAULT_SEED)
     p.add_argument("--budget", type=_budget_arg, default=coclique.DEFAULT_BUDGET)
-    p.add_argument("--workers", type=int, default=1)
     _add_common(p)
 
     p = sub.add_parser("export", help="write the GAP file and/or an edge list")

@@ -26,13 +26,16 @@ the removal cap exceeds two.  Every emitted set is re-verified through the
 checking path, deduplicated, and the first set of each size is kept.  For
 a fixed seed the output is a pure function of the inputs.
 
-Residual degrees (neighbours among the still-eligible vertices) are
-recomputed at each degree-guided step as popcounts of the candidates'
-adjacency rows ANDed with the packed eligibility mask, both taken as 64-bit
-words.  While every vertex is eligible the residual degree is the row
-degree, so that step reuses the degrees computed once per search.  Both
-shortcuts give the same degrees, hence the same RNG draws and the same
-output, as a plain recount.
+The search never unpacks the adjacency: eligibility is one packed mask in
+the rows' 64-bit word layout.  Picking v clears N(v) and v itself from it,
+and a perturbation starts from the complement of its kept members' cover,
+the same cover `is_maximal` tests.  Candidates are the mask's set bits,
+unpacked once per step.  Residual degrees (neighbours among the
+still-eligible vertices) are recomputed at each degree-guided step as
+popcounts of the candidates' rows ANDed with the mask.  While every vertex
+is eligible the residual degree is the row degree, so that step reuses the
+degrees computed once per search.  Both shortcuts give the same degrees,
+hence the same RNG draws and the same output, as a plain recount.
 """
 
 from __future__ import annotations
@@ -97,12 +100,6 @@ class VertexSet:
     def __iter__(self):
         return iter(self.members)
 
-    def bitmask(self) -> int:
-        mask = 0
-        for v in self.members:
-            mask |= 1 << v
-        return mask
-
 
 @dataclass(frozen=True)
 class ExternalProfile:
@@ -120,10 +117,10 @@ class ExternalProfile:
         return " ".join(f"{d}:{self.counts[d]}" for d in sorted(self.counts))
 
 
-def _pack(g: Graph, flags: np.ndarray) -> np.ndarray:
-    """A per-vertex bool vector packed in the rows' 64-bit word layout."""
-    bits = np.zeros(g.words.shape[1] * 64, dtype=bool)
-    bits[: g.n] = flags
+def _pack(n_words: int, vertices) -> np.ndarray:
+    """The given vertices as a mask in the rows' layout of n_words 64-bit words."""
+    bits = np.zeros(n_words * 64, dtype=bool)
+    bits[vertices] = True
     return np.packbits(bits, bitorder="little").view(np.uint64)
 
 
@@ -134,9 +131,7 @@ def _members_and_mask(g: Graph, s: VertexSet) -> tuple[np.ndarray, np.ndarray]:
             f"vertex index {s.members[-1]} out of range for a {g.n}-vertex graph"
         )
     members = np.array(s.members, dtype=np.intp)
-    flags = np.zeros(g.n, dtype=bool)
-    flags[members] = True
-    return members, _pack(g, flags)
+    return members, _pack(g.words.shape[1], members)
 
 
 def _outside_counts(g: Graph, s: VertexSet) -> tuple[np.ndarray, np.ndarray]:
@@ -172,7 +167,8 @@ def external_profile(g: Graph, s: VertexSet) -> ExternalProfile:
 def pair_invariant(g: Graph, s: VertexSet) -> int:
     """2-subsets of S with no common neighbour among the count-8 outsiders."""
     counts, outside = _outside_counts(g, s)
-    rows = g.words[list(s.members)] & _pack(g, outside & (counts == 8))
+    w8 = np.flatnonzero(outside & (counts == 8))
+    rows = g.words[list(s.members)] & _pack(g.words.shape[1], w8)
     return sum(
         int(np.count_nonzero(~(rows[i] & rows[i + 1 :]).any(axis=1)))
         for i in range(len(rows) - 1)
@@ -187,11 +183,10 @@ class SearchConfig:
 
 
 def _complete(
-    adj: np.ndarray,
     words: np.ndarray,
     row_degrees: np.ndarray,
     scratch: np.ndarray,
-    eligible: np.ndarray,
+    emask: np.ndarray,
     members: list[int],
     rng: random.Random,
     mode: str,
@@ -205,22 +200,21 @@ def _complete(
     residual-degree candidates.
     mode "blend": per step, a max-pick with probability q, else uniform.
 
-    `words` are the adjacency rows as 64-bit words and `row_degrees` their
-    popcounts.  A residual degree is popcount(row & eligible) over the
-    words; when every vertex is eligible it equals the row degree, which
-    is used as is.  The candidates' rows are gathered into `scratch`, a
-    buffer shaped like `words` that lives for the whole search: a fresh
-    array of up to n rows at every step costs a page fault per 4 KiB
-    whenever the allocator hands the memory back to the system.
+    `emask` is the eligibility mask in the rows' word layout; it is
+    updated in place.  `words` are the adjacency rows as 64-bit words and
+    `row_degrees` their popcounts.  A residual degree is
+    popcount(row & emask) over the words; when every vertex is eligible it
+    equals the row degree, which is used as is.  The candidates' rows are
+    gathered into `scratch`, a buffer shaped like `words` that lives for
+    the whole search: a fresh array of up to n rows at every step costs a
+    page fault per 4 KiB whenever the allocator hands the memory back to
+    the system.
     """
-    n = eligible.size
-    # eligible becomes a view into a buffer padded with False to whole
-    # words, so packing the buffer gives the mask in the rows' layout
-    ebits = np.zeros(words.shape[1] * 64, dtype=bool)
-    ebits[:n] = eligible
-    eligible = ebits[:n]
+    n = row_degrees.size
+    ebytes = emask.view(np.uint8)
     while True:
-        cands = eligible.nonzero()[0]
+        # nonzero is markedly faster on bool than on the unpacked uint8
+        cands = np.unpackbits(ebytes, bitorder="little").view(bool).nonzero()[0]
         if cands.size == 0:
             break
         degree_pick = mode in ("max", "min") or (mode == "blend" and rng.random() < q)
@@ -230,7 +224,6 @@ def _complete(
             if cands.size == n:
                 degs = row_degrees
             else:
-                emask = np.packbits(ebits, bitorder="little").view(np.uint64)
                 # "clip" writes straight into out; the default mode buffers
                 rows = np.take(words, cands, axis=0, out=scratch[: cands.size], mode="clip")
                 rows &= emask
@@ -239,12 +232,12 @@ def _complete(
             take = min(cands.size, 1 + rng.randrange(max(depth, 1)))
             v = int(cands[order[rng.randrange(take)]])
         members.append(v)
-        eligible &= ~adj[v]
-        eligible[v] = False
+        emask &= ~words[v]
+        ebytes[v >> 3] &= 255 ^ (1 << (v & 7))  # rows have no loops: v itself
     return sorted(members)
 
 
-def _fresh_run(adj, words, row_degrees, scratch, rng) -> list[int]:
+def _fresh_run(words, row_degrees, scratch, valid, rng) -> list[int]:
     roll = rng.random()
     if roll < 0.30:
         mode, depth, q = "uniform", 1, 0.0
@@ -254,22 +247,20 @@ def _fresh_run(adj, words, row_degrees, scratch, rng) -> list[int]:
         mode, depth, q = "blend", 1, 0.3 + 0.6 * rng.random()
     else:
         mode, depth, q = "min", rng.choice([1, 2]), 0.0
-    eligible = np.ones(len(adj), dtype=bool)
-    return _complete(adj, words, row_degrees, scratch, eligible, [], rng, mode, depth, q)
+    return _complete(words, row_degrees, scratch, valid.copy(), [], rng, mode, depth, q)
 
 
-def _perturb_run(adj, words, row_degrees, scratch, rng, source: list[int]) -> list[int]:
+def _perturb_run(words, row_degrees, scratch, valid, rng, source: list[int]) -> list[int]:
     j = min(rng.choice([1, 2, 2, 3, 3, 4]), MAX_REMOVE, len(source) - 1)
     keep = list(source)
     for _ in range(j):
         keep.pop(rng.randrange(len(keep)))
-    eligible = ~adj[keep].any(axis=0)
-    eligible[keep] = False
+    emask = valid & ~(np.bitwise_or.reduce(words[keep], axis=0) | _pack(words.shape[1], keep))
     if rng.random() < 0.6:
         mode, depth = "max", rng.choice([1, 2])
     else:
         mode, depth = "uniform", 1
-    return _complete(adj, words, row_degrees, scratch, eligible, keep, rng, mode, depth)
+    return _complete(words, row_degrees, scratch, emask, keep, rng, mode, depth)
 
 
 def search_maximal(
@@ -294,11 +285,11 @@ def search_maximal(
         raise DomainError("size targets out of range")
     hard_cap = COCLIQUE_SIZE_CAP if g.vertex_reps is not None else g.n
     rng = random.Random(seed)
-    adj = g.row_bits()
     words = g.words
     # degrees below 2^15 fit int16, for which the stable argsort is a radix sort
     row_degrees = g.degrees().astype(np.int16 if g.n < 1 << 15 else np.int32)
     scratch = np.empty_like(words)
+    valid = _pack(words.shape[1], np.arange(g.n))
 
     found: dict[int, VertexSet] = {}
     pool: dict[int, list[list[int]]] = {}
@@ -323,9 +314,9 @@ def search_maximal(
         if cfg.stop_when_complete and targets <= found.keys():
             break
         if not pool or rng.random() < FRESH_FRACTION:
-            members = _fresh_run(adj, words, row_degrees, scratch, rng)
+            members = _fresh_run(words, row_degrees, scratch, valid, rng)
         else:
-            members = _perturb_run(adj, words, row_degrees, scratch, rng, pool_pick())
+            members = _perturb_run(words, row_degrees, scratch, valid, rng, pool_pick())
         size = len(members)
         if size > hard_cap:
             raise InternalConsistencyError(

@@ -38,7 +38,6 @@ Vertex numbering is the ascending order of representative encodings,
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,11 +60,17 @@ DEGREE = 276
 
 @functools.cache
 def vectors_of_weight(w: int) -> np.ndarray:
-    """All C(24, w) vectors of weight w, ascending (cached, read-only)."""
-    count = math.comb(VEC_BITS, w)
-    combos = itertools.chain.from_iterable(itertools.combinations(range(VEC_BITS), w))
-    bits = np.fromiter(combos, dtype=np.uint32, count=count * w).reshape(count, w)
-    values = np.sort((np.uint32(1) << bits).sum(axis=1, dtype=np.uint32))
+    """All C(24, w) vectors of weight w, ascending (cached, read-only).
+
+    Built in w rounds from [0]: a round sets a new top bit b on every
+    vector of the previous round that lies below 2^b.  Taking b upwards
+    keeps each round sorted, and no round holds more than its result.
+    """
+    values = np.zeros(1, dtype=np.uint32)
+    for _ in range(w):
+        values = np.concatenate(
+            [values[: np.searchsorted(values, 1 << b)] | np.uint32(1 << b) for b in range(VEC_BITS)]
+        )
     values.setflags(write=False)
     return values
 
@@ -243,6 +248,11 @@ def row_bytes(n: int) -> int:
     return 8 * -(-n // 64)
 
 
+#: Rows per band wherever rows are unpacked: the structural check in
+#: `Graph`, the build and `verify_srg`.
+BAND = 256
+
+
 class Graph:
     """Adjacency stored once, as per-vertex packed bitset rows.
 
@@ -250,6 +260,12 @@ class Graph:
     row_bytes(n) long, zero-padded past bit n - 1, so `words` can view them
     as 64-bit words for popcount kernels; for n = 2048 nothing is padded.
     Neighbour lists are unpacked from the rows on each call.
+
+    The constructor is the one place the structure is checked, for built
+    and loaded rows alike: the shape and dtype, then no loop, then
+    symmetry, taken BAND rows at a time against the same BAND columns of
+    the rows from that band on, so no n x n bool matrix is ever formed.
+    Any failure raises GraphConstructionError.
     """
 
     def __init__(self, packed: np.ndarray, n: int, vertex_reps: CosetReps | None = None):
@@ -258,37 +274,23 @@ class Graph:
                 f"packed rows must be uint8 of shape {(n, row_bytes(n))}, "
                 f"got {packed.dtype} {packed.shape}"
             )
+        v = np.arange(n)
+        if ((packed[v, v >> 3] >> (v & 7)) & 1).any():
+            raise GraphConstructionError("adjacency matrix has a loop")
+        for lo in range(0, n, BAND):
+            # entries (u, v) with u in this band and v >= lo, against (v, u)
+            rows = np.unpackbits(packed[lo : lo + BAND, lo >> 3 :], axis=1, bitorder="little")
+            h = len(rows)
+            cols = np.unpackbits(packed[lo:, lo >> 3 : (lo + h + 7) >> 3], axis=1, bitorder="little")
+            if not np.array_equal(rows[:, : n - lo], cols[:, :h].T):
+                raise GraphConstructionError("adjacency matrix not symmetric")
         self.n = n
         self.packed = packed
         self.words = packed.view(np.uint64)
         self.vertex_reps = vertex_reps
 
-    @classmethod
-    def from_bool_matrix(cls, adj: np.ndarray, vertex_reps: CosetReps | None = None) -> "Graph":
-        n = adj.shape[0]
-        if adj.shape != (n, n):
-            raise GraphConstructionError(f"adjacency matrix not square: {adj.shape}")
-        if adj.dtype != bool:
-            adj = adj.astype(bool)
-        if np.any(np.diagonal(adj)):
-            raise GraphConstructionError("adjacency matrix has a loop")
-        if not np.array_equal(adj, adj.T):
-            raise GraphConstructionError("adjacency matrix not symmetric")
-        packed = np.zeros((n, row_bytes(n)), dtype=np.uint8)
-        packed[:, : -(-n // 8)] = np.packbits(adj, axis=1, bitorder="little")
-        return cls(packed, n, vertex_reps)
-
-    @classmethod
-    def from_edges(cls, n: int, edges) -> "Graph":
-        adj = np.zeros((n, n), dtype=bool)
-        for u, v in edges:
-            if u == v:
-                raise GraphConstructionError(f"loop at vertex {u}")
-            adj[u, v] = adj[v, u] = True
-        return cls.from_bool_matrix(adj)
-
-    def row_bits(self, u: int | slice = slice(None)) -> np.ndarray:
-        """Row u (default: every row) unpacked to bool, one entry per vertex."""
+    def row_bits(self, u: int | slice) -> np.ndarray:
+        """Row u, or the rows of a slice, unpacked to bool, one entry per vertex."""
         bits = np.unpackbits(self.packed[u], axis=-1, bitorder="little")
         return bits[..., : self.n].view(bool)
 
@@ -312,6 +314,8 @@ class Graph:
 def build_graph(code: GolayCode, reps: CosetReps) -> Graph:
     """Assemble the graph as a Cayley graph on the representative syndromes.
 
+    Each band of BAND rows is looked up in the connection set and packed
+    straight into the rows, so the graph never exists as a bool matrix.
     Raises GraphConstructionError if any vertex degree differs from 276,
     InvalidDistanceError if the weight-8 scan finds a distance outside
     {2, 4}, and InternalConsistencyError if the case analysis disagrees
@@ -319,7 +323,7 @@ def build_graph(code: GolayCode, reps: CosetReps) -> Graph:
     """
     connection = np.zeros(SYNDROME_LIMIT, dtype=bool)
     connection[code.syndromes(WEIGHT2_VECTORS)] = True
-    # the case analysis first: the scan's scratch is freed before adj exists
+    # the case analysis first: the scan's scratch is freed before the rows exist
     z = np.concatenate([vectors_of_weight(w) for w in (0, 2, 4, 6)])
     off = np.flatnonzero(connection[code.syndromes(z)] != adjacent_many(code, z, 0))
     if off.size:
@@ -329,17 +333,18 @@ def build_graph(code: GolayCode, reps: CosetReps) -> Graph:
         )
     syn = code.syndromes(reps.encodings)
     n = len(syn)
-    adj = np.empty((n, n), dtype=bool)
-    for lo in range(0, n, 256):  # no n x n array of syndrome differences at once
-        adj[lo : lo + 256] = connection[syn[lo : lo + 256, None] ^ syn[None, :]]
-    degrees = adj.sum(axis=1)
+    packed = np.zeros((n, row_bytes(n)), dtype=np.uint8)
+    for lo in range(0, n, BAND):
+        band = connection[syn[lo : lo + BAND, None] ^ syn[None, :]]
+        packed[lo : lo + BAND, : -(-n // 8)] = np.packbits(band, axis=1, bitorder="little")
+    degrees = np.bitwise_count(packed.view(np.uint64)).sum(axis=1)
     bad = np.flatnonzero(degrees != DEGREE)
     if bad.size:
         v = int(bad[0])
         raise GraphConstructionError(
             f"vertex {v} has degree {int(degrees[v])}, expected {DEGREE}"
         )
-    return Graph.from_bool_matrix(adj, vertex_reps=reps)
+    return Graph(packed, n, vertex_reps=reps)
 
 
 @dataclass(frozen=True)
@@ -354,23 +359,8 @@ class SrgParams:
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.v, self.k, self.lam, self.mu)
 
-    def feasibility_identity(self) -> tuple[int, int]:
-        """Both sides of k(k - lambda - 1) = (v - k - 1) mu."""
-        return (
-            self.k * (self.k - self.lam - 1),
-            (self.v - self.k - 1) * self.mu,
-        )
-
-    def is_feasible(self) -> bool:
-        lhs, rhs = self.feasibility_identity()
-        return lhs == rhs
-
 
 TARGET_PARAMS = SrgParams(N_VERTICES, DEGREE, 44, 36)
-
-
-#: Rows per band of the common-neighbour product in `verify_srg`.
-VERIFY_BAND = 256
 
 
 def verify_srg(g: Graph) -> SrgParams:
@@ -378,8 +368,8 @@ def verify_srg(g: Graph) -> SrgParams:
 
     The common-neighbour count of a pair u < v is entry (u, v) of A @ A for
     the 0/1 adjacency matrix A, a route independent of how the graph was
-    constructed.  It is taken band by band: VERIFY_BAND unpacked rows as
-    float32 times each later block of VERIFY_BAND rows.  Every partial sum
+    constructed.  It is taken band by band: BAND unpacked rows as
+    float32 times each later block of BAND rows.  Every partial sum
     is an integer at most n < 2^24, so the counts are exact in any order of
     summation.  lambda and mu are the counts of the first adjacent and the
     first non-adjacent pair in row-major order, and every pair u < v is
@@ -399,7 +389,7 @@ def verify_srg(g: Graph) -> SrgParams:
         )
     lam: int | None = None
     mu: int | None = None
-    height = min(VERIFY_BAND, n)
+    height = min(BAND, n)
     band, block, product = (np.empty((height, n), dtype=np.float32) for _ in range(3))
     for lo in range(0, n, height):
         rows = g.row_bits(slice(lo, lo + height))

@@ -6,8 +6,8 @@ bit 23 and whose rightmost character ("the last position") is bit 0.  With
 that convention the canonical weight-4 coset representatives are exactly
 the weight-4 values with the low bit set.
 
-Addition and subtraction coincide (xor); component-wise multiplication is
-bitwise and.  All functions here are pure and safe to call from anywhere.
+Addition and subtraction coincide (xor).  All functions here are pure and
+safe to call from anywhere.
 """
 
 from __future__ import annotations
@@ -59,8 +59,3 @@ def weight(x: Vec24) -> int:
 def add(x: Vec24, y: Vec24) -> Vec24:
     """Coordinate-wise sum mod 2; also the difference, since x + x = 0."""
     return x ^ y
-
-
-def mul(x: Vec24, y: Vec24) -> Vec24:
-    """Coordinate-wise product."""
-    return x & y

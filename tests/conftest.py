@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 from srg2048 import build_code, build_graph, build_reps
-from srg2048.coset_graph import Graph
+
+from oracles import graph_from_edges
 
 
 @pytest.fixture(scope="session")
@@ -32,7 +33,7 @@ def code_missing_an_octad():
 
 @pytest.fixture(scope="session")
 def cycle5():
-    return Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    return graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 
 
 @pytest.fixture(scope="session")
@@ -44,4 +45,4 @@ def petersen():
         for i, j in itertools.combinations(range(10), 2)
         if not set(pairs[i]) & set(pairs[j])
     ]
-    return Graph.from_edges(10, edges)
+    return graph_from_edges(10, edges)

@@ -1,17 +1,22 @@
-"""Reference implementations that only the tests use.
+"""Reference implementations and helpers that only the tests use.
 
-Each one decides its question by a route independent of the package's
+Each oracle decides its question by a route independent of the package's
 fast path: definition-level scans for the coset machinery, with membership
 decided by binary search in the enumerated codewords (the package uses
 syndromes), and arbitrary-precision integer rows for the coclique checks
-(the package uses popcounts over packed 64-bit words).
+(the package uses popcounts over packed 64-bit words).  The graph helpers
+pack small bool matrices and edge lists into `Graph` rows, whose
+constructor checks them; the package itself never holds an n x n bool
+matrix.
 """
 
 import itertools
+import math
 from collections import Counter
 
 import numpy as np
 
+from srg2048.coset_graph import Graph, row_bytes
 from srg2048.errors import DomainError, InternalConsistencyError
 from srg2048.gf2 import check_vec
 
@@ -19,6 +24,45 @@ from srg2048.gf2 import check_vec
 _WEIGHT2 = np.array(
     [(1 << a) | (1 << b) for a, b in itertools.combinations(range(24), 2)], dtype=np.uint32
 )
+
+# ---------------------------------------------------------- graph helpers
+
+
+def graph_from_bool_matrix(adj, vertex_reps=None):
+    """A Graph holding the rows of an n x n 0/1 matrix, packed and padded."""
+    adj = np.asarray(adj, dtype=bool)
+    n = len(adj)
+    packed = np.zeros((n, row_bytes(n)), dtype=np.uint8)
+    packed[:, : -(-n // 8)] = np.packbits(adj, axis=1, bitorder="little")
+    return Graph(packed, n, vertex_reps)
+
+
+def graph_from_edges(n, edges):
+    adj = np.zeros((n, n), dtype=bool)
+    for u, v in edges:
+        adj[u, v] = adj[v, u] = True
+    return graph_from_bool_matrix(adj)
+
+
+def bool_matrix(g):
+    """The whole adjacency matrix of g, unpacked to bool."""
+    return g.row_bits(slice(None))
+
+
+def feasibility_identity(params):
+    """Both sides of k(k - lambda - 1) = (v - k - 1) mu."""
+    return (
+        params.k * (params.k - params.lam - 1),
+        (params.v - params.k - 1) * params.mu,
+    )
+
+
+def vectors_of_weight_ref(w):
+    """The C(24, w) vectors of weight w, ascending, from itertools.combinations."""
+    values = [sum(1 << b for b in bits) for bits in itertools.combinations(range(24), w)]
+    assert len(values) == math.comb(24, w)
+    return np.array(sorted(values), dtype=np.uint32)
+
 
 # ------------------------------------------------------------ coset level
 
@@ -83,22 +127,30 @@ def int_rows(g):
     return [int.from_bytes(g.packed[u].tobytes(), "little") for u in range(g.n)]
 
 
+def bitmask(s):
+    """The members of a VertexSet as one Python integer, bit v = member v."""
+    mask = 0
+    for v in s.members:
+        mask |= 1 << v
+    return mask
+
+
 def is_coclique_ref(rows, s):
-    mask = s.bitmask()
+    mask = bitmask(s)
     return all(rows[v] & mask == 0 for v in s.members)
 
 
 def is_maximal_ref(rows, s):
     if not is_coclique_ref(rows, s):
         raise DomainError("maximality is only defined for cocliques")
-    cover = s.bitmask()
+    cover = bitmask(s)
     for v in s.members:
         cover |= rows[v]
     return cover == (1 << len(rows)) - 1
 
 
 def external_profile_ref(rows, s):
-    mask = s.bitmask()
+    mask = bitmask(s)
     counts = Counter()
     for w, row in enumerate(rows):
         if not (mask >> w) & 1:
@@ -107,7 +159,7 @@ def external_profile_ref(rows, s):
 
 
 def pair_invariant_ref(rows, s):
-    mask = s.bitmask()
+    mask = bitmask(s)
     w8_mask = 0
     for w, row in enumerate(rows):
         if not (mask >> w) & 1 and (row & mask).bit_count() == 8:

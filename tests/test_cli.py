@@ -229,12 +229,17 @@ def _corrupt_rows(graph, kind):
         packed[0, 0] |= 1
         nb = int(graph.neighbors(0)[0])
         packed[0, nb >> 3] &= ~np.uint8(1 << (nb & 7))
+    elif kind == "asymmetric":  # one bit of row 0 moved: every degree is kept
+        nb = int(graph.neighbors(0)[0])
+        other = int(np.flatnonzero(~graph.row_bits(0))[1])  # [0] is vertex 0
+        packed[0, nb >> 3] &= ~np.uint8(1 << (nb & 7))
+        packed[0, other >> 3] |= np.uint8(1 << (other & 7))
     else:  # "degree": row 0 gains or loses vertex 2047
         packed[0, 255] ^= 0x80
     return packed
 
 
-@pytest.mark.parametrize("kind", ["shape", "dtype", "loop", "degree"])
+@pytest.mark.parametrize("kind", ["shape", "dtype", "loop", "asymmetric", "degree"])
 def test_malformed_cache_is_rejected(tmp_path, code, reps, graph, kind):
     cache = tmp_path / "graph.npz"
     _write_raw_cache(cache, code, _corrupt_rows(graph, kind))
@@ -248,6 +253,18 @@ def test_misshapen_cache_is_rebuilt_by_verify(tmp_path, capsys, code, reps, grap
     captured = capsys.readouterr()
     assert "all checks passed" in captured.out
     assert "Traceback" not in captured.err
+    rebuilt = load_graph_cache(str(cache), code, reps)
+    assert rebuilt is not None
+    assert np.array_equal(rebuilt.packed, graph.packed)
+
+
+def test_asymmetric_cache_is_rebuilt_by_verify(tmp_path, capsys, code, reps, graph):
+    cache = tmp_path / "graph.npz"
+    packed = _corrupt_rows(graph, "asymmetric")
+    assert (np.bitwise_count(packed).sum(axis=1) == 276).all()
+    _write_raw_cache(cache, code, packed)
+    assert main(["verify", "--cache", str(cache)]) == EXIT_OK
+    assert "all checks passed" in capsys.readouterr().out
     rebuilt = load_graph_cache(str(cache), code, reps)
     assert rebuilt is not None
     assert np.array_equal(rebuilt.packed, graph.packed)
@@ -288,10 +305,11 @@ def test_cache_write_is_atomic(tmp_path, monkeypatch, code, graph):
     assert [p.name for p in tmp_path.iterdir()] == ["graph.npz"]
 
 
-def test_search_notes_single_threaded(tmp_path, capsys):
-    assert main(["search", "--sizes", "30", "--budget", "800", "--seed", "4",
-                 "--workers", "4"]) == EXIT_OK
-    assert "single-threaded" in capsys.readouterr().out
+def test_workers_option_is_removed(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["search", "--sizes", "30", "--budget", "800", "--seed", "4", "--workers", "4"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --workers 4" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["check", "invariants"])

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from srg2048.errors import DomainError, InternalConsistencyError
 from srg2048.io_formats import read_dat, write_dat
 
 from oracles import (
+    bitmask,
     external_profile_ref,
     int_rows,
     is_coclique_ref,
@@ -63,7 +65,7 @@ def test_from_iterable_sorts():
 def test_from_iterable_matches_sorted(values):
     s = VertexSet.from_iterable(values)
     assert s.members == tuple(sorted(values))
-    assert s.bitmask() == sum(1 << v for v in values)
+    assert bitmask(s) == sum(1 << v for v in values)
 
 
 def test_out_of_range_member_rejected_at_graph(graph):
@@ -319,6 +321,20 @@ def test_search_rejects_a_bad_candidate(graph, monkeypatch, kind):
     monkeypatch.setattr(coclique, "_fresh_run", lambda *args: list(members))
     with pytest.raises(InternalConsistencyError, match="independent checker"):
         search_maximal(graph, [2], budget=1, seed=DEFAULT_SEED)
+
+
+def test_search_holds_no_bool_matrix(graph):
+    # the adjacency unpacked to bool would alone take 4 MiB for n = 2048
+    tracemalloc.start()
+    try:
+        search_maximal(
+            graph, range(20, 73), budget=200, seed=7,
+            config=SearchConfig(stop_when_complete=False),
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
 
 
 def test_search_rejects_bad_budget(graph):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +28,7 @@ from srg2048.coset_graph import (
     translation_map,
     verify_srg,
     weight6_distance_census,
+    weight6_distance_table,
 )
 from srg2048.errors import (
     DomainError,
@@ -41,8 +43,13 @@ from srg2048.golay import DEFAULT_GENERATOR_ROWS, build_code
 from oracles import (
     adjacent_by_translates,
     adjacent_many_oracle,
+    bool_matrix,
+    feasibility_identity,
+    graph_from_bool_matrix,
+    graph_from_edges,
     min_coset_distance_bulk,
     rep_of_scan,
+    vectors_of_weight_ref,
 )
 
 
@@ -265,7 +272,7 @@ def test_neighbors_match_has_edge(graph):
 
 def test_vertex_translation_is_automorphism(code, reps, graph):
     rng = random.Random(17)
-    adj = graph.row_bits()
+    adj = bool_matrix(graph)
     for _ in range(3):
         t = rng.randrange(1 << 24)
         if bin(t).count("1") % 2 == 1:
@@ -299,20 +306,20 @@ def test_verify_petersen(petersen):
 
 
 def test_verify_rejects_irregular():
-    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+    g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
     with pytest.raises(VerificationError, match="degree not constant"):
         verify_srg(g)
 
 
 def test_verify_rejects_six_cycle():
-    g = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
+    g = graph_from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
     with pytest.raises(VerificationError, match="mu not constant") as info:
         verify_srg(g)
     assert info.value.witness is not None
 
 
 def test_verify_rejects_degenerate_complete():
-    g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+    g = graph_from_edges(3, [(0, 1), (1, 2), (0, 2)])
     with pytest.raises(VerificationError, match="degenerate"):
         verify_srg(g)
 
@@ -322,10 +329,10 @@ _CUBE = [(a, a ^ (1 << i)) for a in range(8) for i in range(3) if a < a ^ (1 << 
 
 def _edited(graph, *edits):
     """graph with adjacency (x, y) and (y, x) set to value for each edit."""
-    adj = graph.row_bits().copy()
+    adj = bool_matrix(graph).copy()
     for x, y, value in edits:
         adj[x, y] = adj[y, x] = value
-    return Graph.from_bool_matrix(adj)
+    return graph_from_bool_matrix(adj)
 
 
 def _switched(graph, a, b, c, d):
@@ -338,19 +345,19 @@ def _switched(graph, a, b, c, d):
     "make, message, witness",
     [
         (  # triangular prism: the rungs lie in no triangle
-            lambda g: Graph.from_edges(
+            lambda g: graph_from_edges(
                 6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]
             ),
             "lambda not constant: pair (0, 3) has 0 common neighbours, expected 1",
             (0, 3),
         ),
         (
-            lambda g: Graph.from_edges(8, _CUBE),
+            lambda g: graph_from_edges(8, _CUBE),
             "mu not constant: pair (0, 7) has 0 common neighbours, expected 2",
             (0, 7),
         ),
         (  # row 0 has a mu mismatch at (0, 3) before the lambda one at (0, 5)
-            lambda g: Graph.from_edges(10, [
+            lambda g: graph_from_edges(10, [
                 (0, 1), (0, 4), (0, 5), (0, 9), (1, 2), (1, 4), (1, 5), (2, 3), (2, 5), (2, 6),
                 (3, 5), (3, 6), (3, 8), (4, 7), (4, 9), (6, 7), (6, 8), (7, 8), (7, 9), (8, 9),
             ]),
@@ -358,7 +365,7 @@ def _switched(graph, a, b, c, d):
             (0, 5),
         ),
         (  # 150 copies of K4, then a cube: the first bad row lies in a later band
-            lambda g: Graph.from_edges(
+            lambda g: graph_from_edges(
                 608,
                 [(4 * c + i, 4 * c + j) for c in range(150)
                  for i, j in itertools.combinations(range(4), 2)]
@@ -394,11 +401,40 @@ def test_verify_failures_are_pinned(graph, make, message, witness):
 
 def test_graph_constructors_reject_bad_input():
     with pytest.raises(GraphConstructionError, match="loop"):
-        Graph.from_edges(3, [(0, 0)])
+        graph_from_edges(3, [(0, 0)])
     bad = np.zeros((3, 3), dtype=bool)
     bad[0, 1] = True  # not symmetric
     with pytest.raises(GraphConstructionError, match="symmetric"):
-        Graph.from_bool_matrix(bad)
+        graph_from_bool_matrix(bad)
+
+
+def _set_bit(packed, u, v, value):
+    if value:
+        packed[u, v >> 3] |= np.uint8(1 << (v & 7))
+    else:
+        packed[u, v >> 3] &= ~np.uint8(1 << (v & 7))
+
+
+@pytest.mark.parametrize("which", ["graph", "petersen"])
+@pytest.mark.parametrize(
+    "kind, message",
+    [("loop", "adjacency matrix has a loop"), ("asymmetric", "adjacency matrix not symmetric")],
+)
+def test_graph_rejects_a_loop_or_an_asymmetric_row(request, which, kind, message):
+    g = request.getfixturevalue(which)
+    packed = g.packed.copy()
+    u = g.n - 3  # in the last band of the 2048-vertex graph
+    if kind == "loop":
+        _set_bit(packed, u, u, True)
+    else:  # move one bit of row u: its degree is kept
+        row = g.row_bits(u)
+        _set_bit(packed, u, int(np.flatnonzero(row)[0]), False)
+        row[u] = True  # the new bit must not be a loop
+        _set_bit(packed, u, int(np.flatnonzero(~row)[0]), True)
+    with pytest.raises(GraphConstructionError) as info:
+        Graph(packed, g.n)
+    assert str(info.value) == message
+
 
 
 def test_rows_are_padded_to_whole_words(cycle5, petersen, graph):
@@ -409,7 +445,7 @@ def test_rows_are_padded_to_whole_words(cycle5, petersen, graph):
         assert np.array_equal(
             np.unpackbits(g.packed, axis=1, bitorder="little")[:, : g.n], expected
         )
-        assert np.array_equal(g.row_bits(), expected)
+        assert np.array_equal(bool_matrix(g), expected)
         assert not np.unpackbits(g.packed, axis=1, bitorder="little")[:, g.n :].any()
         assert g.degrees().tolist() == [g.degree(u) for u in range(g.n)]
     # 2048 bits are 32 whole words: no padding, so cache files stay valid
@@ -426,10 +462,10 @@ def test_graph_rejects_misshapen_rows():
 
 
 def test_feasibility_identity():
-    lhs, rhs = TARGET_PARAMS.feasibility_identity()
+    lhs, rhs = feasibility_identity(TARGET_PARAMS)
     assert lhs == rhs == 63756
-    assert TARGET_PARAMS.is_feasible()
-    assert not SrgParams(10, 3, 1, 1).is_feasible()
+    lhs, rhs = feasibility_identity(SrgParams(10, 3, 1, 1))
+    assert lhs != rhs
 
 
 # -------------------------------------------------- bound and eigenvalues
@@ -490,6 +526,18 @@ def test_build_graph_matches_oracle_rows(code, reps, graph):
         assert np.array_equal(graph.row_bits(u), oracle_row)
 
 
+def test_build_graph_holds_no_bool_matrix(code, reps, graph):
+    weight6_distance_table(code)  # the table is cached on the code: warm it
+    tracemalloc.start()
+    try:
+        build_graph(code, reps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one n x n bool matrix is 4 MiB
+    assert peak < N_VERTICES * N_VERTICES
+
+
 def test_build_graph_is_deterministic(code, reps, graph):
     again = build_graph(code, reps)
     assert np.array_equal(again.packed, graph.packed)
@@ -536,6 +584,13 @@ def test_missing_octad_fires_the_distance_guard(code, reps, code_missing_an_octa
         build_graph(code_missing_an_octad, reps)
     assert info.value.distance >= 6
     assert info.value.vector & ~octad == 0
+
+
+@pytest.mark.parametrize("w", range(7))
+def test_vectors_of_weight_match_combinations(w):
+    values = coset_graph.vectors_of_weight(w)
+    assert values.dtype == np.uint32
+    assert np.array_equal(values, vectors_of_weight_ref(w))
 
 
 def test_case_rule_is_checked_against_syndromes(code, reps, monkeypatch):
