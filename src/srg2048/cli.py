@@ -114,25 +114,36 @@ def load_graph_cache(
 ) -> coset_graph.Graph | None:
     """Rebuild the graph from a cache file; None if absent, stale or malformed.
 
-    Besides the version, generators and checksum, the rows must pass the
-    structural checks of `Graph` (shape, dtype, no loop, symmetry) and
-    have degree 276.
+    The file must be an npz archive with a 0-d integer version and uint32
+    generators: `int()` of any other version and a comparison of void
+    generators raise TypeError.  Besides the version, generators and
+    checksum, the rows must pass the structural checks of `Graph` (shape,
+    dtype, no loop, symmetry) and have degree 276.
     """
     if not os.path.exists(path):
         return None
     try:
-        with np.load(path, allow_pickle=False) as payload:
-            if int(payload["version"]) != CACHE_VERSION:
+        payload = np.load(path, allow_pickle=False)
+        if not isinstance(payload, np.lib.npyio.NpzFile):  # a bare .npy array
+            return None
+        with payload:
+            version = payload["version"]
+            if version.shape != () or version.dtype.kind not in "iu":
                 return None
-            if not np.array_equal(
-                payload["generators"], np.array(code.generators, dtype=np.uint32)
+            if int(version) != CACHE_VERSION:
+                return None
+            generators = payload["generators"]
+            if generators.dtype != np.uint32 or not np.array_equal(
+                generators, np.array(code.generators, dtype=np.uint32)
             ):
                 return None
             packed = payload["packed"]
             if hashlib.sha256(packed.tobytes()).hexdigest() != str(payload["checksum"]):
                 return None
         g = coset_graph.Graph(packed, len(reps), vertex_reps=reps)
-    except (OSError, ValueError, KeyError, zipfile.BadZipFile, GraphConstructionError):
+    except (
+        OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile, GraphConstructionError
+    ):
         return None
     if (g.degrees() != coset_graph.DEGREE).any():
         return None

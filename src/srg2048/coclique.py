@@ -1,8 +1,11 @@
 """Coclique checking, outside-neighbour profiles, and maximal-coclique search.
 
-A coclique (independent set) is checked purely through bitset algebra on
-the graph's adjacency rows: popcounts of their 64-bit words ANDed with the
-set's packed mask.  For a coclique S the *external profile* is
+A coclique (independent set) is checked from the adjacency rows of its own
+members only.  The coclique and maximality tests AND those rows, as 64-bit
+words, with the set's packed mask and OR them into a cover.  The
+neighbour count |N(w) & S| of every vertex w is a column sum of the
+members' rows unpacked to bytes, which holds because the adjacency is
+symmetric.  For a coclique S the *external profile* is
 the histogram, over vertices w outside S, of how many neighbours w has
 inside S; S is maximal exactly when no outside vertex has count 0.  Two
 bookkeeping identities hold for every coclique of a k-regular graph and
@@ -13,7 +16,8 @@ are asserted liberally in the tests:
 
 The *pair invariant* separates structurally different cocliques: writing
 W8 for the outside vertices with exactly 8 neighbours in S, it counts the
-2-subsets {u, v} of S having no common neighbour inside W8.
+2-subsets {u, v} of S having no common neighbour inside W8.  All pairs
+come from one Gram matrix of the members' rows restricted to W8.
 
 The search is a seeded randomized-greedy engine with restarts and
 perturbation ("plateau") moves: fresh runs grow a coclique by repeatedly
@@ -124,55 +128,64 @@ def _pack(n_words: int, vertices) -> np.ndarray:
     return np.packbits(bits, bitorder="little").view(np.uint64)
 
 
-def _members_and_mask(g: Graph, s: VertexSet) -> tuple[np.ndarray, np.ndarray]:
-    """The members as an index array, and the set as a packed word mask."""
+def _members(g: Graph, s: VertexSet) -> np.ndarray:
+    """The members as an index array, after checking they are vertices of g."""
     if s.members and s.members[-1] >= g.n:
         raise DomainError(
             f"vertex index {s.members[-1]} out of range for a {g.n}-vertex graph"
         )
-    members = np.array(s.members, dtype=np.intp)
-    return members, _pack(g.words.shape[1], members)
+    return np.array(s.members, dtype=np.intp)
 
 
-def _outside_counts(g: Graph, s: VertexSet) -> tuple[np.ndarray, np.ndarray]:
-    """|N(w) & S| for every vertex w, and the flags of the w outside S."""
-    members, mask = _members_and_mask(g, s)
-    counts = np.bitwise_count(g.words & mask).sum(axis=1, dtype=np.int32)
+def _outside_counts(g: Graph, s: VertexSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """|N(w) & S| for every vertex w, the flags of the w outside S, and the
+    members' rows unpacked to one 0/1 byte per vertex.
+
+    The adjacency is symmetric (`Graph` checks it), so |N(w) & S| is the
+    number of members whose row has bit w: a column sum over the |S|
+    member rows, never a pass over all n rows.
+    """
+    members = _members(g, s)
+    bits = np.unpackbits(g.packed[members], axis=1, count=g.n, bitorder="little")
+    counts = bits.sum(axis=0, dtype=np.int32)
     outside = np.ones(g.n, dtype=bool)
     outside[members] = False
-    return counts, outside
+    return counts, outside, bits
 
 
 def is_coclique(g: Graph, s: VertexSet) -> bool:
     """True iff no two members are adjacent."""
-    members, mask = _members_and_mask(g, s)
-    return not (g.words[members] & mask).any()
+    members = _members(g, s)
+    return not (g.words[members] & _pack(g.words.shape[1], members)).any()
 
 
 def is_maximal(g: Graph, s: VertexSet) -> bool:
     """True iff every outside vertex has a neighbour in the coclique."""
     if not is_coclique(g, s):
         raise DomainError("maximality is only defined for cocliques")
-    members, mask = _members_and_mask(g, s)
-    cover = np.bitwise_or.reduce(g.words[members], axis=0) | mask
+    members = _members(g, s)
+    cover = np.bitwise_or.reduce(g.words[members], axis=0) | _pack(g.words.shape[1], members)
     return int(np.bitwise_count(cover).sum()) == g.n
 
 
 def external_profile(g: Graph, s: VertexSet) -> ExternalProfile:
     """Histogram of |N(w) & S| over all vertices w outside S."""
-    counts, outside = _outside_counts(g, s)
+    counts, outside, _ = _outside_counts(g, s)
     return ExternalProfile(census(counts[outside]))
 
 
 def pair_invariant(g: Graph, s: VertexSet) -> int:
-    """2-subsets of S with no common neighbour among the count-8 outsiders."""
-    counts, outside = _outside_counts(g, s)
-    w8 = np.flatnonzero(outside & (counts == 8))
-    rows = g.words[list(s.members)] & _pack(g.words.shape[1], w8)
-    return sum(
-        int(np.count_nonzero(~(rows[i] & rows[i + 1 :]).any(axis=1)))
-        for i in range(len(rows) - 1)
-    )
+    """2-subsets of S with no common neighbour among the count-8 outsiders.
+
+    With R the members' rows restricted to the W8 columns, entry (u, v) of
+    R R^T counts the common W8-neighbours of u and v.  The product is taken
+    in float32, exact because every entry is an integer at most n < 2^24.
+    Zero entries off the diagonal count each such pair twice.
+    """
+    counts, outside, bits = _outside_counts(g, s)
+    r = bits[:, outside & (counts == 8)].astype(np.float32)
+    zero = (r @ r.T) == 0
+    return (np.count_nonzero(zero) - np.count_nonzero(zero.diagonal())) // 2
 
 
 @dataclass

@@ -47,9 +47,14 @@ SYNDROME_LIMIT = 1 << CODE_DIMENSION  # one syndrome bit per generator row
 
 
 def census(values: np.ndarray) -> dict[int, int]:
-    """How often each distinct value occurs, keyed in ascending order."""
-    distinct, counts = np.unique(values, return_counts=True)
-    return {int(v): int(c) for v, c in zip(distinct, counts)}
+    """How often each distinct value occurs, keyed in ascending order.
+
+    The values are small non-negative integers (weights, distances,
+    neighbour counts), so one bincount tallies them without a sort.
+    """
+    tally = np.bincount(values)
+    distinct = np.flatnonzero(tally)
+    return dict(zip(distinct.tolist(), tally[distinct].tolist()))
 
 
 class GolayCode:

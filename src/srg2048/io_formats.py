@@ -24,6 +24,8 @@ a fixed trailer that loads the grape package and rebuilds the graph.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 import numpy as np
 
 from .coclique import VertexSet
@@ -115,18 +117,41 @@ def write_dat(sets, reps: CosetReps, byteorder: str = "little") -> bytes:
     return bytes(out)
 
 
+def _labelled(labels: list[str], indices: list[int]) -> tuple[str, ...]:
+    """labels[i] for each index, looked up in C.  itemgetter of a single
+    index returns the label itself and of none raises, so those two cases
+    are spelled out."""
+    if len(indices) < 2:
+        return tuple(labels[i] for i in indices)
+    return itemgetter(*indices)(labels)
+
+
+def _vertex_labels(n: int) -> list[str]:
+    """The 1-based text label of every vertex, made once per export."""
+    return [str(v) for v in range(1, n + 1)]
+
+
 def export_gap(g: Graph, sets=()) -> str:
-    """GAP/grape text: adjacency lists, the sets, and the fixed trailer."""
+    """GAP/grape text: adjacency lists, the sets, and the fixed trailer.
+
+    Every list is joined from the label table, so no vertex number is
+    formatted more than once.
+    """
+    labels = _vertex_labels(g.n)
     parts: list[str] = ["A:=[\n"]
     last = g.n - 1
     for u in range(g.n):
-        row = ",".join(map(str, (g.neighbors(u) + 1).tolist()))
+        row = ",".join(_labelled(labels, g.neighbors(u).tolist()))
         parts.append(f"[{row}]{',' if u != last else ''}\n")
     parts.append("];\n")
     parts.append("MIS:=[\n")
     n_sets = len(sets)
     for i, s in enumerate(sets):
-        row = ",".join(str(v + 1) for v in s.members)
+        if s.members and s.members[-1] >= g.n:
+            raise DomainError(
+                f"set {i + 1} contains vertex {s.members[-1]}, graph has {g.n}"
+            )
+        row = ",".join(_labelled(labels, s.members))
         parts.append(f"[{row}]{',' if i != n_sets - 1 else ''}\n")
     parts.append("];\n")
     parts.append(GAP_TRAILER)
@@ -134,9 +159,18 @@ def export_gap(g: Graph, sets=()) -> str:
 
 
 def export_edge_list(g: Graph) -> str:
-    """Plain text debug export: one '1-based u v' line per edge, u < v."""
+    """Plain text debug export: one '1-based u v' line per edge, u < v.
+
+    Row by row, with no edge array or list of pairs at once: the lines of
+    row u are its larger neighbours' labels joined by a newline and u's
+    label, so no line is formatted on its own.
+    """
+    labels = _vertex_labels(g.n)
     parts: list[str] = []
-    for u in range(g.n):  # row by row: no edge array or list of pairs at once
+    for u in range(g.n):
         nbrs = g.neighbors(u)
-        parts.append("".join(f"{u + 1} {v}\n" for v in (nbrs[nbrs > u] + 1).tolist()))
+        upper = _labelled(labels, nbrs[nbrs > u].tolist())
+        if upper:
+            head = labels[u] + " "
+            parts.append(head + ("\n" + head).join(upper) + "\n")
     return "".join(parts)

@@ -4,7 +4,9 @@ Each oracle decides its question by a route independent of the package's
 fast path: definition-level scans for the coset machinery, with membership
 decided by binary search in the enumerated codewords (the package uses
 syndromes), and arbitrary-precision integer rows for the coclique checks
-(the package uses popcounts over packed 64-bit words).  The graph helpers
+(the package uses popcounts over packed 64-bit words and column sums of
+the members' rows), and `str()` of every vertex number for the text
+exports (the package joins a table of labels).  The graph helpers
 pack small bool matrices and edge lists into `Graph` rows, whose
 constructor checks them; the package itself never holds an n x n bool
 matrix.
@@ -172,3 +174,31 @@ def pair_invariant_ref(rows, s):
             if row_u & rows[v] == 0:
                 total += 1
     return total
+
+
+# ----------------------------------------------------------- text exports
+
+
+def _gap_lists(lists):
+    """One '[a,b,...]' line per list, each but the last ending in a comma."""
+    last = len(lists) - 1
+    return "".join(
+        "[" + ",".join(str(x) for x in row) + "]" + ("," if i != last else "") + "\n"
+        for i, row in enumerate(lists)
+    )
+
+
+def export_gap_ref(g, sets, trailer):
+    """The GAP text from the integer rows, every vertex number through str()."""
+    rows = int_rows(g)
+    adjacency = [[v + 1 for v in range(g.n) if (rows[u] >> v) & 1] for u in range(g.n)]
+    mis = [[v + 1 for v in s.members] for s in sets]
+    return "A:=[\n" + _gap_lists(adjacency) + "];\nMIS:=[\n" + _gap_lists(mis) + "];\n" + trailer
+
+
+def export_edge_list_ref(g):
+    """One 'u v' line per edge u < v, 1-based, from the integer rows."""
+    rows = int_rows(g)
+    return "".join(
+        f"{u + 1} {v + 1}\n" for u in range(g.n) for v in range(u + 1, g.n) if (rows[u] >> v) & 1
+    )

@@ -6,8 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from srg2048 import golay
+from srg2048 import coset_graph, golay
 from srg2048.cli import (
     CACHE_VERSION,
     EXIT_DISTANCE,
@@ -331,3 +334,137 @@ def test_check_without_container_is_usage_error(capsys, argv):
         main(argv)
     assert info.value.code == 2
     assert "the following arguments are required: dat" in capsys.readouterr().err
+
+
+# ---------------------------------------------- outputs of the check path
+
+POOL = str(Path(__file__).resolve().parents[1] / "srgbench" / "pool.dat")
+
+# sha256 of each output for the 142 sets of srgbench/pool.dat
+POOL_DIGESTS = {
+    "invariants": "6a7fae155bd2df6fa228e1ff2f6349a0a0b1eb38e2cdc85afe5e39ab29ffd3d9",
+    "check": "452548c725508dba24c6ef9e204dc0d18334e5fa239be8fc3672d0d34fa6b2fa",
+    "gap": "161607d41260baea6ad233b58da1df9a5178515cdc6887e29de66e656bf8bf7e",
+    "edges": "3194b978f7f9b566f44ff4d2bc611f1e736f2401aac745dee5f0b11dcf1f7bab",
+}
+VERIFY_DIGEST = "ae2280b85089081bc14fdccee000b22b64b5262adb7c0e7823c0870036df8843"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def pool_cache(tmp_path_factory, code, graph):
+    path = tmp_path_factory.mktemp("pool") / "graph.npz"
+    save_graph_cache(str(path), graph, code)
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["invariants", "check"])
+def test_check_path_output_is_pinned(capsys, pool_cache, command):
+    assert main([command, POOL, "--cache", pool_cache]) == EXIT_OK
+    assert _sha256(capsys.readouterr().out) == POOL_DIGESTS[command]
+
+
+def test_export_output_is_pinned(tmp_path, capsys, pool_cache):
+    gap, edges = tmp_path / "pool.g", tmp_path / "edges.txt"
+    argv = ["export", "--gap", str(gap), "--edges", str(edges), "--sets", POOL]
+    assert main([*argv, "--cache", pool_cache]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        f"wrote gap file {gap} (2554283 bytes, 142 sets)\n"
+        f"wrote edge list {edges} (282624 edges)\n"
+    )
+    assert _sha256(gap.read_text()) == POOL_DIGESTS["gap"]
+    assert _sha256(edges.read_text()) == POOL_DIGESTS["edges"]
+
+
+# ------------------------------------------------------ malformed fields
+
+
+def _write_fields(path, **fields):
+    with open(path, "wb") as fh:
+        np.savez(fh, **fields)
+
+
+def _valid_fields(code, graph):
+    return {
+        "version": np.int64(CACHE_VERSION),
+        "generators": np.array(code.generators, dtype=np.uint32),
+        "packed": graph.packed,
+        "checksum": np.str_(hashlib.sha256(graph.packed.tobytes()).hexdigest()),
+    }
+
+
+def _write_unreadable(path, code, graph, kind):
+    if kind == "version array":  # int() of it raises TypeError
+        _write_fields(path, **{**_valid_fields(code, graph), "version": np.array([1, 1])})
+    elif kind == "void generators":  # comparing them raises TypeError
+        generators = np.zeros(12, dtype=[("a", "<u4")])
+        _write_fields(path, **{**_valid_fields(code, graph), "generators": generators})
+    elif kind == "empty file":  # np.load raises EOFError
+        path.write_bytes(b"")
+    else:  # "bare npy": np.load returns an array, not an archive
+        with open(path, "wb") as fh:
+            np.save(fh, graph.packed)
+
+
+@pytest.mark.parametrize("kind", ["version array", "void generators", "empty file", "bare npy"])
+def test_unreadable_cache_is_rebuilt_by_verify(tmp_path, capsys, code, reps, graph, kind):
+    cache = tmp_path / "graph.npz"
+    _write_unreadable(cache, code, graph, kind)
+    assert load_graph_cache(str(cache), code, reps) is None
+    assert main(["verify", "--cache", str(cache)]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert _sha256(captured.out) == VERIFY_DIGEST
+    assert "Traceback" not in captured.err
+    rebuilt = load_graph_cache(str(cache), code, reps)
+    assert rebuilt is not None
+    assert np.array_equal(rebuilt.packed, graph.packed)
+
+
+FIELD_ARRAYS = hnp.arrays(
+    dtype=st.sampled_from(
+        [np.int64, np.uint32, np.uint8, np.float64, np.complex128, np.bool_, "U8", "S8",
+         np.dtype([("a", "<u4")])]
+    ),
+    shape=hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3),
+)
+
+
+def _field(choice, valid):
+    """"valid" keeps the field as written, an array replaces it."""
+    return valid if isinstance(choice, str) else choice
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    version=st.one_of(st.just("valid"), st.none(), FIELD_ARRAYS),
+    generators=st.one_of(st.just("valid"), st.none(), FIELD_ARRAYS),
+    packed=st.one_of(st.just("valid"), st.none(), FIELD_ARRAYS),
+    checksum=st.one_of(st.just("valid"), st.just("matching"), st.none(), FIELD_ARRAYS),
+)
+def test_fuzzed_cache_fields_load_or_are_rejected(
+    tmp_path, code, reps, graph, version, generators, packed, checksum
+):
+    """Any mix of well-formed, missing (None) and arbitrary fields gives the
+    built graph or None, never an exception."""
+    valid = _valid_fields(code, graph)
+    fields = {
+        "version": _field(version, valid["version"]),
+        "generators": _field(generators, valid["generators"]),
+        "packed": _field(packed, valid["packed"]),
+    }
+    if isinstance(checksum, str) and checksum == "matching":  # digest of the drawn rows
+        rows = fields["packed"] if fields["packed"] is not None else valid["packed"]
+        fields["checksum"] = np.str_(hashlib.sha256(rows.tobytes()).hexdigest())
+    else:
+        fields["checksum"] = _field(checksum, valid["checksum"])
+    cache = tmp_path / "graph.npz"
+    _write_fields(cache, **{k: v for k, v in fields.items() if v is not None})
+    loaded = load_graph_cache(str(cache), code, reps)
+    assert loaded is None or (
+        isinstance(loaded, coset_graph.Graph) and np.array_equal(loaded.packed, graph.packed)
+    )

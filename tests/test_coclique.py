@@ -195,6 +195,13 @@ def test_pair_invariant_two_element_direct(graph):
     assert value == (1 if not common else 0)
 
 
+def test_pair_invariant_leaves_members_out_of_w8(graph):
+    # not a coclique: vertex 0 has 8 neighbours inside the set, yet as a
+    # member it is no common W8-neighbour of the other eight
+    s = VertexSet.from_iterable([0, *graph.neighbors(0)[:8].tolist()])
+    assert pair_invariant(graph, s) == pair_invariant_ref(int_rows(graph), s)
+
+
 def test_pair_invariant_translation_invariant(code, reps, graph, search_sets):
     rng = random.Random(23)
     s = search_sets[len(search_sets) // 2]

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from srg2048.coclique import VertexSet
-from srg2048.errors import DatFormatError
+from srg2048.errors import DatFormatError, DomainError
 from srg2048.io_formats import (
     GAP_TRAILER,
     export_edge_list,
@@ -14,6 +14,8 @@ from srg2048.io_formats import (
     read_dat,
     write_dat,
 )
+
+from oracles import export_edge_list_ref, export_gap_ref, graph_from_edges
 
 
 # ------------------------------------------------------------------ DAT
@@ -265,3 +267,36 @@ def test_edge_list_format(graph):
     u, v = int(first[0]), int(first[1])
     assert 1 <= u < v <= 2048
     assert graph.has_edge(u - 1, v - 1)
+
+
+# ------------------------------------------------ exports against the oracle
+
+
+@pytest.fixture(scope="module")
+def sparse_graph():
+    """A triangle, an edge (two degree-1 vertices) and an isolated vertex."""
+    return graph_from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4)])
+
+
+# sets of every length the label lookup treats apart: none, one, several
+EXPORT_SETS = [VertexSet(()), VertexSet((5,)), VertexSet((0, 3)), VertexSet((1, 3, 5))]
+
+
+@pytest.mark.parametrize("name", ["petersen", "cycle5", "sparse_graph"])
+def test_exports_match_the_str_oracle(request, name):
+    g = request.getfixturevalue(name)
+    sets = [s for s in EXPORT_SETS if not s.members or s.members[-1] < g.n]
+    assert export_gap(g, sets) == export_gap_ref(g, sets, GAP_TRAILER)
+    assert export_gap(g) == export_gap_ref(g, [], GAP_TRAILER)
+    assert export_edge_list(g) == export_edge_list_ref(g)
+
+
+def test_sparse_graph_exports(sparse_graph):
+    text = export_gap(sparse_graph, [VertexSet((5,))])
+    assert text.startswith("A:=[\n[2,3],\n[1,3],\n[1,2],\n[5],\n[4],\n[]\n];\nMIS:=[\n[6]\n];\n")
+    assert export_edge_list(sparse_graph) == "1 2\n1 3\n2 3\n4 5\n"
+
+
+def test_gap_rejects_a_set_beyond_the_graph(petersen):
+    with pytest.raises(DomainError, match="vertex 10"):
+        export_gap(petersen, [VertexSet((2, 10))])
