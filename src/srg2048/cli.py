@@ -16,13 +16,12 @@ import os
 import sys
 import tempfile
 import time
-import zipfile
 
 import numpy as np
 
 from . import coclique, coset_graph, golay, io_formats
 from .errors import (
-    DatFormatError,
+    FormatError,
     GraphConstructionError,
     InvalidDistanceError,
     SrgError,
@@ -34,7 +33,8 @@ EXIT_FORMAT = 3
 EXIT_VERIFY = 4
 EXIT_DISTANCE = 5
 
-CACHE_VERSION = 1
+# first 16 bytes of a graph cache file; the last one is the layout version
+CACHE_MAGIC = b"srg2048 graph v2"
 
 # check and search report the pair invariant for sets at least this large
 LARGE_SET_FLOOR = 72
@@ -77,32 +77,32 @@ def default_cache_dir() -> str:
     )
 
 
+def _generator_bytes(code: golay.GolayCode) -> bytes:
+    return np.array(code.generators, dtype="<u4").tobytes()
+
+
 def _cache_path(args: argparse.Namespace, code: golay.GolayCode) -> str:
     if args.cache and args.cache != "auto":
         return args.cache
-    digest = hashlib.sha256(
-        np.array(code.generators, dtype=np.uint32).tobytes()
-    ).hexdigest()[:16]
+    digest = hashlib.sha256(_generator_bytes(code)).hexdigest()[:16]
     return os.path.join(default_cache_dir(), f"graph-{digest}.npz")
 
 
+def _cache_head(code: golay.GolayCode, packed: np.ndarray) -> bytes:
+    """The 96 bytes before the rows in a cache file: CACHE_MAGIC, the 12
+    generator rows as little-endian uint32 and the sha256 of the rows."""
+    return CACHE_MAGIC + _generator_bytes(code) + hashlib.sha256(packed).digest()
+
+
 def save_graph_cache(path: str, g: coset_graph.Graph, code: golay.GolayCode) -> None:
-    """Write the cache atomically: a temporary file beside it, then a rename,
-    so a reader never sees a half-written file.  The archive is not
-    compressed: deflating the rows costs a hundred times more than writing
-    them."""
+    """Write the head and the rows to a temporary file beside `path`, then
+    rename it into place, so a reader never sees a half-written file."""
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".graph-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb") as fh:  # savez on a path would add .npz
-            np.savez(
-                fh,
-                version=np.int64(CACHE_VERSION),
-                generators=np.array(code.generators, dtype=np.uint32),
-                packed=g.packed,
-                checksum=np.str_(hashlib.sha256(g.packed.tobytes()).hexdigest()),
-            )
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(_cache_head(code, g.packed) + g.packed.tobytes())
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -112,42 +112,19 @@ def save_graph_cache(path: str, g: coset_graph.Graph, code: golay.GolayCode) -> 
 def load_graph_cache(
     path: str, code: golay.GolayCode, reps: coset_graph.CosetReps
 ) -> coset_graph.Graph | None:
-    """Rebuild the graph from a cache file; None if absent, stale or malformed.
-
-    The file must be an npz archive with a 0-d integer version and uint32
-    generators: `int()` of any other version and a comparison of void
-    generators raise TypeError.  Besides the version, generators and
-    checksum, the rows must pass the structural checks of `Graph` (shape,
-    dtype, no loop, symmetry) and have degree 276.
-    """
-    if not os.path.exists(path):
-        return None
+    """The cached graph, or None unless the file is exactly the head this code
+    would write and rows that pass `Graph`'s checks and have degree 276."""
+    n = len(reps)
+    packed = np.empty((n, coset_graph.row_bytes(n)), dtype=np.uint8)
     try:
-        payload = np.load(path, allow_pickle=False)
-        if not isinstance(payload, np.lib.npyio.NpzFile):  # a bare .npy array
+        with open(path, "rb") as fh:
+            head, size, rest = fh.read(96), fh.readinto(packed), fh.read(1)
+        if size != packed.nbytes or rest or head != _cache_head(code, packed):
             return None
-        with payload:
-            version = payload["version"]
-            if version.shape != () or version.dtype.kind not in "iu":
-                return None
-            if int(version) != CACHE_VERSION:
-                return None
-            generators = payload["generators"]
-            if generators.dtype != np.uint32 or not np.array_equal(
-                generators, np.array(code.generators, dtype=np.uint32)
-            ):
-                return None
-            packed = payload["packed"]
-            if hashlib.sha256(packed.tobytes()).hexdigest() != str(payload["checksum"]):
-                return None
-        g = coset_graph.Graph(packed, len(reps), vertex_reps=reps)
-    except (
-        OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile, GraphConstructionError
-    ):
+        g = coset_graph.Graph(packed, n, vertex_reps=reps)
+    except (OSError, GraphConstructionError):
         return None
-    if (g.degrees() != coset_graph.DEGREE).any():
-        return None
-    return g
+    return g if (g.degrees() == coset_graph.DEGREE).all() else None
 
 
 def _build_code(args: argparse.Namespace) -> golay.GolayCode:
@@ -419,7 +396,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
-    except DatFormatError as exc:
+    except FormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except InvalidDistanceError as exc:

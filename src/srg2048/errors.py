@@ -5,7 +5,11 @@ class SrgError(Exception):
     """Base class for every error this package raises deliberately."""
 
 
-class VecParseError(SrgError, ValueError):
+class FormatError(SrgError, ValueError):
+    """Malformed input data: a generator file or a vertex-set container."""
+
+
+class VecParseError(FormatError):
     """A 24-character '0'/'1' string failed to parse."""
 
 
@@ -47,7 +51,7 @@ class VerificationError(SrgError):
         super().__init__(message)
 
 
-class DatFormatError(SrgError, ValueError):
+class DatFormatError(FormatError):
     """Malformed vertex-set container data.
 
     `offset` is the byte position at which the problem was detected.

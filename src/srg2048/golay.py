@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CodeConstructionError, DomainError
+from .errors import CodeConstructionError, DomainError, FormatError
 from .gf2 import VEC_LIMIT, Vec24, check_vec, parse_vec
 
 # Systematic [I | B] generator rows, written in the package's string form.
@@ -147,15 +147,14 @@ def build_code(generators: tuple[int, ...] | None = None) -> GolayCode:
 
 
 def read_generator_file(path: str) -> tuple[int, ...]:
-    """Read 12 generator rows (one 24-character line each) from a text file."""
-    rows: list[int] = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(parse_vec(line))
+    """Read 12 generator rows (one 24-character '0'/'1' line each, blank
+    lines skipped) from an ASCII text file; FormatError for any other content."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = [line.strip() for line in fh]
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: not an ASCII text file") from None
+    rows = [parse_vec(line) for line in lines if line]
     if len(rows) != CODE_DIMENSION:
-        raise CodeConstructionError(
-            f"{path}: expected {CODE_DIMENSION} generator rows, got {len(rows)}"
-        )
+        raise FormatError(f"{path}: expected {CODE_DIMENSION} generator rows, got {len(rows)}")
     return tuple(rows)

@@ -17,9 +17,9 @@ that are not canonical representatives.  Entry byte order is little-endian
 unless told otherwise; the writer emits entries in ascending order, and a
 stream in that canonical order round-trips byte-exactly.
 
-The GAP export is a text file defining `A` (the 2048 adjacency lists,
+The GAP export is a text file defining `A` (the n adjacency lists,
 1-based) and `MIS` (the vertex-number lists of the given sets), followed by
-a fixed trailer that loads the grape package and rebuilds the graph.
+a trailer that loads the grape package and rebuilds the graph on 1..n.
 """
 
 from __future__ import annotations
@@ -41,11 +41,14 @@ _ENTRY_SHIFTS = {
     "big": np.array([16, 8, 0], dtype=np.uint32),
 }
 
-GAP_TRAILER = (
-    'LoadPackage("grape");;\n'
-    "Gra:=Graph(Group(), [1..2048], OnPoints,\n"
-    "function(x,y) return (x in A[y]); end, true);\n"
-)
+
+def gap_trailer(n: int) -> str:
+    """The GAP lines that load grape and rebuild the graph on 1..n from A."""
+    return (
+        'LoadPackage("grape");;\n'
+        f"Gra:=Graph(Group(), [1..{n}], OnPoints,\n"
+        "function(x,y) return (x in A[y]); end, true);\n"
+    )
 
 
 def read_dat(data: bytes, reps: CosetReps, byteorder: str = "little") -> list[VertexSet]:
@@ -132,7 +135,7 @@ def _vertex_labels(n: int) -> list[str]:
 
 
 def export_gap(g: Graph, sets=()) -> str:
-    """GAP/grape text: adjacency lists, the sets, and the fixed trailer.
+    """GAP/grape text: adjacency lists, the sets, and the trailer for g.n.
 
     Every list is joined from the label table, so no vertex number is
     formatted more than once.
@@ -154,7 +157,7 @@ def export_gap(g: Graph, sets=()) -> str:
         row = ",".join(_labelled(labels, s.members))
         parts.append(f"[{row}]{',' if i != n_sets - 1 else ''}\n")
     parts.append("];\n")
-    parts.append(GAP_TRAILER)
+    parts.append(gap_trailer(g.n))
     return "".join(parts)
 
 

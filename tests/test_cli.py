@@ -1,18 +1,18 @@
 import hashlib
 import importlib
 import importlib.util
-import zipfile
+import io
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
-from srg2048 import coset_graph, golay
+from srg2048 import golay
 from srg2048.cli import (
-    CACHE_VERSION,
+    CACHE_MAGIC,
     EXIT_DISTANCE,
     EXIT_FORMAT,
     EXIT_OK,
@@ -110,9 +110,33 @@ def test_verify_rejects_corrupted_generators(tmp_path, capsys):
     rows[0] = rows[0][:18] + ("1" if rows[0][18] == "0" else "0") + rows[0][19:]
     path = tmp_path / "bad_gens.txt"
     path.write_text("\n".join(rows) + "\n")
-    assert main(["verify", "--generators", str(path)]) != EXIT_OK
+    assert main(["verify", "--generators", str(path)]) == EXIT_VERIFY
     err = capsys.readouterr().err
     assert "weight distribution mismatch" in err
+
+
+def _malformed_generator_file(kind):
+    rows = [row.encode() for row in DEFAULT_GENERATOR_ROWS]
+    if kind == "bad character":
+        rows[3] = rows[3][:5] + b"2" + rows[3][6:]
+    elif kind == "line length":
+        rows[3] = rows[3][:-1]
+    elif kind == "row count":
+        rows = rows[:11]
+    else:  # "non-ASCII"
+        return b"\xff\xfe10\n"
+    return b"\n".join(rows) + b"\n"
+
+
+@pytest.mark.parametrize("kind", ["bad character", "line length", "row count", "non-ASCII"])
+def test_malformed_generator_file_is_format_error(tmp_path, capsys, kind):
+    path = tmp_path / "gens.txt"
+    path.write_bytes(_malformed_generator_file(kind))
+    assert main(["verify", "--generators", str(path)]) == EXIT_FORMAT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("format error: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_search_then_check_roundtrip(tmp_path, capsys):
@@ -209,17 +233,17 @@ def test_stale_cache_is_rebuilt(tmp_path, code, reps, graph):
     assert load_graph_cache(str(cache), code, reps) is None
 
 
+def _cache_bytes(generators, packed, magic=CACHE_MAGIC):
+    """The bytes of a cache file, laid out as documented: magic, generators
+    as little-endian uint32, sha256 of the rows, rows."""
+    rows = packed.tobytes()
+    head = magic + np.array(generators, dtype="<u4").tobytes() + hashlib.sha256(rows).digest()
+    return head + rows
+
+
 def _write_raw_cache(path, code, packed):
-    """A cache file whose checksum matches whatever rows it holds, in the
-    compressed layout that earlier versions wrote."""
-    with open(path, "wb") as fh:
-        np.savez_compressed(
-            fh,
-            version=np.int64(CACHE_VERSION),
-            generators=np.array(code.generators, dtype=np.uint32),
-            packed=packed,
-            checksum=np.str_(hashlib.sha256(packed.tobytes()).hexdigest()),
-        )
+    """A cache file whose digest matches whatever rows it holds."""
+    path.write_bytes(_cache_bytes(code.generators, packed))
 
 
 def _corrupt_rows(graph, kind):
@@ -237,8 +261,9 @@ def _corrupt_rows(graph, kind):
         other = int(np.flatnonzero(~graph.row_bits(0))[1])  # [0] is vertex 0
         packed[0, nb >> 3] &= ~np.uint8(1 << (nb & 7))
         packed[0, other >> 3] |= np.uint8(1 << (other & 7))
-    else:  # "degree": row 0 gains or loses vertex 2047
+    else:  # "degree": the edge {0, 2047} toggled in both rows, so still symmetric
         packed[0, 255] ^= 0x80
+        packed[2047, 0] ^= 0x01
     return packed
 
 
@@ -273,21 +298,26 @@ def test_asymmetric_cache_is_rebuilt_by_verify(tmp_path, capsys, code, reps, gra
     assert np.array_equal(rebuilt.packed, graph.packed)
 
 
+def test_cache_rows_must_match_their_digest(tmp_path, code, reps, graph):
+    """Vertices 1 and 2 swapped: rows of the same srg, which pass every other
+    check, so only the stored digest tells them from the written ones."""
+    bits = np.unpackbits(graph.packed, axis=1, bitorder="little")
+    perm = np.arange(graph.n)
+    perm[[1, 2]] = [2, 1]
+    swapped = np.packbits(bits[perm][:, perm], axis=1, bitorder="little")
+    assert not np.array_equal(swapped, graph.packed)
+    cache = tmp_path / "graph.npz"
+    cache.write_bytes(_cache_bytes(code.generators, graph.packed)[:96] + swapped.tobytes())
+    assert load_graph_cache(str(cache), code, reps) is None
+    _write_raw_cache(cache, code, swapped)
+    assert np.array_equal(load_graph_cache(str(cache), code, reps).packed, swapped)
+
+
 def test_cache_is_written_uncompressed(tmp_path, code, graph):
+    """The file is the 96-byte head and then the rows, byte for byte."""
     cache = tmp_path / "graph.npz"
     save_graph_cache(str(cache), graph, code)
-    with zipfile.ZipFile(cache) as archive:
-        assert {i.compress_type for i in archive.infolist()} == {zipfile.ZIP_STORED}
-
-
-def test_compressed_cache_still_loads(tmp_path, code, reps, graph):
-    cache = tmp_path / "graph.npz"
-    _write_raw_cache(cache, code, graph.packed)
-    with zipfile.ZipFile(cache) as archive:
-        assert zipfile.ZIP_DEFLATED in {i.compress_type for i in archive.infolist()}
-    loaded = load_graph_cache(str(cache), code, reps)
-    assert loaded is not None
-    assert np.array_equal(loaded.packed, graph.packed)
+    assert cache.read_bytes() == _cache_bytes(code.generators, graph.packed)
 
 
 def test_cache_write_is_atomic(tmp_path, monkeypatch, code, graph):
@@ -296,11 +326,12 @@ def test_cache_write_is_atomic(tmp_path, monkeypatch, code, graph):
     good = cache.read_bytes()
     assert [p.name for p in tmp_path.iterdir()] == ["graph.npz"]
 
-    def fail_midway(fh, **arrays):
-        fh.write(b"partial")
-        raise OSError("disk full")
+    class DiskFull(io.FileIO):
+        def write(self, data):
+            super().write(bytes(data)[:1000])
+            raise OSError("disk full")
 
-    monkeypatch.setattr(np, "savez", fail_midway)
+    monkeypatch.setattr(os, "fdopen", DiskFull)
     with pytest.raises(OSError, match="disk full"):
         save_graph_cache(str(cache), graph, code)
     # the old file is untouched and the temporary file is gone
@@ -379,37 +410,49 @@ def test_export_output_is_pinned(tmp_path, capsys, pool_cache):
     assert _sha256(edges.read_text()) == POOL_DIGESTS["edges"]
 
 
-# ------------------------------------------------------ malformed fields
+# sha256 of the cache file of the default generators: 96 + 2048 * 256 bytes
+CACHE_DIGEST = "251b643231d88831aa3224244cda1024ed53bf83c3b187e663acb1c3b6f60d93"
+CACHE_SIZE = 524_384
 
 
-def _write_fields(path, **fields):
-    with open(path, "wb") as fh:
-        np.savez(fh, **fields)
+def test_cache_file_is_pinned(pool_cache):
+    data = Path(pool_cache).read_bytes()
+    assert len(data) == CACHE_SIZE
+    assert hashlib.sha256(data).hexdigest() == CACHE_DIGEST
 
 
-def _valid_fields(code, graph):
-    return {
-        "version": np.int64(CACHE_VERSION),
-        "generators": np.array(code.generators, dtype=np.uint32),
-        "packed": graph.packed,
-        "checksum": np.str_(hashlib.sha256(graph.packed.tobytes()).hexdigest()),
-    }
+# ------------------------------------------------------ malformed files
 
 
 def _write_unreadable(path, code, graph, kind):
-    if kind == "version array":  # int() of it raises TypeError
-        _write_fields(path, **{**_valid_fields(code, graph), "version": np.array([1, 1])})
-    elif kind == "void generators":  # comparing them raises TypeError
-        generators = np.zeros(12, dtype=[("a", "<u4")])
-        _write_fields(path, **{**_valid_fields(code, graph), "generators": generators})
-    elif kind == "empty file":  # np.load raises EOFError
+    if kind == "empty file":
         path.write_bytes(b"")
-    else:  # "bare npy": np.load returns an array, not an archive
+    elif kind == "bare npy":
         with open(path, "wb") as fh:
             np.save(fh, graph.packed)
+    elif kind == "junk":  # the right length, but no header
+        path.write_bytes(b"junk" * (CACHE_SIZE // 4))
+    elif kind == "old version":
+        path.write_bytes(_cache_bytes(code.generators, graph.packed, magic=b"srg2048 graph v1"))
+    elif kind == "other generators":  # the same code, its rows in another order
+        path.write_bytes(_cache_bytes(code.generators[::-1], graph.packed))
+    else:  # "npz compressed", "npz uncompressed": the archive earlier versions wrote
+        save = np.savez_compressed if kind == "npz compressed" else np.savez
+        with open(path, "wb") as fh:
+            save(
+                fh,
+                version=np.int64(1),
+                generators=np.array(code.generators, dtype=np.uint32),
+                packed=graph.packed,
+                checksum=np.str_(hashlib.sha256(graph.packed.tobytes()).hexdigest()),
+            )
 
 
-@pytest.mark.parametrize("kind", ["version array", "void generators", "empty file", "bare npy"])
+@pytest.mark.parametrize(
+    "kind",
+    ["empty file", "bare npy", "junk", "old version", "other generators", "npz compressed",
+     "npz uncompressed"],
+)
 def test_unreadable_cache_is_rebuilt_by_verify(tmp_path, capsys, code, reps, graph, kind):
     cache = tmp_path / "graph.npz"
     _write_unreadable(cache, code, graph, kind)
@@ -418,53 +461,50 @@ def test_unreadable_cache_is_rebuilt_by_verify(tmp_path, capsys, code, reps, gra
     captured = capsys.readouterr()
     assert _sha256(captured.out) == VERIFY_DIGEST
     assert "Traceback" not in captured.err
-    rebuilt = load_graph_cache(str(cache), code, reps)
-    assert rebuilt is not None
-    assert np.array_equal(rebuilt.packed, graph.packed)
+    assert hashlib.sha256(cache.read_bytes()).hexdigest() == CACHE_DIGEST
 
 
-FIELD_ARRAYS = hnp.arrays(
-    dtype=st.sampled_from(
-        [np.int64, np.uint32, np.uint8, np.float64, np.complex128, np.bool_, "U8", "S8",
-         np.dtype([("a", "<u4")])]
-    ),
-    shape=hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3),
-)
-
-
-def _field(choice, valid):
-    """"valid" keeps the field as written, an array replaces it."""
-    return valid if isinstance(choice, str) else choice
+def test_directory_at_cache_path_is_a_file_error(tmp_path, capsys, code, reps):
+    """Read as a miss; the rebuilt graph cannot be written over a directory."""
+    cache = tmp_path / "graph.npz"
+    cache.mkdir()
+    assert load_graph_cache(str(cache), code, reps) is None
+    assert main(["verify", "--cache", str(cache)]) == EXIT_FORMAT
+    err = capsys.readouterr().err
+    assert err.startswith("file error: ") and "Traceback" not in err
+    assert cache.is_dir() and not any(cache.iterdir())
 
 
 @settings(
-    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(
-    version=st.one_of(st.just("valid"), st.none(), FIELD_ARRAYS),
-    generators=st.one_of(st.just("valid"), st.none(), FIELD_ARRAYS),
-    packed=st.one_of(st.just("valid"), st.none(), FIELD_ARRAYS),
-    checksum=st.one_of(st.just("valid"), st.just("matching"), st.none(), FIELD_ARRAYS),
+    kind=st.sampled_from(["truncate", "change", "append", "rows", "symmetric rows"]),
+    offset=st.integers(0, CACHE_SIZE - 1),
+    other=st.integers(0, 2047),
+    extra=st.binary(min_size=1, max_size=64),
 )
 def test_fuzzed_cache_fields_load_or_are_rejected(
-    tmp_path, code, reps, graph, version, generators, packed, checksum
+    tmp_path, code, reps, graph, pool_cache, kind, offset, other, extra
 ):
-    """Any mix of well-formed, missing (None) and arbitrary fields gives the
-    built graph or None, never an exception."""
-    valid = _valid_fields(code, graph)
-    fields = {
-        "version": _field(version, valid["version"]),
-        "generators": _field(generators, valid["generators"]),
-        "packed": _field(packed, valid["packed"]),
-    }
-    if isinstance(checksum, str) and checksum == "matching":  # digest of the drawn rows
-        rows = fields["packed"] if fields["packed"] is not None else valid["packed"]
-        fields["checksum"] = np.str_(hashlib.sha256(rows.tobytes()).hexdigest())
-    else:
-        fields["checksum"] = _field(checksum, valid["checksum"])
+    """A valid file truncated, with one byte changed or with bytes appended
+    gives None; so do rows changed under a recomputed digest: one bit, which
+    the loop or symmetry check rejects, or a bit and its mirror, which the
+    degree check rejects."""
     cache = tmp_path / "graph.npz"
-    _write_fields(cache, **{k: v for k, v in fields.items() if v is not None})
-    loaded = load_graph_cache(str(cache), code, reps)
-    assert loaded is None or (
-        isinstance(loaded, coset_graph.Graph) and np.array_equal(loaded.packed, graph.packed)
-    )
+    data = bytearray(Path(pool_cache).read_bytes())
+    if kind == "truncate":
+        del data[offset:]
+    elif kind == "change":
+        data[offset] ^= 1 + extra[0] % 255
+    elif kind == "append":
+        data += extra
+    else:
+        packed = graph.packed.copy()
+        u = offset % 2048
+        packed[u, other >> 3] ^= np.uint8(1 << (other & 7))
+        if kind == "symmetric rows" and u != other:
+            packed[other, u >> 3] ^= np.uint8(1 << (u & 7))
+        data = _cache_bytes(code.generators, packed)
+    cache.write_bytes(data)
+    assert load_graph_cache(str(cache), code, reps) is None

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from srg2048.errors import CodeConstructionError, DomainError
+from srg2048.errors import CodeConstructionError, DomainError, FormatError
 from srg2048.gf2 import ALL_ONES, parse_vec
 from srg2048.golay import (
     DEFAULT_GENERATOR_ROWS,
@@ -139,7 +139,7 @@ def test_generator_file_roundtrip(tmp_path, code):
 def test_generator_file_wrong_count(tmp_path):
     path = tmp_path / "gens.txt"
     path.write_text("\n".join(DEFAULT_GENERATOR_ROWS[:3]) + "\n")
-    with pytest.raises(CodeConstructionError, match="expected 12"):
+    with pytest.raises(FormatError, match="expected 12"):
         read_generator_file(str(path))
 
 

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from srg2048.coclique import VertexSet
 from srg2048.errors import DatFormatError, DomainError
 from srg2048.io_formats import (
-    GAP_TRAILER,
     export_edge_list,
     export_gap,
+    gap_trailer,
     read_dat,
     write_dat,
 )
@@ -210,12 +210,12 @@ def gap_text(graph):
 
 
 def test_gap_contains_trailer_verbatim(gap_text):
-    assert GAP_TRAILER in gap_text
+    assert gap_trailer(2048) in gap_text
     assert 'LoadPackage("grape");;\n' in gap_text
 
 
 def test_gap_trailer_is_the_tail(gap_text):
-    assert gap_text.endswith(GAP_TRAILER)
+    assert gap_text.endswith(gap_trailer(2048))
 
 
 def _parse_gap_lists(text, name):
@@ -286,8 +286,8 @@ EXPORT_SETS = [VertexSet(()), VertexSet((5,)), VertexSet((0, 3)), VertexSet((1, 
 def test_exports_match_the_str_oracle(request, name):
     g = request.getfixturevalue(name)
     sets = [s for s in EXPORT_SETS if not s.members or s.members[-1] < g.n]
-    assert export_gap(g, sets) == export_gap_ref(g, sets, GAP_TRAILER)
-    assert export_gap(g) == export_gap_ref(g, [], GAP_TRAILER)
+    assert export_gap(g, sets) == export_gap_ref(g, sets, gap_trailer(g.n))
+    assert export_gap(g) == export_gap_ref(g, [], gap_trailer(g.n))
     assert export_edge_list(g) == export_edge_list_ref(g)
 
 
@@ -295,6 +295,13 @@ def test_sparse_graph_exports(sparse_graph):
     text = export_gap(sparse_graph, [VertexSet((5,))])
     assert text.startswith("A:=[\n[2,3],\n[1,3],\n[1,2],\n[5],\n[4],\n[]\n];\nMIS:=[\n[6]\n];\n")
     assert export_edge_list(sparse_graph) == "1 2\n1 3\n2 3\n4 5\n"
+
+
+def test_gap_trailer_rebuilds_the_graph_it_follows(petersen):
+    text = export_gap(petersen)
+    assert text.endswith(gap_trailer(10))
+    assert "Gra:=Graph(Group(), [1..10], OnPoints,\n" in text
+    assert "2048" not in text
 
 
 def test_gap_rejects_a_set_beyond_the_graph(petersen):
