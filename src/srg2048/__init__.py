@@ -10,7 +10,6 @@ from .coclique import (
     COCLIQUE_SIZE_CAP,
     DEFAULT_BUDGET,
     DEFAULT_SEED,
-    ExternalProfile,
     SearchConfig,
     VertexSet,
     external_profile,
@@ -23,7 +22,6 @@ from .coset_graph import (
     DEGREE,
     N_VERTICES,
     TARGET_PARAMS,
-    CosetReps,
     Graph,
     SrgParams,
     adjacent,

@@ -110,7 +110,7 @@ def save_graph_cache(path: str, g: coset_graph.Graph, code: golay.GolayCode) -> 
 
 
 def load_graph_cache(
-    path: str, code: golay.GolayCode, reps: coset_graph.CosetReps
+    path: str, code: golay.GolayCode, reps: np.ndarray
 ) -> coset_graph.Graph | None:
     """The cached graph, or None unless the file is exactly the head this code
     would write and rows that pass `Graph`'s checks and have degree 276."""
@@ -121,7 +121,7 @@ def load_graph_cache(
             head, size, rest = fh.read(96), fh.readinto(packed), fh.read(1)
         if size != packed.nbytes or rest or head != _cache_head(code, packed):
             return None
-        g = coset_graph.Graph(packed, n, vertex_reps=reps)
+        g = coset_graph.Graph(packed)
     except (OSError, GraphConstructionError):
         return None
     return g if (g.degrees() == coset_graph.DEGREE).all() else None
@@ -169,7 +169,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     code, reps, g = _build_context(args)
     print(f"codewords: {len(code.codewords)}")
     print(f"weight distribution: {_format_census(code.weight_distribution())}")
-    counts = reps.class_counts()
+    counts = golay.census(np.bitwise_count(reps))
     print(
         f"representatives: {len(reps)} (weight 0: {counts.get(0, 0)}, "
         f"weight 2: {counts.get(2, 0)}, weight 4: {counts.get(4, 0)})"
@@ -209,8 +209,7 @@ def _describe_set(
         maximal = coclique.is_maximal(g, s)
         parts.append(f"maximal {'yes' if maximal else 'no'}")
         good = maximal
-        profile = coclique.external_profile(g, s)
-        parts.append(f"profile {profile.format()}")
+        parts.append(f"profile {_format_census(coclique.external_profile(g, s))}")
         if s.size >= invariant_floor:
             parts.append(f"pair invariant {coclique.pair_invariant(g, s)}")
     else:

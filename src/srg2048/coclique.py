@@ -5,14 +5,14 @@ members only.  The coclique and maximality tests AND those rows, as 64-bit
 words, with the set's packed mask and OR them into a cover.  The
 neighbour count |N(w) & S| of every vertex w is a column sum of the
 members' rows unpacked to bytes, which holds because the adjacency is
-symmetric.  For a coclique S the *external profile* is
-the histogram, over vertices w outside S, of how many neighbours w has
-inside S; S is maximal exactly when no outside vertex has count 0.  Two
-bookkeeping identities hold for every coclique of a k-regular graph and
-are asserted liberally in the tests:
+symmetric.  For a coclique S the *external profile* is the census dict
+d -> number of vertices w outside S with exactly d neighbours inside S;
+S is maximal exactly when it has no key 0.  Two bookkeeping identities
+hold for every coclique of a k-regular graph and are asserted liberally
+in the tests:
 
-    sum of counts            = n - |S|
-    sum of d * count(d)      = k * |S|
+    sum of the values            = n - |S|
+    sum of d * profile[d]        = k * |S|
 
 The *pair invariant* separates structurally different cocliques: writing
 W8 for the outside vertices with exactly 8 neighbours in S, it counts the
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coset_graph import Graph
+from .coset_graph import N_VERTICES, Graph
 from .errors import DomainError, InternalConsistencyError
 from .golay import census
 
@@ -105,22 +105,6 @@ class VertexSet:
         return iter(self.members)
 
 
-@dataclass(frozen=True)
-class ExternalProfile:
-    """Histogram d -> number of outside vertices with d neighbours in the set."""
-
-    counts: dict[int, int]
-
-    def outside_total(self) -> int:
-        return sum(self.counts.values())
-
-    def weighted_total(self) -> int:
-        return sum(d * c for d, c in self.counts.items())
-
-    def format(self) -> str:
-        return " ".join(f"{d}:{self.counts[d]}" for d in sorted(self.counts))
-
-
 def _pack(n_words: int, vertices) -> np.ndarray:
     """The given vertices as a mask in the rows' layout of n_words 64-bit words."""
     bits = np.zeros(n_words * 64, dtype=bool)
@@ -168,10 +152,10 @@ def is_maximal(g: Graph, s: VertexSet) -> bool:
     return int(np.bitwise_count(cover).sum()) == g.n
 
 
-def external_profile(g: Graph, s: VertexSet) -> ExternalProfile:
-    """Histogram of |N(w) & S| over all vertices w outside S."""
+def external_profile(g: Graph, s: VertexSet) -> dict[int, int]:
+    """The census d -> number of vertices w outside S with |N(w) & S| = d."""
     counts, outside, _ = _outside_counts(g, s)
-    return ExternalProfile(census(counts[outside]))
+    return census(counts[outside])
 
 
 def pair_invariant(g: Graph, s: VertexSet) -> int:
@@ -288,7 +272,9 @@ def search_maximal(
     Returns the first-found set of each achieved target size, ordered by
     size.  Every returned set has been re-verified with is_maximal, which
     checks the coclique property first.  An exhausted budget with missing
-    sizes is not an error; the result simply lacks those sizes.
+    sizes is not an error; the result simply lacks those sizes.  On a
+    2048-vertex graph a coclique above the ratio bound COCLIQUE_SIZE_CAP
+    raises InternalConsistencyError.
     """
     cfg = config or SearchConfig()
     targets = {int(t) for t in size_targets}
@@ -296,7 +282,7 @@ def search_maximal(
         raise DomainError(f"budget must be positive, got {budget}")
     if any(t < 0 or t > g.n for t in targets):
         raise DomainError("size targets out of range")
-    hard_cap = COCLIQUE_SIZE_CAP if g.vertex_reps is not None else g.n
+    hard_cap = COCLIQUE_SIZE_CAP if g.n == N_VERTICES else g.n
     rng = random.Random(seed)
     words = g.words
     # degrees below 2^15 fit int16, for which the stable argsort is a radix sort

@@ -31,8 +31,9 @@ of every weight-6 vector with its guard.
 built: exact common-neighbour counts for all 2,096,128 pairs, from a
 banded float32 product of the 0/1 adjacency matrix with itself.
 
-Vertex numbering is the ascending order of representative encodings,
-0-based internally and 1-based in text exports.
+`build_reps` returns the representatives as one ascending uint32 array,
+the one labelling every caller takes: vertex v is the representative at
+rank v in it, 0-based internally and 1-based in text exports.
 """
 
 from __future__ import annotations
@@ -87,54 +88,24 @@ def is_representative(x: Vec24) -> bool:
     return w == 0 or w == 2 or (w == 4 and bool(x & 1))
 
 
-class CosetReps:
-    """The 2048 canonical representatives in ascending encoding order.
+def build_reps() -> np.ndarray:
+    """The canonical representatives as one ascending uint32 array.
 
-    The vertex index of a representative is its rank in this order.
+    The vertex index of a representative is its rank in this array.
     """
-
-    def __init__(self, encodings: np.ndarray):
-        self.encodings = encodings
-
-    def __len__(self) -> int:
-        return len(self.encodings)
-
-    def encoding_of(self, vertex: int) -> Vec24:
-        return int(self.encodings[vertex])
-
-    def try_index(self, x: Vec24) -> int | None:
-        """Vertex index of a representative encoding, or None."""
-        pos = int(np.searchsorted(self.encodings, x))
-        if pos < len(self.encodings) and int(self.encodings[pos]) == x:
-            return pos
-        return None
-
-    def index_of(self, x: Vec24) -> int:
-        pos = self.try_index(x)
-        if pos is None:
-            raise DomainError(f"not a coset representative: {x:024b}")
-        return pos
-
-    def class_counts(self) -> dict[int, int]:
-        """Census of representatives by weight (0, 2 and 4 for a valid set)."""
-        return census(np.bitwise_count(self.encodings))
-
-
-def build_reps() -> CosetReps:
-    """Enumerate the canonical representative set."""
     weight4 = vectors_of_weight(4)
     values = [vectors_of_weight(0), WEIGHT2_VECTORS, weight4[(weight4 & 1) == 1]]
-    return CosetReps(np.sort(np.concatenate(values)))
+    return np.sort(np.concatenate(values))
 
 
-def _vertex_of_syndrome(code: GolayCode, reps: CosetReps) -> np.ndarray:
+def _vertex_of_syndrome(code: GolayCode, reps: np.ndarray) -> np.ndarray:
     """Array over the 4096 syndromes: the vertex whose representative has
     that syndrome, -1 for the odd-weight cosets.
 
     Raises InternalConsistencyError with a witness pair if two
     representatives share a syndrome, that is, a coset.
     """
-    syn = code.syndromes(reps.encodings)
+    syn = code.syndromes(reps)
     _, first, inverse = np.unique(syn, return_index=True, return_inverse=True)
     clash = np.flatnonzero(first[inverse] != np.arange(len(syn)))
     if clash.size:
@@ -147,7 +118,7 @@ def _vertex_of_syndrome(code: GolayCode, reps: CosetReps) -> np.ndarray:
     return table
 
 
-def coset_vertex(code: GolayCode, reps: CosetReps, x: Vec24) -> int:
+def coset_vertex(code: GolayCode, reps: np.ndarray, x: Vec24) -> int:
     """Vertex index of the coset containing x (x must have even weight)."""
     check_vec(x)
     if x.bit_count() & 1:
@@ -155,9 +126,9 @@ def coset_vertex(code: GolayCode, reps: CosetReps, x: Vec24) -> int:
     return int(_vertex_of_syndrome(code, reps)[code.syndrome(x)])
 
 
-def rep_of(code: GolayCode, reps: CosetReps, x: Vec24) -> Vec24:
+def rep_of(code: GolayCode, reps: np.ndarray, x: Vec24) -> Vec24:
     """The unique representative of the coset containing x."""
-    return int(reps.encodings[coset_vertex(code, reps, x)])
+    return int(reps[coset_vertex(code, reps, x)])
 
 
 def weight6_distance_table(code: GolayCode) -> np.ndarray:
@@ -256,9 +227,10 @@ BAND = 256
 class Graph:
     """Adjacency stored once, as per-vertex packed bitset rows.
 
-    Bit v of row u is (packed[u, v >> 3] >> (v & 7)) & 1.  Rows are
-    row_bytes(n) long, zero-padded past bit n - 1, so `words` can view them
-    as 64-bit words for popcount kernels; for n = 2048 nothing is padded.
+    The vertex count n is the number of rows.  Bit v of row u is
+    (packed[u, v >> 3] >> (v & 7)) & 1.  Rows are row_bytes(n) long,
+    zero-padded past bit n - 1, so `words` can view them as 64-bit words
+    for popcount kernels; for n = 2048 nothing is padded.
     Neighbour lists are unpacked from the rows on each call.
 
     The constructor is the one place the structure is checked, for built
@@ -268,7 +240,8 @@ class Graph:
     Any failure raises GraphConstructionError.
     """
 
-    def __init__(self, packed: np.ndarray, n: int, vertex_reps: CosetReps | None = None):
+    def __init__(self, packed: np.ndarray):
+        n = len(packed)
         if packed.dtype != np.uint8 or packed.shape != (n, row_bytes(n)):
             raise GraphConstructionError(
                 f"packed rows must be uint8 of shape {(n, row_bytes(n))}, "
@@ -287,15 +260,11 @@ class Graph:
         self.n = n
         self.packed = packed
         self.words = packed.view(np.uint64)
-        self.vertex_reps = vertex_reps
 
     def row_bits(self, u: int | slice) -> np.ndarray:
         """Row u, or the rows of a slice, unpacked to bool, one entry per vertex."""
         bits = np.unpackbits(self.packed[u], axis=-1, bitorder="little")
         return bits[..., : self.n].view(bool)
-
-    def degree(self, u: int) -> int:
-        return int(np.bitwise_count(self.words[u]).sum())
 
     def degrees(self) -> np.ndarray:
         """All row degrees as an int32 array."""
@@ -311,7 +280,7 @@ class Graph:
         return int(np.bitwise_count(self.packed).sum()) // 2
 
 
-def build_graph(code: GolayCode, reps: CosetReps) -> Graph:
+def build_graph(code: GolayCode, reps: np.ndarray) -> Graph:
     """Assemble the graph as a Cayley graph on the representative syndromes.
 
     Each band of BAND rows is looked up in the connection set and packed
@@ -331,7 +300,7 @@ def build_graph(code: GolayCode, reps: CosetReps) -> Graph:
             f"case analysis and syndromes disagree on {off.size} of {len(z)} "
             f"differences, first {int(z[off[0]]):024b}"
         )
-    syn = code.syndromes(reps.encodings)
+    syn = code.syndromes(reps)
     n = len(syn)
     packed = np.zeros((n, row_bytes(n)), dtype=np.uint8)
     for lo in range(0, n, BAND):
@@ -344,7 +313,7 @@ def build_graph(code: GolayCode, reps: CosetReps) -> Graph:
         raise GraphConstructionError(
             f"vertex {v} has degree {int(degrees[v])}, expected {DEGREE}"
         )
-    return Graph(packed, n, vertex_reps=reps)
+    return Graph(packed)
 
 
 @dataclass(frozen=True)
@@ -371,11 +340,13 @@ def verify_srg(g: Graph) -> SrgParams:
     constructed.  It is taken band by band: BAND unpacked rows as
     float32 times each later block of BAND rows.  Every partial sum
     is an integer at most n < 2^24, so the counts are exact in any order of
-    summation.  lambda and mu are the counts of the first adjacent and the
-    first non-adjacent pair in row-major order, and every pair u < v is
-    compared with them.  Raises VerificationError with a witness vertex or
-    pair on any non-constancy: the row-major first bad pair, a lambda
-    mismatch before a mu mismatch in the same row.
+    summation.  A k-regular graph with 0 < k < n - 1 has both kinds of
+    pair in row 0, so lambda and mu are read there, from the first
+    adjacent and the first non-adjacent pair in row-major order, and every
+    pair u < v is compared with them.  Raises VerificationError for any
+    other k, and with a witness vertex or pair on any non-constancy: the
+    row-major first bad pair, a lambda mismatch before a mu mismatch in
+    the same row.
     """
     n = g.n
     degrees = g.degrees()
@@ -387,8 +358,13 @@ def verify_srg(g: Graph) -> SrgParams:
             f"degree not constant: vertex {v} has {int(degrees[v])}, vertex 0 has {k}",
             witness=(v,),
         )
-    lam: int | None = None
-    mu: int | None = None
+    if not 0 < k < n - 1:
+        raise VerificationError(
+            "degenerate graph: needs both adjacent and non-adjacent pairs"
+        )
+    row = g.row_bits(0)  # no loop, so the argmax is vertex 0's first neighbour
+    first_pairs = (int(np.argmax(row)), 1 + int(np.argmin(row[1:])))
+    lam, mu = (int(np.bitwise_count(g.words[0] & g.words[v]).sum()) for v in first_pairs)
     height = min(BAND, n)
     band, block, product = (np.empty((height, n), dtype=np.float32) for _ in range(3))
     for lo in range(0, n, height):
@@ -407,13 +383,8 @@ def verify_srg(g: Graph) -> SrgParams:
         common = product[:h, lo:]
         adjacent = rows[:, lo:]
         upper = np.arange(lo, n) > np.arange(lo, lo + h)[:, None]
-        if lam is None:
-            lam = _first_count(common, adjacent & upper)
-        if mu is None:
-            mu = _first_count(common, ~adjacent & upper)
-        # an unset lambda or mu has no pair in this band to be compared with
-        wrong = common != (-1 if mu is None else mu)
-        np.not_equal(common, -1 if lam is None else lam, out=wrong, where=adjacent)
+        wrong = common != mu
+        np.not_equal(common, lam, out=wrong, where=adjacent)
         wrong &= upper
         bad_rows = np.flatnonzero(wrong.any(axis=1))
         if bad_rows.size:
@@ -430,17 +401,7 @@ def verify_srg(g: Graph) -> SrgParams:
                 f"common neighbours, expected {current}",
                 witness=(u, v),
             )
-    if lam is None or mu is None:
-        raise VerificationError(
-            "degenerate graph: needs both adjacent and non-adjacent pairs"
-        )
     return SrgParams(n, k, lam, mu)
-
-
-def _first_count(common: np.ndarray, mask: np.ndarray) -> int | None:
-    """The count at the row-major first True of mask, None if there is none."""
-    i = int(np.argmax(mask))
-    return int(common.flat[i]) if mask.flat[i] else None
 
 
 def delsarte_bound(v: int, k: int, s) -> int:
@@ -474,15 +435,15 @@ def srg_eigenvalues(params: SrgParams) -> tuple:
     return ((b + froot) / 2, (b - froot) / 2)
 
 
-def translation_map(code: GolayCode, reps: CosetReps, t: Vec24) -> np.ndarray:
+def translation_map(code: GolayCode, reps: np.ndarray, t: Vec24) -> np.ndarray:
     """The permutation u -> vertex of (rep(u) + t), an automorphism for even t."""
     check_vec(t)
     if t.bit_count() & 1:
         raise DomainError(f"translation must have even weight: {t:024b}")
-    return _vertex_of_syndrome(code, reps)[code.syndromes(reps.encodings) ^ code.syndrome(t)]
+    return _vertex_of_syndrome(code, reps)[code.syndromes(reps) ^ code.syndrome(t)]
 
 
-def check_rep_uniqueness(code: GolayCode, reps: CosetReps) -> int:
+def check_rep_uniqueness(code: GolayCode, reps: np.ndarray) -> int:
     """Exhaustively confirm no two distinct representatives share a coset.
 
     x + y lies in the code exactly when syn(x) = syn(y), so comparing the

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CodeConstructionError, DomainError, FormatError
+from .errors import CodeConstructionError, DomainError, FormatError, VecParseError
 from .gf2 import VEC_LIMIT, Vec24, check_vec, parse_vec
 
 # Systematic [I | B] generator rows, written in the package's string form.
@@ -148,13 +148,20 @@ def build_code(generators: tuple[int, ...] | None = None) -> GolayCode:
 
 def read_generator_file(path: str) -> tuple[int, ...]:
     """Read 12 generator rows (one 24-character '0'/'1' line each, blank
-    lines skipped) from an ASCII text file; FormatError for any other content."""
+    lines skipped) from an ASCII text file; FormatError for any other content,
+    naming the file and, for a bad row, its line (blank lines counted)."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = [line.strip() for line in fh]
     except UnicodeDecodeError:
         raise FormatError(f"{path}: not an ASCII text file") from None
-    rows = [parse_vec(line) for line in lines if line]
+    rows = []
+    for i, line in enumerate(lines, start=1):
+        if line:
+            try:
+                rows.append(parse_vec(line))
+            except VecParseError as exc:
+                raise VecParseError(f"{path}: line {i}: {exc}") from None
     if len(rows) != CODE_DIMENSION:
         raise FormatError(f"{path}: expected {CODE_DIMENSION} generator rows, got {len(rows)}")
     return tuple(rows)

@@ -29,7 +29,7 @@ from operator import itemgetter
 import numpy as np
 
 from .coclique import VertexSet
-from .coset_graph import CosetReps, Graph
+from .coset_graph import Graph
 from .errors import DatFormatError, DomainError
 
 DAT_MIN_SIZE = 2
@@ -51,18 +51,19 @@ def gap_trailer(n: int) -> str:
     )
 
 
-def read_dat(data: bytes, reps: CosetReps, byteorder: str = "little") -> list[VertexSet]:
+def read_dat(data: bytes, reps: np.ndarray, byteorder: str = "little") -> list[VertexSet]:
     """Parse a stream of vertex-set records into VertexSets (vertex indices).
 
-    Rejects sizes outside [2, 85], entries that are not representative
-    encodings, duplicate entries, and streams that do not end exactly on a
-    record boundary.  Each record's entries are decoded and looked up in
-    one vectorized pass; the error names the first bad entry.
+    `reps` is the ascending representative array of `build_reps`, and an
+    entry's vertex is its rank there, found by binary search.  Rejects
+    sizes outside [2, 85], entries that are not representative encodings,
+    duplicate entries, and streams that do not end exactly on a record
+    boundary.  Each record's entries are decoded and looked up in one
+    vectorized pass; the error names the first bad entry.
     """
     if byteorder not in _ENTRY_SHIFTS:
         raise ValueError(f"byteorder must be 'little' or 'big', got {byteorder!r}")
     shifts = _ENTRY_SHIFTS[byteorder]
-    encodings = reps.encodings
     sets: list[VertexSet] = []
     pos = 0
     total = len(data)
@@ -81,8 +82,8 @@ def read_dat(data: bytes, reps: CosetReps, byteorder: str = "little") -> list[Ve
             )
         entries = np.frombuffer(data, dtype=np.uint8, count=end - pos - 1, offset=pos + 1)
         values = (entries.reshape(size, ENTRY_BYTES) << shifts).sum(axis=1, dtype=np.uint32)
-        indices = np.searchsorted(encodings, values).clip(max=len(encodings) - 1)
-        bad = np.flatnonzero(encodings[indices] != values)
+        indices = np.searchsorted(reps, values).clip(max=len(reps) - 1)
+        bad = np.flatnonzero(reps[indices] != values)
         if bad.size:
             i = int(bad[0])
             raise DatFormatError(
@@ -101,8 +102,9 @@ def read_dat(data: bytes, reps: CosetReps, byteorder: str = "little") -> list[Ve
     return sets
 
 
-def write_dat(sets, reps: CosetReps, byteorder: str = "little") -> bytes:
-    """Serialize vertex sets; inverse of read_dat for canonical streams."""
+def write_dat(sets, reps: np.ndarray, byteorder: str = "little") -> bytes:
+    """Serialize vertex sets, vertex v as the encoding reps[v] from the
+    ascending representative array; inverse of read_dat for canonical streams."""
     out = bytearray()
     for i, s in enumerate(sets):
         if not DAT_MIN_SIZE <= s.size <= DAT_MAX_SIZE:
@@ -116,7 +118,7 @@ def write_dat(sets, reps: CosetReps, byteorder: str = "little") -> bytes:
             )
         out.append(s.size)
         for v in s.members:
-            out += reps.encoding_of(v).to_bytes(ENTRY_BYTES, byteorder)
+            out += int(reps[v]).to_bytes(ENTRY_BYTES, byteorder)
     return bytes(out)
 
 

@@ -30,13 +30,13 @@ _WEIGHT2 = np.array(
 # ---------------------------------------------------------- graph helpers
 
 
-def graph_from_bool_matrix(adj, vertex_reps=None):
+def graph_from_bool_matrix(adj):
     """A Graph holding the rows of an n x n 0/1 matrix, packed and padded."""
     adj = np.asarray(adj, dtype=bool)
     n = len(adj)
     packed = np.zeros((n, row_bytes(n)), dtype=np.uint8)
     packed[:, : -(-n // 8)] = np.packbits(adj, axis=1, bitorder="little")
-    return Graph(packed, n, vertex_reps)
+    return Graph(packed)
 
 
 def graph_from_edges(n, edges):
@@ -81,7 +81,7 @@ def rep_of_scan(code, reps, x):
     check_vec(x)
     if x.bit_count() & 1:
         raise DomainError(f"vector has odd weight, no coset vertex: {x:024b}")
-    found = reps.encodings[in_code(code, reps.encodings ^ np.uint32(x))]
+    found = reps[in_code(code, reps ^ np.uint32(x))]
     if found.size == 0:
         raise InternalConsistencyError(f"no representative found for {x:024b}")
     return int(found[0])

@@ -4,14 +4,15 @@ import random
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from srg2048 import coclique
+from srg2048.cli import _format_census
 from srg2048.coclique import (
     DEFAULT_SEED,
-    ExternalProfile,
     SearchConfig,
     VertexSet,
     external_profile,
@@ -27,6 +28,7 @@ from srg2048.io_formats import read_dat, write_dat
 from oracles import (
     bitmask,
     external_profile_ref,
+    graph_from_bool_matrix,
     int_rows,
     is_coclique_ref,
     is_maximal_ref,
@@ -133,7 +135,7 @@ def test_packed_checks_match_int_row_references(request, reps, case):
         else:
             with pytest.raises(DomainError):
                 is_maximal(g, s)
-        assert external_profile(g, s).counts == external_profile_ref(rows, s)
+        assert external_profile(g, s) == external_profile_ref(rows, s)
         assert pair_invariant(g, s) == pair_invariant_ref(rows, s)
     if case == "pool":
         assert all(is_maximal(g, s) for s in sets)
@@ -144,8 +146,8 @@ def test_packed_checks_match_int_row_references(request, reps, case):
 
 def test_singleton_profile(graph):
     profile = external_profile(graph, VertexSet((0,)))
-    assert profile.counts == {0: N_VERTICES - 1 - DEGREE, 1: DEGREE}
-    assert profile.counts == {0: 1771, 1: 276}
+    assert profile == {0: N_VERTICES - 1 - DEGREE, 1: DEGREE}
+    assert profile == {0: 1771, 1: 276}
 
 
 def test_profile_identities_on_pair(graph):
@@ -153,19 +155,18 @@ def test_profile_identities_on_pair(graph):
     w = next(v for v in range(1, graph.n) if v not in nbrs)
     s = VertexSet((0, w))
     profile = external_profile(graph, s)
-    assert profile.outside_total() == N_VERTICES - 2
-    assert profile.weighted_total() == DEGREE * 2
+    assert sum(profile.values()) == N_VERTICES - 2
+    assert sum(d * c for d, c in profile.items()) == DEGREE * 2
 
 
 def test_profile_format():
-    p = ExternalProfile({10: 960, 8: 480, 12: 536})
-    assert p.format() == "8:480 10:960 12:536"
+    assert _format_census({10: 960, 8: 480, 12: 536}) == "8:480 10:960 12:536"
 
 
 def test_maximality_iff_no_zero_count(graph, search_sets):
     for s in search_sets:
         profile = external_profile(graph, s)
-        assert profile.counts.get(0, 0) == 0
+        assert 0 not in profile
         assert is_maximal(graph, s)
 
 
@@ -354,8 +355,20 @@ def test_search_rejects_bad_targets(graph):
         search_maximal(graph, [-3], budget=10, seed=DEFAULT_SEED)
 
 
+@pytest.mark.parametrize("n", [N_VERTICES, 10])
+def test_search_caps_sizes_at_the_ratio_bound(n):
+    # every vertex of an edgeless graph joins the first set; only the
+    # 2048-vertex graph has the ratio bound 85 as its cap
+    g = graph_from_bool_matrix(np.zeros((n, n), dtype=bool))
+    if n == N_VERTICES:
+        with pytest.raises(InternalConsistencyError, match="size 2048 above the bound 85"):
+            search_maximal(g, [1], budget=1)
+    else:
+        assert search_maximal(g, [n], budget=1) == [VertexSet(tuple(range(n)))]
+
+
 def test_search_profile_identities(graph, search_sets):
     for s in search_sets:
         profile = external_profile(graph, s)
-        assert profile.outside_total() == N_VERTICES - s.size
-        assert profile.weighted_total() == DEGREE * s.size
+        assert sum(profile.values()) == N_VERTICES - s.size
+        assert sum(d * c for d, c in profile.items()) == DEGREE * s.size

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -140,6 +141,15 @@ def test_generator_file_wrong_count(tmp_path):
     path = tmp_path / "gens.txt"
     path.write_text("\n".join(DEFAULT_GENERATOR_ROWS[:3]) + "\n")
     with pytest.raises(FormatError, match="expected 12"):
+        read_generator_file(str(path))
+
+
+def test_generator_file_error_counts_blank_lines(tmp_path):
+    path = tmp_path / "gens.txt"
+    rows = list(DEFAULT_GENERATOR_ROWS)
+    rows[1] = "2" * 24
+    path.write_text("\n\n" + "\n".join(rows) + "\n")
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: line 4: invalid character"):
         read_generator_file(str(path))
 
 

@@ -25,7 +25,7 @@ def test_read_two_entry_record(reps):
     data = bytes([0x02, 0x03, 0x00, 0x00, 0x05, 0x00, 0x00])
     sets = read_dat(data, reps)
     assert len(sets) == 1
-    assert sets[0].members == (reps.index_of(3), reps.index_of(5))
+    assert sets[0].members == (reps.tolist().index(3), reps.tolist().index(5))
 
 
 def test_read_rejects_size_below_two(reps):
@@ -68,7 +68,7 @@ def test_read_rejects_duplicate_entries(reps):
 def test_read_accepts_unordered_entries(reps):
     data = bytes([0x02, 0x05, 0x00, 0x00, 0x03, 0x00, 0x00])
     sets = read_dat(data, reps)
-    assert sets[0].members == (reps.index_of(3), reps.index_of(5))
+    assert sets[0].members == (reps.tolist().index(3), reps.tolist().index(5))
 
 
 @pytest.mark.parametrize(
@@ -98,7 +98,8 @@ def test_read_errors_name_the_first_bad_byte(reps, data, message):
 def test_read_big_endian_entries(reps):
     little = read_dat(bytes([2, 0x80, 0x01, 0x00, 0x05, 0x00, 0x00]), reps)
     big = read_dat(bytes([2, 0x00, 0x01, 0x80, 0x00, 0x00, 0x05]), reps, byteorder="big")
-    assert big[0].members == little[0].members == (reps.index_of(5), reps.index_of(0x180))
+    expected = (reps.tolist().index(5), reps.tolist().index(0x180))
+    assert big[0].members == little[0].members == expected
 
 
 @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -130,7 +131,7 @@ def test_near_valid_streams_parse_or_raise_format_error(reps, records):
     data = bytearray()
     expected = []
     for size, vertices, value, slot in records:
-        entries = [reps.encoding_of(v) for v in vertices[:size]]
+        entries = [int(reps[v]) for v in vertices[:size]]
         if slot < size and value & 1:
             entries[slot] = value
         data.append(size)
@@ -142,7 +143,7 @@ def test_near_valid_streams_parse_or_raise_format_error(reps, records):
     except DatFormatError:
         return
     assert [s.members for s in sets] == [
-        tuple(sorted(reps.index_of(e) for e in entries)) for entries in expected
+        tuple(sorted(reps.tolist().index(e) for e in entries)) for entries in expected
     ]
 
 
