@@ -23,9 +23,10 @@ value <= 4: a word at distance 4 from z would share 5 coordinates with any
 word at distance 2, forcing the two words equal, so distances 2 and 4
 exclude each other.  Any scan result outside {2, 4} is treated as a hard
 error rather than assumed impossible.  The representative differences are
-exactly the 145,499 even vectors of weight at most 6; `build_graph` checks
-the case rule against the syndromes on all of them, through the full scan
-of every weight-6 vector with its guard.
+exactly the 145,499 even vectors of weight at most 6.  `build_graph` checks
+the case rule against the syndromes on all of them, reading the weight-6
+case straight from `weight6_distance_table`, the full scan of every
+weight-6 vector with its guard.
 
 `verify_srg` checks the srg parameters independently of how the graph was
 built: exact common-neighbour counts for all 2,096,128 pairs, from a
@@ -40,8 +41,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -131,16 +132,16 @@ def rep_of(code: GolayCode, reps: np.ndarray, x: Vec24) -> Vec24:
     return int(reps[coset_vertex(code, reps, x)])
 
 
+@functools.cache
 def weight6_distance_table(code: GolayCode) -> np.ndarray:
     """Minimum distance from each weight-6 vector to the weight-8 codewords.
 
     Returns one byte per weight-6 vector, in the ascending order of
     `vectors_of_weight(6)`: the minimum of w(z + c) over the 759 weight-8
     words c, by a full scan.  Raises InvalidDistanceError the moment any
-    minimum falls outside {2, 4}.  Cached on the code instance.
+    minimum falls outside {2, 4}.  Cached per code, so the build and
+    `weight6_distance_census` share one scan.
     """
-    if code._weight6_table is not None:
-        return code._weight6_table
     z6 = vectors_of_weight(6)
     table = np.empty(len(z6), dtype=np.uint8)
     w8 = code.weight8
@@ -151,7 +152,6 @@ def weight6_distance_table(code: GolayCode) -> np.ndarray:
         if bad.size:
             raise InvalidDistanceError(int(chunk[bad[0]]), int(dist[bad[0]]))
         table[lo : lo + len(chunk)] = dist
-    code._weight6_table = table
     return table
 
 
@@ -171,7 +171,7 @@ def min_coset_distance(code: GolayCode, z: Vec24) -> int:
     if z.bit_count() != 6:
         raise DomainError(f"weight-8 scan requires a weight-6 vector, got weight {z.bit_count()}")
     best = 24
-    for c in code._weight8_list:
+    for c in code.weight8.tolist():
         d = (z ^ c).bit_count()
         if d < best:
             best = d
@@ -197,21 +197,6 @@ def adjacent(code: GolayCode, x: Vec24, y: Vec24) -> bool:
     if w == 4:
         return False
     return min_coset_distance(code, z) == 2
-
-
-def adjacent_many(code: GolayCode, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Vectorized case-analysis adjacency for arrays of representatives.
-
-    Weight-6 differences are looked up in the distance table by binary
-    search in the ascending weight-6 vectors.
-    """
-    table6 = weight6_distance_table(code)
-    z = np.asarray(xs, dtype=np.uint32) ^ np.asarray(ys, dtype=np.uint32)
-    w = np.bitwise_count(z)
-    if ((w & 1) | (w > 6)).any():
-        raise DomainError("inputs are not coset representatives")
-    pos = np.searchsorted(vectors_of_weight(6), z).clip(max=len(table6) - 1)
-    return (w == 2) | ((w == 6) & (table6[pos] == 2))
 
 
 def row_bytes(n: int) -> int:
@@ -283,9 +268,12 @@ class Graph:
 def build_graph(code: GolayCode, reps: np.ndarray) -> Graph:
     """Assemble the graph as a Cayley graph on the representative syndromes.
 
-    Each band of BAND rows is looked up in the connection set and packed
-    straight into the rows, so the graph never exists as a bool matrix.
-    Raises GraphConstructionError if any vertex degree differs from 276,
+    First the connection set is checked against the case rule on every
+    difference z of weight 0, 2, 4 or 6: an edge iff w(z) = 2, or w(z) = 6
+    and z's weight-6 table entry is 2.  Then each band of BAND rows is
+    looked up in the connection set and packed straight into the rows, so
+    the graph never exists as a bool matrix.  Raises
+    GraphConstructionError if any vertex degree differs from 276,
     InvalidDistanceError if the weight-8 scan finds a distance outside
     {2, 4}, and InternalConsistencyError if the case analysis disagrees
     with the syndromes on any even vector of weight at most 6.
@@ -294,7 +282,9 @@ def build_graph(code: GolayCode, reps: np.ndarray) -> Graph:
     connection[code.syndromes(WEIGHT2_VECTORS)] = True
     # the case analysis first: the scan's scratch is freed before the rows exist
     z = np.concatenate([vectors_of_weight(w) for w in (0, 2, 4, 6)])
-    off = np.flatnonzero(connection[code.syndromes(z)] != adjacent_many(code, z, 0))
+    rule = [np.full(math.comb(VEC_BITS, w), w == 2) for w in (0, 2, 4)]
+    rule.append(weight6_distance_table(code) == 2)
+    off = np.flatnonzero(connection[code.syndromes(z)] != np.concatenate(rule))
     if off.size:
         raise InternalConsistencyError(
             f"case analysis and syndromes disagree on {off.size} of {len(z)} "
@@ -316,17 +306,13 @@ def build_graph(code: GolayCode, reps: np.ndarray) -> Graph:
     return Graph(packed)
 
 
-@dataclass(frozen=True)
-class SrgParams:
+class SrgParams(NamedTuple):
     """Parameter set (v, k, lambda, mu) of a strongly regular graph."""
 
     v: int
     k: int
     lam: int
     mu: int
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.v, self.k, self.lam, self.mu)
 
 
 TARGET_PARAMS = SrgParams(N_VERTICES, DEGREE, 44, 36)
@@ -350,7 +336,7 @@ def verify_srg(g: Graph) -> SrgParams:
     """
     n = g.n
     degrees = g.degrees()
-    k = int(degrees[0])
+    k = int(degrees[0]) if n else 0
     bad = np.flatnonzero(degrees != k)
     if bad.size:
         v = int(bad[0])

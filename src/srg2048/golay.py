@@ -58,22 +58,20 @@ def census(values: np.ndarray) -> dict[int, int]:
 
 
 class GolayCode:
-    """Immutable container for the enumerated code.
+    """Immutable container for the enumerated code, holding only its own data.
 
     Attributes:
         generators: the 12 generator rows as integer encodings.
         codewords:  all 4096 words, ascending, dtype uint32.
         weight8:    the 759 words of weight 8, ascending, dtype uint32.
     Membership and coset questions are answered from 12-bit syndromes.
+    Tables derived from the code are cached per code in `coset_graph`.
     """
 
     def __init__(self, generators: tuple[int, ...], codewords: np.ndarray):
         self.generators = generators
         self.codewords = codewords
         self.weight8 = codewords[np.bitwise_count(codewords) == 8]
-        self._weight8_list: list[int] = self.weight8.tolist()
-        # lazily filled cache (see coset_graph)
-        self._weight6_table: np.ndarray | None = None
 
     def syndrome(self, x: Vec24) -> int:
         """Bit i is the parity of x against generator row i."""

@@ -24,16 +24,14 @@ a trailer that loads the grape package and rebuilds the graph on 1..n.
 
 from __future__ import annotations
 
-from operator import itemgetter
-
 import numpy as np
 
-from .coclique import VertexSet
+from .coclique import COCLIQUE_SIZE_CAP, VertexSet
 from .coset_graph import Graph
 from .errors import DatFormatError, DomainError
 
 DAT_MIN_SIZE = 2
-DAT_MAX_SIZE = 85
+DAT_MAX_SIZE = COCLIQUE_SIZE_CAP
 ENTRY_BYTES = 3
 # bit position of each entry byte, in stream order
 _ENTRY_SHIFTS = {
@@ -122,18 +120,10 @@ def write_dat(sets, reps: np.ndarray, byteorder: str = "little") -> bytes:
     return bytes(out)
 
 
-def _labelled(labels: list[str], indices: list[int]) -> tuple[str, ...]:
-    """labels[i] for each index, looked up in C.  itemgetter of a single
-    index returns the label itself and of none raises, so those two cases
-    are spelled out."""
-    if len(indices) < 2:
-        return tuple(labels[i] for i in indices)
-    return itemgetter(*indices)(labels)
-
-
-def _vertex_labels(n: int) -> list[str]:
-    """The 1-based text label of every vertex, made once per export."""
-    return [str(v) for v in range(1, n + 1)]
+def _vertex_labels(n: int) -> np.ndarray:
+    """The 1-based text label of every vertex as an object array, made once
+    per export and indexed by arrays of vertices."""
+    return np.array([str(v) for v in range(1, n + 1)], dtype=object)
 
 
 def export_gap(g: Graph, sets=()) -> str:
@@ -146,7 +136,7 @@ def export_gap(g: Graph, sets=()) -> str:
     parts: list[str] = ["A:=[\n"]
     last = g.n - 1
     for u in range(g.n):
-        row = ",".join(_labelled(labels, g.neighbors(u).tolist()))
+        row = ",".join(labels[g.neighbors(u)].tolist())
         parts.append(f"[{row}]{',' if u != last else ''}\n")
     parts.append("];\n")
     parts.append("MIS:=[\n")
@@ -156,7 +146,7 @@ def export_gap(g: Graph, sets=()) -> str:
             raise DomainError(
                 f"set {i + 1} contains vertex {s.members[-1]}, graph has {g.n}"
             )
-        row = ",".join(_labelled(labels, s.members))
+        row = ",".join(labels[list(s.members)].tolist())
         parts.append(f"[{row}]{',' if i != n_sets - 1 else ''}\n")
     parts.append("];\n")
     parts.append(gap_trailer(g.n))
@@ -174,7 +164,7 @@ def export_edge_list(g: Graph) -> str:
     parts: list[str] = []
     for u in range(g.n):
         nbrs = g.neighbors(u)
-        upper = _labelled(labels, nbrs[nbrs > u].tolist())
+        upper = labels[nbrs[nbrs > u]].tolist()
         if upper:
             head = labels[u] + " "
             parts.append(head + ("\n" + head).join(upper) + "\n")

@@ -27,7 +27,6 @@ def code_missing_an_octad():
     """A fresh code whose weight-8 list lacks its first octad."""
     code = build_code()
     code.weight8 = code.weight8[1:]
-    code._weight8_list = code.weight8.tolist()
     return code
 
 

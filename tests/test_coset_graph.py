@@ -16,7 +16,6 @@ from srg2048.coset_graph import (
     Graph,
     SrgParams,
     adjacent,
-    adjacent_many,
     build_graph,
     check_rep_uniqueness,
     coset_vertex,
@@ -218,21 +217,11 @@ def test_adjacent_matches_definition_oracle_scalar(code, reps):
         assert adjacent(code, x, y) == adjacent_by_translates(code, x, y)
 
 
-def test_adjacent_many_matches_oracle(code, reps):
+def test_graph_pairs_match_oracle(code, reps, graph):
     rng = np.random.default_rng(14)
-    idx = rng.integers(0, N_VERTICES, size=(2, 10_000))
-    xs = reps[idx[0]]
-    ys = reps[idx[1]]
-    assert np.array_equal(
-        adjacent_many(code, xs, ys), adjacent_many_oracle(code, xs, ys)
-    )
-
-
-def test_adjacent_many_rejects_non_representatives(code):
-    xs = np.array([0b111], dtype=np.uint32)
-    ys = np.array([0], dtype=np.uint32)
-    with pytest.raises(DomainError):
-        adjacent_many(code, xs, ys)
+    u, v = rng.integers(0, N_VERTICES, size=(2, 10_000))
+    bits = (graph.packed[u, v >> 3] >> (v & 7)) & 1
+    assert np.array_equal(bits.astype(bool), adjacent_many_oracle(code, reps[u], reps[v]))
 
 
 # ------------------------------------------------------------- the graph
@@ -298,11 +287,11 @@ def test_verify_target_graph(graph):
 
 
 def test_verify_five_cycle(cycle5):
-    assert verify_srg(cycle5).as_tuple() == (5, 2, 0, 1)
+    assert tuple(verify_srg(cycle5)) == (5, 2, 0, 1)
 
 
 def test_verify_petersen(petersen):
-    assert verify_srg(petersen).as_tuple() == (10, 3, 0, 1)
+    assert tuple(verify_srg(petersen)) == (10, 3, 0, 1)
 
 
 def test_verify_rejects_irregular():
@@ -320,8 +309,8 @@ def test_verify_rejects_six_cycle():
 
 @pytest.mark.parametrize(
     "n, edges",
-    [(3, [(0, 1), (1, 2), (0, 2)]), (4, []), (1, [])],
-    ids=["complete3", "edgeless4", "single1"],
+    [(3, [(0, 1), (1, 2), (0, 2)]), (4, []), (1, []), (0, [])],
+    ids=["complete3", "edgeless4", "single1", "empty0"],
 )
 def test_verify_rejects_degenerate(n, edges):
     g = graph_from_edges(n, edges)
@@ -532,7 +521,7 @@ def test_build_graph_matches_oracle_rows(code, reps, graph):
 
 
 def test_build_graph_holds_no_bool_matrix(code, reps, graph):
-    weight6_distance_table(code)  # the table is cached on the code: warm it
+    weight6_distance_table(code)  # the table is cached per code: warm it
     tracemalloc.start()
     try:
         build_graph(code, reps)
