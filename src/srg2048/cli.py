@@ -143,7 +143,10 @@ def _build_context(args: argparse.Namespace):
     if g is None:
         g = coset_graph.build_graph(code, reps)
         if cache_file:
-            save_graph_cache(cache_file, g, code)
+            try:
+                save_graph_cache(cache_file, g, code)
+            except OSError as exc:  # the graph is built and checked: report and go on
+                print(f"cache: write failed: {cache_file}: {exc.strerror or exc}", file=sys.stderr)
     return code, reps, g
 
 

@@ -466,15 +466,34 @@ def test_unreadable_cache_is_rebuilt_by_verify(tmp_path, capsys, code, reps, gra
     assert hashlib.sha256(cache.read_bytes()).hexdigest() == CACHE_DIGEST
 
 
-def test_directory_at_cache_path_is_a_file_error(tmp_path, capsys, code, reps):
-    """Read as a miss; the rebuilt graph cannot be written over a directory."""
-    cache = tmp_path / "graph.npz"
-    cache.mkdir()
+@pytest.mark.parametrize(
+    "blocked, reason",
+    [("directory", "Is a directory"), ("file_as_parent", "Not a directory")],
+    ids=["directory", "file_as_parent"],
+)
+def test_unwritable_cache_is_reported_and_verify_goes_on(
+    tmp_path, capsys, code, reps, blocked, reason
+):
+    """Read as a miss; the rebuilt graph cannot be written, which is one
+    stderr line and no change to the exit code or the report."""
+    blocker = tmp_path / "graph.npz"
+    if blocked == "directory":
+        blocker.mkdir()
+        cache = blocker
+    else:  # a regular file where a directory above the cache should be
+        blocker.write_bytes(b"")
+        cache = blocker / "cache" / "graph.npz"
     assert load_graph_cache(str(cache), code, reps) is None
-    assert main(["verify", "--cache", str(cache)]) == EXIT_FORMAT
-    err = capsys.readouterr().err
-    assert err.startswith("file error: ") and "Traceback" not in err
-    assert cache.is_dir() and not any(cache.iterdir())
+    assert main(["verify", "--cache", str(cache)]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert _sha256(captured.out) == VERIFY_DIGEST
+    assert captured.err == f"cache: write failed: {cache}: {reason}\n"
+    # no temporary file is left behind, and the blocker is untouched
+    assert list(tmp_path.iterdir()) == [blocker]
+    if blocked == "directory":
+        assert not any(blocker.iterdir())
+    else:
+        assert blocker.read_bytes() == b""
 
 
 @settings(

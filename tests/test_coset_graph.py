@@ -186,6 +186,46 @@ def test_weight6_distance_census(code):
     assert sum(census.values()) == 134596
 
 
+def _non_systematic_rows(rng):
+    # a coordinate permutation, then row additions: the leading 12 columns
+    # are no longer the identity, and the syndromes use the rows as given
+    perm = list(range(24))
+    rng.shuffle(perm)
+    rows = [
+        sum(1 << perm[b] for b in range(24) if (g >> b) & 1)
+        for g in map(parse_vec, DEFAULT_GENERATOR_ROWS)
+    ]
+    for _ in range(48):
+        i, j = rng.sample(range(12), 2)
+        rows[i] ^= rows[j]
+    identity = [1 << (23 - i) for i in range(12)]
+    assert [r & ~0xFFF for r in rows] != identity
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("systematic", [True, False], ids=["systematic", "non_systematic"])
+def test_weight6_table_matches_full_scan(systematic):
+    # a fresh code object, so the per-code cache is cold and the scan runs
+    code = build_code() if systematic else build_code(_non_systematic_rows(random.Random(23)))
+    z6 = coset_graph.vectors_of_weight(6)
+    table = weight6_distance_table(code)
+    assert table.dtype == np.uint8
+    assert np.array_equal(table, min_coset_distance_bulk(code, z6))
+
+
+def test_weight6_scan_holds_no_pair_matrix():
+    code = build_code()  # fresh, so the scan is cold
+    coset_graph.vectors_of_weight(6)  # cached: warm it, so only the scan is traced
+    tracemalloc.start()
+    try:
+        weight6_distance_table(code)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # all 134,596 x 759 pairs at one byte each would be 102 MB
+    assert peak < 4 << 20
+
+
 # ------------------------------------------------------------- adjacency
 
 
@@ -546,21 +586,8 @@ def test_packed_rows_are_pinned(graph):
 
 
 def test_build_from_non_systematic_generators(reps):
-    # a coordinate permutation, then row additions: the leading 12 columns
-    # are no longer the identity, and the syndromes use the rows as given
     rng = random.Random(23)
-    perm = list(range(24))
-    rng.shuffle(perm)
-    rows = [
-        sum(1 << perm[b] for b in range(24) if (g >> b) & 1)
-        for g in map(parse_vec, DEFAULT_GENERATOR_ROWS)
-    ]
-    for _ in range(48):
-        i, j = rng.sample(range(12), 2)
-        rows[i] ^= rows[j]
-    identity = [1 << (23 - i) for i in range(12)]
-    assert [r & ~0xFFF for r in rows] != identity
-    code = build_code(tuple(rows))
+    code = build_code(_non_systematic_rows(rng))
     g = build_graph(code, reps)
     enc = reps
     for u in rng.sample(range(N_VERTICES), 3):
@@ -572,10 +599,16 @@ def test_build_from_non_systematic_generators(reps):
 
 def test_missing_octad_fires_the_distance_guard(code, reps, code_missing_an_octad):
     # a weight-6 subset of the dropped octad meets every other octad in at
-    # most 4 points, so its distance to the remaining ones is at least 6
+    # most 4 points, so its distance to the remaining ones is at least 6;
+    # the guard names the ascending-first vector the full scan puts outside {2, 4}
     octad = int(code.weight8[0])
+    z6 = coset_graph.vectors_of_weight(6)
+    brute = min_coset_distance_bulk(code_missing_an_octad, z6)
+    first = int(np.flatnonzero((brute != 2) & (brute != 4))[0])
     with pytest.raises(InvalidDistanceError) as info:
         build_graph(code_missing_an_octad, reps)
+    assert info.value.vector == int(z6[first])
+    assert info.value.distance == int(brute[first])
     assert info.value.distance >= 6
     assert info.value.vector & ~octad == 0
 
