@@ -4,8 +4,9 @@ Subcommands: build, verify, check, search, invariants, export.  All runs
 are batch and reproducible: the search seed and budget default to fixed,
 documented values, and reports use stable line formats.
 
-Exit codes: 0 success; 3 data-format error; 4 verification or check
-failure; 5 the internal invalid-distance guard fired (2 is argparse usage).
+Exit codes: 0 success; 3 data-format or file error, and `build --cache`
+when the cache cannot be written; 4 verification or check failure; 5 the
+internal invalid-distance guard fired (2 is argparse usage).
 """
 
 from __future__ import annotations
@@ -133,7 +134,8 @@ def _build_code(args: argparse.Namespace) -> golay.GolayCode:
 
 
 def _build_context(args: argparse.Namespace):
-    """code, reps, graph -- through the cache when enabled."""
+    """code, reps, graph -- through the cache when enabled -- and the cache
+    file, None when the cache is off or could not be written."""
     code = _build_code(args)
     reps = coset_graph.build_reps()
     g = None
@@ -147,7 +149,8 @@ def _build_context(args: argparse.Namespace):
                 save_graph_cache(cache_file, g, code)
             except OSError as exc:  # the graph is built and checked: report and go on
                 print(f"cache: write failed: {cache_file}: {exc.strerror or exc}", file=sys.stderr)
-    return code, reps, g
+                cache_file = None
+    return code, reps, g, cache_file
 
 
 def _format_census(census: dict[int, int]) -> str:
@@ -156,20 +159,21 @@ def _format_census(census: dict[int, int]) -> str:
 
 def cmd_build(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    code, reps, g = _build_context(args)
+    code, reps, g, cache_file = _build_context(args)
     elapsed = time.perf_counter() - t0
     print(f"codewords: {len(code.codewords)}")
     print(f"weight distribution: {_format_census(code.weight_distribution())}")
     print(f"representatives: {len(reps)}")
     print(f"edges: {g.edge_count()}")
     print(f"build time: {elapsed:.2f}s")
-    if args.cache:
-        print(f"cache: {_cache_path(args, code)}")
-    return EXIT_OK
+    if cache_file:
+        print(f"cache: {cache_file}")
+    # a failed write is on stderr already; storing the graph is what build --cache is for
+    return EXIT_FORMAT if args.cache and not cache_file else EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    code, reps, g = _build_context(args)
+    code, reps, g, _ = _build_context(args)
     print(f"codewords: {len(code.codewords)}")
     print(f"weight distribution: {_format_census(code.weight_distribution())}")
     counts = golay.census(np.bitwise_count(reps))
@@ -217,7 +221,7 @@ def _describe_set(
 def _check_sets(args: argparse.Namespace, invariant_floor: int) -> int:
     with open(args.dat, "rb") as fh:  # fail fast before the build
         data = fh.read()
-    code, reps, g = _build_context(args)
+    code, reps, g, _ = _build_context(args)
     sets = io_formats.read_dat(data, reps, byteorder=args.byteorder)
     failures = 0
     for i, s in enumerate(sets, start=1):
@@ -241,7 +245,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    code, reps, g = _build_context(args)
+    code, reps, g, _ = _build_context(args)
     targets = args.sizes
     contiguous = targets == tuple(range(targets[0], targets[-1] + 1))
     label = f"{targets[0]}-{targets[-1]}" if contiguous else ",".join(map(str, targets))
@@ -268,7 +272,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    code, reps, g = _build_context(args)
+    code, reps, g, _ = _build_context(args)
     sets: list[coclique.VertexSet] = []
     if args.sets:
         with open(args.sets, "rb") as fh:

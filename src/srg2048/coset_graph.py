@@ -30,7 +30,7 @@ weight-6 vector with its guard, which adds per-byte distances from tables.
 
 `verify_srg` checks the srg parameters independently of how the graph was
 built: exact common-neighbour counts for all 2,096,128 pairs, from a
-banded float32 product of the 0/1 adjacency matrix with itself.
+float32 product of the 0/1 adjacency matrix with itself, block by block.
 
 `build_reps` returns the representatives as one ascending uint32 array,
 the one labelling every caller takes: vertex v is the representative at
@@ -107,13 +107,14 @@ def _vertex_of_syndrome(code: GolayCode, reps: np.ndarray) -> np.ndarray:
     representatives share a syndrome, that is, a coset.
     """
     syn = code.syndromes(reps)
-    _, first, inverse = np.unique(syn, return_index=True, return_inverse=True)
-    clash = np.flatnonzero(first[inverse] != np.arange(len(syn)))
+    # stable: each run of equal syndromes lists its vertices in order
+    order = np.argsort(syn, kind="stable")
+    ranked = syn[order]
+    clash = order[1:][ranked[1:] == ranked[:-1]]
     if clash.size:
-        v = int(clash[0])
-        raise InternalConsistencyError(
-            f"representatives {int(first[inverse[v]])} and {v} lie in the same coset"
-        )
+        v = int(clash.min())
+        first = int(order[np.searchsorted(ranked, syn[v])])
+        raise InternalConsistencyError(f"representatives {first} and {v} lie in the same coset")
     table = np.full(SYNDROME_LIMIT, -1, dtype=np.int64)
     table[syn] = np.arange(len(syn))
     return table
@@ -334,16 +335,17 @@ def verify_srg(g: Graph) -> SrgParams:
 
     The common-neighbour count of a pair u < v is entry (u, v) of A @ A for
     the 0/1 adjacency matrix A, a route independent of how the graph was
-    constructed.  It is taken band by band: BAND unpacked rows as
-    float32 times each later block of BAND rows.  Every partial sum
-    is an integer at most n < 2^24, so the counts are exact in any order of
-    summation.  A k-regular graph with 0 < k < n - 1 has both kinds of
-    pair in row 0, so lambda and mu are read there, from the first
-    adjacent and the first non-adjacent pair in row-major order, and every
-    pair u < v is compared with them.  Raises VerificationError for any
-    other k, and with a witness vertex or pair on any non-constancy: the
-    row-major first bad pair, a lambda mismatch before a mu mismatch in
-    the same row.
+    constructed.  It is taken block by block: BAND unpacked rows as float32
+    times each block of BAND // 2 rows from the band on, into one small
+    product buffer compared in place.  Every partial sum is an integer at
+    most n < 2^24, so the counts are exact in any order of summation.  A
+    k-regular graph with 0 < k < n - 1 has both kinds of pair in row 0, so
+    lambda and mu are read there, from the first adjacent and the first
+    non-adjacent pair in row-major order, and every pair u < v is compared
+    with them.  Raises VerificationError for any other k, and with a
+    witness vertex or pair on any non-constancy: the row-major first bad
+    pair, a lambda mismatch before a mu mismatch in the same row, found by
+    redoing the failing band row by row with exact popcounts.
     """
     n = g.n
     degrees = g.degrees()
@@ -362,43 +364,53 @@ def verify_srg(g: Graph) -> SrgParams:
     row = g.row_bits(0)  # no loop, so the argmax is vertex 0's first neighbour
     first_pairs = (int(np.argmax(row)), 1 + int(np.argmin(row[1:])))
     lam, mu = (int(np.bitwise_count(g.words[0] & g.words[v]).sum()) for v in first_pairs)
-    height = min(BAND, n)
-    band, block, product = (np.empty((height, n), dtype=np.float32) for _ in range(3))
+    height, width = min(BAND, n), min(BAND // 2, n)  # 128-row blocks gave the lowest peak
+    band, block = (np.empty((m, n), dtype=np.float32) for m in (height, width))
+    product = np.empty((height, width), dtype=np.float32)
+    wrong, lam_wrong = (np.empty((height, width), dtype=bool) for _ in range(2))
     for lo in range(0, n, height):
         rows = g.row_bits(slice(lo, lo + height))
         h = len(rows)
         a = band[:h]
         np.copyto(a, rows)
-        for blo in range(lo, n, height):
-            b = a
-            if blo > lo:
-                bits = g.row_bits(slice(blo, blo + height))
+        for blo in range(lo, n, width):
+            diagonal = blo < lo + h
+            if diagonal:  # the block's rows lie in the band
+                b = a[blo - lo : blo - lo + width]
+            else:
+                bits = g.row_bits(slice(blo, blo + width))
                 b = block[: len(bits)]
                 np.copyto(b, bits)
-            np.matmul(a, b.T, out=product[:h, blo : blo + len(b)])
-        # the pairs u < v with u in this band: columns from lo, above the diagonal
-        common = product[:h, lo:]
-        adjacent = rows[:, lo:]
-        upper = np.arange(lo, n) > np.arange(lo, lo + h)[:, None]
-        wrong = common != mu
-        np.not_equal(common, lam, out=wrong, where=adjacent)
-        wrong &= upper
-        bad_rows = np.flatnonzero(wrong.any(axis=1))
-        if bad_rows.size:
-            r = int(bad_rows[0])
-            wrong_adjacent = wrong[r] & adjacent[r]
-            if wrong_adjacent.any():
-                name, current, flag = "lambda", lam, wrong_adjacent
-            else:
-                name, current, flag = "mu", mu, wrong[r]
-            j = int(np.argmax(flag))
-            u, v = lo + r, lo + j
-            raise VerificationError(
-                f"{name} not constant: pair ({u}, {v}) has {int(common[r, j])} "
-                f"common neighbours, expected {current}",
-                witness=(u, v),
-            )
+            w = len(b)
+            common, x, y = product[:h, :w], wrong[:h, :w], lam_wrong[:h, :w]
+            np.matmul(a, b.T, out=common)
+            np.not_equal(common, mu, out=x)
+            np.not_equal(common, lam, out=y)
+            np.copyto(x, y, where=rows[:, blo : blo + w])
+            if diagonal:  # only the pairs u < v
+                x &= np.arange(blo, blo + w) > np.arange(lo, lo + h)[:, None]
+            if x.any():
+                raise _first_bad_pair(g, rows, lo, lam, mu)
     return SrgParams(n, k, lam, mu)
+
+
+def _first_bad_pair(g: Graph, rows: np.ndarray, lo: int, lam: int, mu: int) -> VerificationError:
+    """The row-major first bad pair among the rows of a band that has one,
+    from exact popcounts: a lambda mismatch before a mu mismatch in a row."""
+    for r in range(len(rows)):
+        u = lo + r
+        common = np.bitwise_count(g.words[u] & g.words[u + 1 :]).sum(axis=1)
+        adjacent = rows[r, u + 1 :]
+        for name, current, flag in (("lambda", lam, adjacent), ("mu", mu, ~adjacent)):
+            off = np.flatnonzero(flag & (common != current))
+            if off.size:
+                j = int(off[0])
+                return VerificationError(
+                    f"{name} not constant: pair ({u}, {u + 1 + j}) has {int(common[j])} "
+                    f"common neighbours, expected {current}",
+                    witness=(u, u + 1 + j),
+                )
+    raise InternalConsistencyError(f"float32 product and popcounts disagree in rows from {lo}")
 
 
 def delsarte_bound(v: int, k: int, s) -> int:

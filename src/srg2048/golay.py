@@ -125,11 +125,12 @@ def build_code(generators: tuple[int, ...] | None = None) -> GolayCode:
     span = np.zeros(1, dtype=np.uint32)
     for g in generators:
         span = np.concatenate([span, span ^ np.uint32(g)])
-    codewords = np.unique(span)
-    if len(codewords) != CODE_SIZE:
+    codewords = np.sort(span)
+    distinct = 1 + np.count_nonzero(codewords[1:] != codewords[:-1])
+    if distinct != CODE_SIZE:
         raise CodeConstructionError(
             f"generator rows are not linearly independent: span has "
-            f"{len(codewords)} distinct words, expected {CODE_SIZE}"
+            f"{distinct} distinct words, expected {CODE_SIZE}"
         )
 
     weights = census(np.bitwise_count(codewords))

@@ -3,6 +3,8 @@ import importlib
 import importlib.util
 import io
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -494,6 +496,32 @@ def test_unwritable_cache_is_reported_and_verify_goes_on(
         assert not any(blocker.iterdir())
     else:
         assert blocker.read_bytes() == b""
+
+
+def test_build_fails_when_its_cache_cannot_be_written(tmp_path, capsys):
+    cache = tmp_path / "graph.npz"
+    cache.mkdir()
+    assert main(["build", "--cache", str(cache)]) == EXIT_FORMAT
+    captured = capsys.readouterr()
+    assert "edges: 282624" in captured.out
+    assert "cache:" not in captured.out
+    assert captured.err == f"cache: write failed: {cache}: Is a directory\n"
+
+
+def test_cold_commands_do_not_import_numpy_ma():
+    """np.unique imports numpy.ma (about 1 MiB and 20 ms a process); a fresh
+    interpreter keeps pytest's own imports out of the check."""
+    script = (
+        "import sys\n"
+        "import srg2048.cli\n"
+        "from srg2048 import coset_graph, golay\n"
+        "code, reps = golay.build_code(), coset_graph.build_reps()\n"
+        "coset_graph.check_rep_uniqueness(code, reps)\n"
+        "coset_graph.verify_srg(coset_graph.build_graph(code, reps))\n"
+        "sys.exit('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(golay.__file__).parents[1]))
+    assert subprocess.run([sys.executable, "-c", script], env=env).returncode == 0
 
 
 @settings(

@@ -88,6 +88,15 @@ def test_rep_uniqueness_exhaustive(code, reps):
     assert check_rep_uniqueness(code, reps) == N_VERTICES * (N_VERTICES - 1) // 2
 
 
+def test_shared_coset_message_names_the_first_clash(code, reps):
+    bad = reps.copy()
+    bad[1000] = reps[7] ^ code.weight8[0]
+    bad[1500] = reps[3] ^ code.weight8[1]
+    with pytest.raises(InternalConsistencyError) as info:
+        check_rep_uniqueness(code, bad)
+    assert str(info.value) == "representatives 7 and 1000 lie in the same coset"
+
+
 def test_rep_differences_even_and_at_most_six(reps):
     z = reps[:, None] ^ reps[None, :]
     w = np.bitwise_count(z)
@@ -431,6 +440,31 @@ def test_verify_failures_are_pinned(graph, make, message, witness):
         verify_srg(make(graph))
     assert str(info.value) == message
     assert info.value.witness == witness
+
+
+def test_verify_witness_is_the_first_row_across_blocks(graph):
+    """Row 1's bad pairs lie only in later column blocks of band 0, while
+    row 2 has one in block 0, which the product meets first: the witness
+    is still row 1's first bad pair."""
+    g = _switched(graph, 859, 1848, 384, 101)
+    assert not g.has_edge(2, 101)
+    assert int(np.bitwise_count(g.words[2] & g.words[101]).sum()) != 36
+    with pytest.raises(VerificationError) as info:
+        verify_srg(g)
+    assert str(info.value) == "mu not constant: pair (1, 384) has 35 common neighbours, expected 36"
+    assert info.value.witness == (1, 384)
+
+
+def test_verify_srg_holds_no_band_wide_buffers(graph):
+    verify_srg(graph)
+    tracemalloc.start()
+    try:
+        verify_srg(graph)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a 256 x 2048 float32 product and its bool temporaries per band took 9 MiB
+    assert peak < 6 * 2**20
 
 
 def test_graph_constructors_reject_bad_input():

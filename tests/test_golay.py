@@ -114,6 +114,17 @@ def test_repeated_row_rejected():
         build_code(tuple(rows))
 
 
+def test_dependent_rows_message_is_pinned():
+    rows = [parse_vec(r) for r in DEFAULT_GENERATOR_ROWS]
+    rows[11] = rows[10]
+    with pytest.raises(CodeConstructionError) as info:
+        build_code(tuple(rows))
+    assert str(info.value) == (
+        "generator rows are not linearly independent: span has 2048 distinct words, "
+        "expected 4096"
+    )
+
+
 def test_wrong_span_rejected_by_census():
     # full-rank, but one row corrupted: no longer a Golay generator
     rows = [parse_vec(r) for r in DEFAULT_GENERATOR_ROWS]
