@@ -40,6 +40,16 @@ popcounts of the candidates' rows ANDed with the mask.  While every vertex
 is eligible the residual degree is the row degree, so that step reuses the
 degrees computed once per search.  Both shortcuts give the same degrees,
 hence the same RNG draws and the same output, as a plain recount.
+
+A degree-guided pick draws from at most the first four vertices of a
+stable sort, so the early states of the max-, min- and blend-runs and of
+perturbations recur across a search.  Each search keeps a memo from the
+pick direction and the sorted member tuple to those first vertices of the
+degree order.  It is exact: the eligibility mask is always the valid
+vertices minus the members and their cover, so equal member sets give
+equal degrees, an equal order and equal draws.  Only states with at least
+MEMO_MIN_CANDIDATES candidates enter it, at most MEMO_CAP of them (a few
+MiB); once full it still answers but stops growing.
 """
 
 from __future__ import annotations
@@ -67,6 +77,14 @@ FRESH_FRACTION = 0.45
 POOL_PER_SIZE = 4
 MAX_REMOVE = 4
 FOCUS_WINDOW = 3
+# Fresh "max" runs pick among the top 2, 3 or 4 by residual degree; no run
+# picks deeper, so a memoised degree order keeps its first PICK_DEPTH.
+FRESH_MAX_DEPTHS = (2, 3, 4)
+PICK_DEPTH = max(FRESH_MAX_DEPTHS)
+# Only states with this many candidates enter a search's memo of degree
+# orders, and it holds at most MEMO_CAP of them.
+MEMO_MIN_CANDIDATES = 256
+MEMO_CAP = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -183,6 +201,7 @@ def _complete(
     words: np.ndarray,
     row_degrees: np.ndarray,
     scratch: np.ndarray,
+    memo: dict,
     emask: np.ndarray,
     members: list[int],
     rng: random.Random,
@@ -206,6 +225,10 @@ def _complete(
     the whole search: a fresh array of up to n rows at every step costs a
     page fault per 4 KiB whenever the allocator hands the memory back to
     the system.
+
+    `memo` maps (min-pick, sorted members) to the first PICK_DEPTH vertices
+    of the stable degree order (see the module notes); a `depth` beyond
+    PICK_DEPTH bypasses it.
     """
     n = row_degrees.size
     ebytes = emask.view(np.uint8)
@@ -218,36 +241,43 @@ def _complete(
         if not degree_pick:
             v = int(cands[rng.randrange(cands.size)])
         else:
-            if cands.size == n:
-                degs = row_degrees
-            else:
-                # "clip" writes straight into out; the default mode buffers
-                rows = np.take(words, cands, axis=0, out=scratch[: cands.size], mode="clip")
-                rows &= emask
-                degs = np.bitwise_count(rows).sum(axis=1, dtype=row_degrees.dtype)
-            order = (-degs if mode != "min" else degs).argsort(kind="stable")
+            key = None
+            if depth <= PICK_DEPTH and cands.size >= MEMO_MIN_CANDIDATES:
+                key = (mode == "min", tuple(sorted(members)))
+            top = memo.get(key) if key else None
+            if top is None:
+                if cands.size == n:
+                    degs = row_degrees
+                else:
+                    # "clip" writes straight into out; the default mode buffers
+                    rows = np.take(words, cands, axis=0, out=scratch[: cands.size], mode="clip")
+                    rows &= emask
+                    degs = np.bitwise_count(rows).sum(axis=1, dtype=row_degrees.dtype)
+                top = cands[(-degs if mode != "min" else degs).argsort(kind="stable")]
+                if key and len(memo) < MEMO_CAP:
+                    memo[key] = top = top[:PICK_DEPTH].copy()
             take = min(cands.size, 1 + rng.randrange(max(depth, 1)))
-            v = int(cands[order[rng.randrange(take)]])
+            v = int(top[rng.randrange(take)])
         members.append(v)
         emask &= ~words[v]
         ebytes[v >> 3] &= 255 ^ (1 << (v & 7))  # rows have no loops: v itself
     return sorted(members)
 
 
-def _fresh_run(words, row_degrees, scratch, valid, rng) -> list[int]:
+def _fresh_run(words, row_degrees, scratch, memo, valid, rng) -> list[int]:
     roll = rng.random()
     if roll < 0.30:
         mode, depth, q = "uniform", 1, 0.0
     elif roll < 0.65:
-        mode, depth, q = "max", rng.choice([2, 3, 4]), 0.0
+        mode, depth, q = "max", rng.choice(FRESH_MAX_DEPTHS), 0.0
     elif roll < 0.85:
         mode, depth, q = "blend", 1, 0.3 + 0.6 * rng.random()
     else:
         mode, depth, q = "min", rng.choice([1, 2]), 0.0
-    return _complete(words, row_degrees, scratch, valid.copy(), [], rng, mode, depth, q)
+    return _complete(words, row_degrees, scratch, memo, valid.copy(), [], rng, mode, depth, q)
 
 
-def _perturb_run(words, row_degrees, scratch, valid, rng, source: list[int]) -> list[int]:
+def _perturb_run(words, row_degrees, scratch, memo, valid, rng, source: list[int]) -> list[int]:
     j = min(rng.choice([1, 2, 2, 3, 3, 4]), MAX_REMOVE, len(source) - 1)
     keep = list(source)
     for _ in range(j):
@@ -257,7 +287,7 @@ def _perturb_run(words, row_degrees, scratch, valid, rng, source: list[int]) -> 
         mode, depth = "max", rng.choice([1, 2])
     else:
         mode, depth = "uniform", 1
-    return _complete(words, row_degrees, scratch, emask, keep, rng, mode, depth)
+    return _complete(words, row_degrees, scratch, memo, emask, keep, rng, mode, depth)
 
 
 def search_maximal(
@@ -288,6 +318,7 @@ def search_maximal(
     # degrees below 2^15 fit int16, for which the stable argsort is a radix sort
     row_degrees = g.degrees().astype(np.int16 if g.n < 1 << 15 else np.int32)
     scratch = np.empty_like(words)
+    memo: dict = {}
     valid = _pack(words.shape[1], np.arange(g.n))
 
     found: dict[int, VertexSet] = {}
@@ -313,9 +344,9 @@ def search_maximal(
         if cfg.stop_when_complete and targets <= found.keys():
             break
         if not pool or rng.random() < FRESH_FRACTION:
-            members = _fresh_run(words, row_degrees, scratch, valid, rng)
+            members = _fresh_run(words, row_degrees, scratch, memo, valid, rng)
         else:
-            members = _perturb_run(words, row_degrees, scratch, valid, rng, pool_pick())
+            members = _perturb_run(words, row_degrees, scratch, memo, valid, rng, pool_pick())
         size = len(members)
         if size > hard_cap:
             raise InternalConsistencyError(

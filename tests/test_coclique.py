@@ -298,6 +298,90 @@ def test_search_small_graphs_pinned(request, name, seed, expected):
         assert is_coclique(g, s) and is_maximal(g, s)
 
 
+# sha256 of write_dat over sizes 20..72, budget 2000, stop_when_complete
+# off: the benchmark's own search, as written before the search memoised
+# its degree orders
+GOLDEN_WIDE_SEARCH_SHA256 = {
+    1: "19ad5d3aaa76c3f92a4c23971322a2c91834887c698801f5a767ea946708ac9a",
+    2048: "552e98f7c23ec3f48a98cdbceac9adace90e7c0150a6100200802f836228d5bb",
+}
+
+
+def _wide_search(g, seed, budget=2000):
+    return search_maximal(
+        g, range(20, 73), budget=budget, seed=seed,
+        config=SearchConfig(stop_when_complete=False),
+    )
+
+
+@pytest.fixture(scope="module")
+def wide_searches(graph):
+    """Budget-2000 searches over 20..72 by seed, each run once."""
+    return {seed: _wide_search(graph, seed) for seed in (1, 7, 2048)}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_WIDE_SEARCH_SHA256))
+def test_wide_search_output_is_pinned(reps, wide_searches, seed):
+    digest = hashlib.sha256(write_dat(wide_searches[seed], reps)).hexdigest()
+    assert digest == GOLDEN_WIDE_SEARCH_SHA256[seed]
+
+
+@pytest.mark.parametrize("seed", [1, 7, 2048])
+def test_degree_memo_changes_nothing(graph, wide_searches, monkeypatch, seed):
+    # no state of n vertices has more than n candidates: the memo stays empty
+    monkeypatch.setattr(coclique, "MEMO_MIN_CANDIDATES", graph.n + 1)
+    plain = _wide_search(graph, seed)
+    assert [s.members for s in plain] == [s.members for s in wide_searches[seed]]
+
+
+@pytest.mark.parametrize("name", ["petersen", "cycle5"])
+@pytest.mark.parametrize("seed", [1, 7, 2048])
+def test_degree_memo_changes_nothing_on_small_graphs(request, monkeypatch, name, seed):
+    g = request.getfixturevalue(name)
+
+    def members(threshold):
+        monkeypatch.setattr(coclique, "MEMO_MIN_CANDIDATES", threshold)
+        results = search_maximal(
+            g, range(1, g.n + 1), budget=300, seed=seed,
+            config=SearchConfig(stop_when_complete=False),
+        )
+        return [s.members for s in results]
+
+    # threshold 0 memoises every degree-guided state of these tiny graphs
+    assert members(0) == members(g.n + 1)
+
+
+def test_degree_memo_is_capped(graph, reps, monkeypatch):
+    monkeypatch.setattr(coclique, "MEMO_CAP", 8)
+    memos = []
+    complete = coclique._complete
+
+    def recorded(*args):
+        members = complete(*args)
+        memos.append(len(args[3]))
+        return members
+
+    monkeypatch.setattr(coclique, "_complete", recorded)
+    results = _wide_search(graph, 7, budget=500)
+    assert max(memos) == 8
+    # a full memo stops growing but still answers, with the same output
+    digest = hashlib.sha256(write_dat(results, reps)).hexdigest()
+    assert digest == GOLDEN_SEARCH_SHA256[7]
+
+
+def test_deep_picks_bypass_the_degree_memo(graph):
+    # a pick deeper than the memoised prefix reads the whole degree order
+    words = graph.words
+    valid = coclique._pack(words.shape[1], np.arange(graph.n))
+    memo = {}
+    members = coclique._complete(
+        words, graph.degrees().astype(np.int16), np.empty_like(words), memo,
+        valid, [], random.Random(3), "max", 4 * coclique.PICK_DEPTH,
+    )
+    assert memo == {}
+    assert is_maximal(graph, VertexSet(tuple(members)))
+
+
 def test_search_checks_each_candidate_once(graph, monkeypatch):
     calls = {"is_coclique": 0, "is_maximal": 0}
     for name in calls:
