@@ -203,19 +203,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _describe_set(
     g: coset_graph.Graph, s: coclique.VertexSet, index: int, invariant_floor: int
 ) -> tuple[str, bool]:
-    parts = [f"set {index}: size {s.size}"]
-    good = coclique.is_coclique(g, s)
-    parts.append(f"coclique {'yes' if good else 'no'}")
-    if good:
-        maximal = coclique.is_maximal(g, s)
-        parts.append(f"maximal {'yes' if maximal else 'no'}")
-        good = maximal
-        parts.append(f"profile {_format_census(coclique.external_profile(g, s))}")
-        if s.size >= invariant_floor:
-            parts.append(f"pair invariant {coclique.pair_invariant(g, s)}")
-    else:
-        parts.append("maximal no")
-    return ", ".join(parts), good
+    independent, maximal, profile, invariant = coclique.check_set(
+        g, s, pair=s.size >= invariant_floor
+    )
+    parts = [f"set {index}: size {s.size}", f"coclique {'yes' if independent else 'no'}"]
+    parts.append(f"maximal {'yes' if maximal else 'no'}")
+    if independent:
+        parts.append(f"profile {_format_census(profile)}")
+        if invariant is not None:
+            parts.append(f"pair invariant {invariant}")
+    return ", ".join(parts), maximal
 
 
 def _check_sets(args: argparse.Namespace, invariant_floor: int) -> int:

@@ -382,6 +382,14 @@ POOL_DIGESTS = {
     "gap": "161607d41260baea6ad233b58da1df9a5178515cdc6887e29de66e656bf8bf7e",
     "edges": "3194b978f7f9b566f44ff4d2bc611f1e736f2401aac745dee5f0b11dcf1f7bab",
 }
+# sha256 of each output for tests/data/mixed.dat: an adjacent pair, a size-71
+# coclique that is not maximal, the first size-72 set of pool.dat, and
+# pool.dat's first set
+MIXED = str(Path(__file__).resolve().parent / "data" / "mixed.dat")
+MIXED_DIGESTS = {
+    "invariants": "9bff8b6d069f6d671389695d6666bef45f440dab6341b523dd2d0f8c3af95cf1",
+    "check": "8eb3b5eb48e2af2da3c2cef57e77628ce4d2c7ab3094c89273e1b43a9e88af9f",
+}
 VERIFY_DIGEST = "ae2280b85089081bc14fdccee000b22b64b5262adb7c0e7823c0870036df8843"
 
 
@@ -400,6 +408,14 @@ def pool_cache(tmp_path_factory, code, graph):
 def test_check_path_output_is_pinned(capsys, pool_cache, command):
     assert main([command, POOL, "--cache", pool_cache]) == EXIT_OK
     assert _sha256(capsys.readouterr().out) == POOL_DIGESTS[command]
+
+
+@pytest.mark.parametrize("command", ["invariants", "check"])
+def test_check_path_output_on_failing_sets_is_pinned(capsys, pool_cache, command):
+    assert main([command, MIXED, "--cache", pool_cache]) == EXIT_VERIFY
+    out = capsys.readouterr().out
+    assert out.endswith("checked 4 sets: 2 maximal cocliques, 2 failures\n")
+    assert _sha256(out) == MIXED_DIGESTS[command]
 
 
 def test_export_output_is_pinned(tmp_path, capsys, pool_cache):

@@ -15,6 +15,7 @@ from srg2048.coclique import (
     DEFAULT_SEED,
     SearchConfig,
     VertexSet,
+    check_set,
     external_profile,
     is_coclique,
     is_maximal,
@@ -120,10 +121,14 @@ def _reference_cases(request, reps, case):
         return g, sets
     if case == "empty":
         return g, [VertexSet(())]
+    if case == "neighbourhood":  # 276 members: vertex 0 counts 276, past uint8
+        return g, [VertexSet(tuple(g.neighbors(0).tolist()))]
     return g, [VertexSet((0,)), VertexSet((g.n - 1,))]
 
 
-@pytest.mark.parametrize("case", ["pool", "petersen", "cycle5", "empty", "singleton"])
+@pytest.mark.parametrize(
+    "case", ["pool", "petersen", "cycle5", "empty", "singleton", "neighbourhood"]
+)
 def test_packed_checks_match_int_row_references(request, reps, case):
     g, sets = _reference_cases(request, reps, case)
     rows = int_rows(g)
@@ -135,8 +140,15 @@ def test_packed_checks_match_int_row_references(request, reps, case):
         else:
             with pytest.raises(DomainError):
                 is_maximal(g, s)
-        assert external_profile(g, s) == external_profile_ref(rows, s)
-        assert pair_invariant(g, s) == pair_invariant_ref(rows, s)
+        profile = external_profile_ref(rows, s)
+        invariant = pair_invariant_ref(rows, s)
+        assert external_profile(g, s) == profile
+        assert pair_invariant(g, s) == invariant
+        maximal = independent and is_maximal_ref(rows, s)
+        assert check_set(g, s, pair=True) == (independent, maximal, profile, invariant)
+        assert check_set(g, s, pair=False) == (independent, maximal, profile, None)
+    if case == "neighbourhood":
+        assert profile[DEGREE] == 1
     if case == "pool":
         assert all(is_maximal(g, s) for s in sets)
 
