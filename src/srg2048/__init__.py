@@ -29,12 +29,10 @@ from .coset_graph import (
     build_reps,
     delsarte_bound,
     min_coset_distance,
-    rep_of,
     srg_eigenvalues,
-    translation_map,
     verify_srg,
 )
-from .gf2 import Vec24, add, format_vec, parse_vec, weight
+from .gf2 import Vec24, parse_vec
 from .golay import DEFAULT_GENERATOR_ROWS, GolayCode, build_code
 from .io_formats import export_edge_list, export_gap, read_dat, write_dat
 

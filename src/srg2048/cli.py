@@ -86,7 +86,7 @@ def _cache_path(args: argparse.Namespace, code: golay.GolayCode) -> str:
     if args.cache and args.cache != "auto":
         return args.cache
     digest = hashlib.sha256(_generator_bytes(code)).hexdigest()[:16]
-    return os.path.join(default_cache_dir(), f"graph-{digest}.npz")
+    return os.path.join(default_cache_dir(), f"graph-{digest}.bin")
 
 
 def _cache_head(code: golay.GolayCode, packed: np.ndarray) -> bytes:

@@ -106,14 +106,6 @@ class VertexSet:
                 )
             prev = v
 
-    @classmethod
-    def from_iterable(cls, it) -> "VertexSet":
-        members = tuple(sorted(int(v) for v in it))
-        for a, b in zip(members, members[1:]):
-            if a == b:
-                raise DomainError(f"duplicate vertex index: {a}")
-        return cls(members)
-
     @property
     def size(self) -> int:
         return len(self.members)

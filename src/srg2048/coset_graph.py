@@ -34,7 +34,8 @@ float32 product of the 0/1 adjacency matrix with itself, block by block.
 
 `build_reps` returns the representatives as one ascending uint32 array,
 the one labelling every caller takes: vertex v is the representative at
-rank v in it, 0-based internally and 1-based in text exports.
+rank v in it, 0-based internally and 1-based in text exports.  An even
+vector x lies in the coset of the vertex whose representative has syn(x).
 """
 
 from __future__ import annotations
@@ -97,40 +98,6 @@ def build_reps() -> np.ndarray:
     weight4 = vectors_of_weight(4)
     values = [vectors_of_weight(0), WEIGHT2_VECTORS, weight4[(weight4 & 1) == 1]]
     return np.sort(np.concatenate(values))
-
-
-def _vertex_of_syndrome(code: GolayCode, reps: np.ndarray) -> np.ndarray:
-    """Array over the 4096 syndromes: the vertex whose representative has
-    that syndrome, -1 for the odd-weight cosets.
-
-    Raises InternalConsistencyError with a witness pair if two
-    representatives share a syndrome, that is, a coset.
-    """
-    syn = code.syndromes(reps)
-    # stable: each run of equal syndromes lists its vertices in order
-    order = np.argsort(syn, kind="stable")
-    ranked = syn[order]
-    clash = order[1:][ranked[1:] == ranked[:-1]]
-    if clash.size:
-        v = int(clash.min())
-        first = int(order[np.searchsorted(ranked, syn[v])])
-        raise InternalConsistencyError(f"representatives {first} and {v} lie in the same coset")
-    table = np.full(SYNDROME_LIMIT, -1, dtype=np.int64)
-    table[syn] = np.arange(len(syn))
-    return table
-
-
-def coset_vertex(code: GolayCode, reps: np.ndarray, x: Vec24) -> int:
-    """Vertex index of the coset containing x (x must have even weight)."""
-    check_vec(x)
-    if x.bit_count() & 1:
-        raise DomainError(f"vector has odd weight, no coset vertex: {x:024b}")
-    return int(_vertex_of_syndrome(code, reps)[code.syndrome(x)])
-
-
-def rep_of(code: GolayCode, reps: np.ndarray, x: Vec24) -> Vec24:
-    """The unique representative of the coset containing x."""
-    return int(reps[coset_vertex(code, reps, x)])
 
 
 @functools.cache
@@ -269,9 +236,6 @@ class Graph:
 
     def neighbors(self, u: int) -> np.ndarray:
         return np.flatnonzero(self.row_bits(u)).astype(np.int32)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.packed[u, v >> 3] >> (v & 7)) & 1)
 
     def edge_count(self) -> int:
         return int(np.bitwise_count(self.packed).sum()) // 2
@@ -444,14 +408,6 @@ def srg_eigenvalues(params: SrgParams) -> tuple:
     return ((b + froot) / 2, (b - froot) / 2)
 
 
-def translation_map(code: GolayCode, reps: np.ndarray, t: Vec24) -> np.ndarray:
-    """The permutation u -> vertex of (rep(u) + t), an automorphism for even t."""
-    check_vec(t)
-    if t.bit_count() & 1:
-        raise DomainError(f"translation must have even weight: {t:024b}")
-    return _vertex_of_syndrome(code, reps)[code.syndromes(reps) ^ code.syndrome(t)]
-
-
 def check_rep_uniqueness(code: GolayCode, reps: np.ndarray) -> int:
     """Exhaustively confirm no two distinct representatives share a coset.
 
@@ -459,6 +415,14 @@ def check_rep_uniqueness(code: GolayCode, reps: np.ndarray) -> int:
     2048 syndromes decides every pair.  Returns the number of pairs;
     raises InternalConsistencyError with a witness pair on a shared coset.
     """
-    _vertex_of_syndrome(code, reps)
+    syn = code.syndromes(reps)
+    # stable: each run of equal syndromes lists its vertices in order
+    order = np.argsort(syn, kind="stable")
+    ranked = syn[order]
+    clash = order[1:][ranked[1:] == ranked[:-1]]
+    if clash.size:
+        v = int(clash.min())
+        first = int(order[np.searchsorted(ranked, syn[v])])
+        raise InternalConsistencyError(f"representatives {first} and {v} lie in the same coset")
     n = len(reps)
     return n * (n - 1) // 2

@@ -6,8 +6,8 @@ bit 23 and whose rightmost character ("the last position") is bit 0.  With
 that convention the canonical weight-4 coset representatives are exactly
 the weight-4 values with the low bit set.
 
-Addition and subtraction coincide (xor).  All functions here are pure and
-safe to call from anywhere.
+Weight is int.bit_count and the sum, also the difference, is x ^ y.
+All functions here are pure and safe to call from anywhere.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ Vec24 = int
 
 VEC_BITS = 24
 VEC_LIMIT = 1 << VEC_BITS
-ALL_ONES = VEC_LIMIT - 1
 
 
 def parse_vec(s: str) -> Vec24:
@@ -38,24 +37,9 @@ def parse_vec(s: str) -> Vec24:
     return value
 
 
-def format_vec(x: Vec24) -> str:
-    """Inverse of parse_vec."""
-    check_vec(x)
-    return format(x, f"0{VEC_BITS}b")
-
-
 def check_vec(x: Vec24) -> Vec24:
     """Validate the encoding range; returns x unchanged."""
     if not 0 <= x < VEC_LIMIT:
         raise DomainError(f"vector encoding out of range [0, 2^24): {x}")
     return x
 
-
-def weight(x: Vec24) -> int:
-    """Number of 1-coordinates."""
-    return x.bit_count()
-
-
-def add(x: Vec24, y: Vec24) -> Vec24:
-    """Coordinate-wise sum mod 2; also the difference, since x + x = 0."""
-    return x ^ y

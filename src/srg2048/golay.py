@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CodeConstructionError, DomainError, FormatError, VecParseError
-from .gf2 import VEC_LIMIT, Vec24, check_vec, parse_vec
+from .gf2 import VEC_LIMIT, parse_vec
 
 # Systematic [I | B] generator rows, written in the package's string form.
 DEFAULT_GENERATOR_ROWS: tuple[str, ...] = (
@@ -64,7 +64,7 @@ class GolayCode:
         generators: the 12 generator rows as integer encodings.
         codewords:  all 4096 words, ascending, dtype uint32.
         weight8:    the 759 words of weight 8, ascending, dtype uint32.
-    Membership and coset questions are answered from 12-bit syndromes.
+    Membership is syndromes(x) == 0; coset questions compare syndromes.
     Tables derived from the code are cached per code in `coset_graph`.
     """
 
@@ -72,11 +72,6 @@ class GolayCode:
         self.generators = generators
         self.codewords = codewords
         self.weight8 = codewords[np.bitwise_count(codewords) == 8]
-
-    def syndrome(self, x: Vec24) -> int:
-        """Bit i is the parity of x against generator row i."""
-        check_vec(x)
-        return sum(((x & g).bit_count() & 1) << i for i, g in enumerate(self.generators))
 
     def syndromes(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized syndromes, dtype uint16."""
@@ -87,17 +82,6 @@ class GolayCode:
         for i, g in enumerate(self.generators):
             out |= (np.bitwise_count(xs & np.uint32(g)) & 1).astype(np.uint16) << i
         return out
-
-    def contains(self, x: Vec24) -> bool:
-        """True iff x is one of the 4096 codewords."""
-        return self.syndrome(x) == 0
-
-    def __contains__(self, x: Vec24) -> bool:
-        return self.contains(x)
-
-    def contains_many(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized membership over an array of encodings."""
-        return self.syndromes(xs) == 0
 
     def weight_distribution(self) -> dict[int, int]:
         """Exact weight census over all 4096 words."""

@@ -76,8 +76,16 @@ def in_code(code, xs):
     return code.codewords[pos] == xs
 
 
+def translation_perm(code, reps, t):
+    """u -> the vertex of rep(u) + t, by syndromes; vertex 0 goes to t's vertex."""
+    syn = code.syndromes(reps)
+    vertex = np.zeros(1 << 12, dtype=np.intp)
+    vertex[syn] = np.arange(len(syn))
+    return vertex[syn ^ code.syndromes(t)]
+
+
 def rep_of_scan(code, reps, x):
-    """Reference implementation of rep_of: scan of all representatives."""
+    """The representative of x's coset, by a scan of all representatives."""
     check_vec(x)
     if x.bit_count() & 1:
         raise DomainError(f"vector has odd weight, no coset vertex: {x:024b}")

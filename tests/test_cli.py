@@ -3,6 +3,7 @@ import importlib
 import importlib.util
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -360,7 +361,16 @@ def test_container_may_follow_a_bare_cache_flag(tmp_path, monkeypatch, capsys, c
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
     assert "checked 142 sets" in outputs[0]
-    assert [p.suffix for p in tmp_path.iterdir()] == [".npz"]
+    assert [p.suffix for p in tmp_path.iterdir()] == [".bin"]
+
+
+def test_default_cache_file_is_named_for_its_format(tmp_path, monkeypatch, capsys):
+    # a fixed-layout binary file, not an npz archive
+    monkeypatch.setenv("SRG2048_CACHE_DIR", str(tmp_path))
+    assert main(["verify", "--cache"]) == EXIT_OK
+    names = [p.name for p in tmp_path.iterdir()]
+    assert len(names) == 1
+    assert re.fullmatch(r"graph-[0-9a-f]{16}\.bin", names[0])
 
 
 @pytest.mark.parametrize("argv", [["check"], ["check", "--cache"], ["invariants", "--cache"]])

@@ -18,13 +18,10 @@ from srg2048.coset_graph import (
     adjacent,
     build_graph,
     check_rep_uniqueness,
-    coset_vertex,
     delsarte_bound,
     is_representative,
     min_coset_distance,
-    rep_of,
     srg_eigenvalues,
-    translation_map,
     verify_srg,
     weight6_distance_census,
     weight6_distance_table,
@@ -48,6 +45,7 @@ from oracles import (
     graph_from_edges,
     min_coset_distance_bulk,
     rep_of_scan,
+    translation_perm,
     vectors_of_weight_ref,
 )
 
@@ -104,18 +102,20 @@ def test_rep_differences_even_and_at_most_six(reps):
     assert not np.any(w & 1)
 
 
-# ---------------------------------------------------------------- rep_of
+# ------------------------------------------------- the syndrome labelling
+# The vertex of an even vector x is the one whose representative has syn(x):
+# translation_perm(code, reps, x)[0], since vertex 0 is the zero vector.
 
 
 def test_rep_of_zero(code, reps):
-    assert rep_of(code, reps, 0) == 0
+    assert reps[translation_perm(code, reps, 0)[0]] == 0
 
 
 def test_rep_of_codewords_is_zero(code, reps):
     rng = random.Random(5)
     words = code.codewords.tolist()
     for _ in range(200):
-        assert rep_of(code, reps, rng.choice(words)) == 0
+        assert reps[translation_perm(code, reps, rng.choice(words))[0]] == 0
 
 
 def test_rep_of_coset_invariance(code, reps):
@@ -126,17 +126,12 @@ def test_rep_of_coset_invariance(code, reps):
         if bin(x).count("1") % 2 == 1:
             x ^= 1  # force even weight
         c = rng.choice(words)
-        assert rep_of(code, reps, x ^ c) == rep_of(code, reps, x)
+        assert reps[translation_perm(code, reps, x ^ c)[0]] == reps[translation_perm(code, reps, x)[0]]
 
 
 def test_rep_of_every_weight2_vector_is_itself(code, reps):
     for e in WEIGHT2_VECTORS.tolist():
-        assert rep_of(code, reps, e) == e
-
-
-def test_rep_of_rejects_odd_weight(code, reps):
-    with pytest.raises(DomainError, match="odd weight"):
-        rep_of(code, reps, 0b111)
+        assert reps[translation_perm(code, reps, e)[0]] == e
 
 
 def test_rep_of_matches_scan_oracle(code, reps):
@@ -145,7 +140,7 @@ def test_rep_of_matches_scan_oracle(code, reps):
         x = rng.randrange(1 << 24)
         if bin(x).count("1") % 2 == 1:
             x ^= 1
-        assert rep_of(code, reps, x) == rep_of_scan(code, reps, x)
+        assert reps[translation_perm(code, reps, x)[0]] == rep_of_scan(code, reps, x)
 
 
 # ---------------------------------------------------------- min distance
@@ -294,7 +289,7 @@ def test_rows_symmetric_sample(graph):
     rng = random.Random(15)
     for _ in range(500):
         u, v = rng.randrange(graph.n), rng.randrange(graph.n)
-        assert graph.has_edge(u, v) == graph.has_edge(v, u)
+        assert (graph.packed[u, v >> 3] >> (v & 7)) & 1 == (graph.packed[v, u >> 3] >> (u & 7)) & 1
 
 
 def test_neighbors_match_has_edge(graph):
@@ -305,7 +300,7 @@ def test_neighbors_match_has_edge(graph):
         bits = graph.row_bits(u)
         for _ in range(20):
             v = rng.randrange(graph.n)
-            assert (v in row) == bool(bits[v]) == graph.has_edge(u, v)
+            assert (v in row) == bool(bits[v]) == bool((graph.packed[u, v >> 3] >> (v & 7)) & 1)
 
 
 def test_vertex_translation_is_automorphism(code, reps, graph):
@@ -315,7 +310,7 @@ def test_vertex_translation_is_automorphism(code, reps, graph):
         t = rng.randrange(1 << 24)
         if bin(t).count("1") % 2 == 1:
             t ^= 1
-        perm = translation_map(code, reps, t)
+        perm = translation_perm(code, reps, t)
         assert sorted(perm.tolist()) == list(range(N_VERTICES))
         assert np.array_equal(adj[np.ix_(perm, perm)], adj)
 
@@ -325,7 +320,7 @@ def test_coset_vertex_consistency(code, reps, graph):
     for _ in range(100):
         u = rng.randrange(N_VERTICES)
         x = int(reps[u])
-        assert coset_vertex(code, reps, x) == u
+        assert translation_perm(code, reps, x)[0] == u
 
 
 # ----------------------------------------------------------- verify_srg
@@ -418,7 +413,7 @@ def _switched(graph, a, b, c, d):
             (600, 601),
         ),
         (  # one symmetric edge toggled
-            lambda g: _edited(g, (5, 2000, not g.has_edge(5, 2000))),
+            lambda g: _edited(g, (5, 2000, not (g.packed[5, 2000 >> 3] >> (2000 & 7)) & 1)),
             "degree not constant: vertex 5 has 277, vertex 0 has 276",
             (5,),
         ),
@@ -447,7 +442,7 @@ def test_verify_witness_is_the_first_row_across_blocks(graph):
     row 2 has one in block 0, which the product meets first: the witness
     is still row 1's first bad pair."""
     g = _switched(graph, 859, 1848, 384, 101)
-    assert not g.has_edge(2, 101)
+    assert not (g.packed[2, 101 >> 3] >> (101 & 7)) & 1
     assert int(np.bitwise_count(g.words[2] & g.words[101]).sum()) != 36
     with pytest.raises(VerificationError) as info:
         verify_srg(g)
@@ -509,7 +504,7 @@ def test_rows_are_padded_to_whole_words(cycle5, petersen, graph):
     for g in (cycle5, petersen):
         assert g.packed.shape == (g.n, 8)
         assert g.words.shape == (g.n, 1)
-        expected = [[g.has_edge(u, v) for v in range(g.n)] for u in range(g.n)]
+        expected = [[(g.packed[u, v >> 3] >> (v & 7)) & 1 for v in range(g.n)] for u in range(g.n)]
         assert np.array_equal(
             np.unpackbits(g.packed, axis=1, bitorder="little")[:, : g.n], expected
         )

@@ -177,7 +177,7 @@ def test_bytes_roundtrip_canonical(reps):
     st.sampled_from(["little", "big"]),
 )
 def test_sets_roundtrip(reps, families, byteorder):
-    sets = [VertexSet.from_iterable(f) for f in families]
+    sets = [VertexSet(tuple(sorted(f))) for f in families]
     payload = write_dat(sets, reps, byteorder=byteorder)
     back = read_dat(payload, reps, byteorder=byteorder)
     assert [s.members for s in back] == [s.members for s in sets]
@@ -188,7 +188,7 @@ def test_roundtrip_many_random_set_lists(reps):
     rng = random.Random(31)
     for _ in range(100):
         sets = [
-            VertexSet.from_iterable(rng.sample(range(2048), rng.randint(2, 85)))
+            VertexSet(tuple(sorted(rng.sample(range(2048), rng.randint(2, 85)))))
             for _ in range(rng.randint(0, 4))
         ]
         payload = write_dat(sets, reps)
@@ -267,7 +267,7 @@ def test_edge_list_format(graph):
     assert len(first) == 2
     u, v = int(first[0]), int(first[1])
     assert 1 <= u < v <= 2048
-    assert graph.has_edge(u - 1, v - 1)
+    assert (graph.packed[u - 1, (v - 1) >> 3] >> ((v - 1) & 7)) & 1
 
 
 # ------------------------------------------------ exports against the oracle
