@@ -24,11 +24,9 @@ from .coset_graph import (
     TARGET_PARAMS,
     Graph,
     SrgParams,
-    adjacent,
     build_graph,
     build_reps,
     delsarte_bound,
-    min_coset_distance,
     srg_eigenvalues,
     verify_srg,
 )

@@ -45,8 +45,8 @@ def parse_size_targets(text: str) -> tuple[int, ...]:
     """Accept 'LO-HI', a single size, or a comma list of either.
 
     Raises ValueError on a part that is not a size or range, on a range
-    with LO > HI, on a size above the vertex count, and when no size is
-    given.
+    with LO > HI, on a size above the ratio bound COCLIQUE_SIZE_CAP, and
+    when no size is given.
     """
     targets: set[int] = set()
     for part in text.split(","):
@@ -61,10 +61,10 @@ def parse_size_targets(text: str) -> tuple[int, ...]:
             raise ValueError(f"not a size or LO-HI range: {part!r}") from None
         if lo > hi:
             raise ValueError(f"empty range {part!r}: {lo} > {hi}")
-        if hi > coset_graph.N_VERTICES:
+        if hi > coclique.COCLIQUE_SIZE_CAP:
             raise ValueError(
                 f"size {hi} out of range: a coclique has 0 to "
-                f"{coset_graph.N_VERTICES} vertices"
+                f"{coclique.COCLIQUE_SIZE_CAP} vertices (the ratio bound)"
             )
         targets.update(range(lo, hi + 1))
     if not targets:
@@ -242,6 +242,9 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
+    if args.out:  # fail fast before the build; append mode never truncates
+        with open(args.out, "ab"):
+            pass
     code, reps, g, _ = _build_context(args)
     targets = args.sizes
     contiguous = targets == tuple(range(targets[0], targets[-1] + 1))

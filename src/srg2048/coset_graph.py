@@ -18,15 +18,13 @@ cross-check:
     w(z) = 4 -> no edge (no codeword can bring the difference to weight 2);
     w(z) = 6 -> edge iff some weight-8 codeword c has w(z + c) = 2.
 
-In the last case a scan over the 759 weight-8 words may stop at the first
-value <= 4: a word at distance 4 from z would share 5 coordinates with any
-word at distance 2, forcing the two words equal, so distances 2 and 4
-exclude each other.  Any scan result outside {2, 4} is treated as a hard
-error rather than assumed impossible.  The representative differences are
-exactly the 145,499 even vectors of weight at most 6.  `build_graph` checks
-the case rule against the syndromes on all of them, reading the weight-6
-case straight from `weight6_distance_table`, the full scan of every
-weight-6 vector with its guard, which adds per-byte distances from tables.
+A result of the scan over the 759 weight-8 words outside {2, 4} is
+treated as a hard error rather than assumed impossible.  The representative
+differences are exactly the 145,499 even vectors of weight at most 6.
+`build_graph` checks the case rule against the syndromes on all of them,
+reading the weight-6 case straight from `weight6_distance_table`, the full
+scan of every weight-6 vector with its guard, which adds per-byte distances
+from tables.
 
 `verify_srg` checks the srg parameters independently of how the graph was
 built: exact common-neighbour counts for all 2,096,128 pairs, from a
@@ -54,7 +52,7 @@ from .errors import (
     InvalidDistanceError,
     VerificationError,
 )
-from .gf2 import VEC_BITS, VEC_LIMIT, Vec24, check_vec
+from .gf2 import VEC_BITS
 from .golay import SYNDROME_LIMIT, GolayCode, census
 
 N_VERTICES = 2048
@@ -80,14 +78,6 @@ def vectors_of_weight(w: int) -> np.ndarray:
 
 #: The 276 weight-2 vectors, ascending; their syndromes are the connection set.
 WEIGHT2_VECTORS: np.ndarray = vectors_of_weight(2)
-
-
-def is_representative(x: Vec24) -> bool:
-    """Structural test for membership in the canonical representative set."""
-    if not 0 <= x < VEC_LIMIT:
-        return False
-    w = x.bit_count()
-    return w == 0 or w == 2 or (w == 4 and bool(x & 1))
 
 
 def build_reps() -> np.ndarray:
@@ -137,45 +127,6 @@ def weight6_distance_table(code: GolayCode) -> np.ndarray:
 def weight6_distance_census(code: GolayCode) -> dict[int, int]:
     """How many weight-6 vectors sit at each distance from the weight-8 words."""
     return census(weight6_distance_table(code))
-
-
-def min_coset_distance(code: GolayCode, z: Vec24) -> int:
-    """Scan the weight-8 codewords for the smallest w(z + c), z of weight 6.
-
-    Stops at the first value <= 4 (distances 2 and 4 exclude each other, so
-    such a value is already the minimum).  A result outside {2, 4} raises
-    InvalidDistanceError.
-    """
-    check_vec(z)
-    if z.bit_count() != 6:
-        raise DomainError(f"weight-8 scan requires a weight-6 vector, got weight {z.bit_count()}")
-    best = 24
-    for c in code.weight8.tolist():
-        d = (z ^ c).bit_count()
-        if d < best:
-            best = d
-            if best <= 4:
-                break
-    if best not in (2, 4):
-        raise InvalidDistanceError(z, best)
-    return best
-
-
-def adjacent(code: GolayCode, x: Vec24, y: Vec24) -> bool:
-    """Case analysis on the weight of the representative difference."""
-    if not is_representative(x):
-        raise DomainError(f"not a coset representative: {x!r}")
-    if not is_representative(y):
-        raise DomainError(f"not a coset representative: {y!r}")
-    z = x ^ y
-    w = z.bit_count()
-    if w == 0:
-        return False
-    if w == 2:
-        return True
-    if w == 4:
-        return False
-    return min_coset_distance(code, z) == 2
 
 
 def row_bytes(n: int) -> int:

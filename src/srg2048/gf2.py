@@ -12,7 +12,7 @@ All functions here are pure and safe to call from anywhere.
 
 from __future__ import annotations
 
-from .errors import DomainError, VecParseError
+from .errors import VecParseError
 
 Vec24 = int
 
@@ -35,11 +35,3 @@ def parse_vec(s: str) -> Vec24:
                 f"invalid character {ch!r} at position {pos} (must be '0' or '1')"
             )
     return value
-
-
-def check_vec(x: Vec24) -> Vec24:
-    """Validate the encoding range; returns x unchanged."""
-    if not 0 <= x < VEC_LIMIT:
-        raise DomainError(f"vector encoding out of range [0, 2^24): {x}")
-    return x
-

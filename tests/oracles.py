@@ -20,7 +20,6 @@ import numpy as np
 
 from srg2048.coset_graph import Graph, row_bytes
 from srg2048.errors import DomainError, InternalConsistencyError
-from srg2048.gf2 import check_vec
 
 # enumerated here rather than taken from the package, which builds from them
 _WEIGHT2 = np.array(
@@ -86,7 +85,6 @@ def translation_perm(code, reps, t):
 
 def rep_of_scan(code, reps, x):
     """The representative of x's coset, by a scan of all representatives."""
-    check_vec(x)
     if x.bit_count() & 1:
         raise DomainError(f"vector has odd weight, no coset vertex: {x:024b}")
     found = reps[in_code(code, reps ^ np.uint32(x))]

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from srg2048 import golay
+from srg2048 import coset_graph, golay
 from srg2048.cli import (
     CACHE_MAGIC,
     EXIT_DISTANCE,
@@ -40,7 +40,9 @@ def test_parse_size_targets():
         parse_size_targets("40-20")
     with pytest.raises(ValueError, match="out of range"):
         parse_size_targets("0-3000")
-    assert parse_size_targets("2048") == (2048,)
+    assert parse_size_targets("85") == (85,)
+    with pytest.raises(ValueError, match="out of range"):
+        parse_size_targets("86")
 
 
 # rejected while parsing, so before the graph is built
@@ -50,6 +52,7 @@ def test_parse_size_targets():
         ("abc", "not a size"),
         ("40-20", "empty range"),
         ("0-3000", "out of range"),
+        ("85-86", "out of range"),
         ("20-21 --budget 0", "at least 1"),
         ("20-21 --budget x", "not an integer"),
     ],
@@ -166,6 +169,19 @@ def test_search_deterministic_output(tmp_path):
         assert main(["search", "--sizes", "30-32", "--budget", "1500",
                      "--seed", "9", "--out", str(path)]) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_search_out_fails_before_the_build(tmp_path, monkeypatch, capsys):
+    def no_build(code, reps):
+        raise AssertionError("the graph was built")
+
+    monkeypatch.setattr(coset_graph, "build_graph", no_build)
+    out = tmp_path / "no" / "such" / "dir" / "s.dat"
+    assert main(["search", "--out", str(out)]) == EXIT_FORMAT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("file error: ")
 
 
 def test_check_flags_non_coclique(tmp_path, capsys):

@@ -15,12 +15,9 @@ from srg2048.coset_graph import (
     WEIGHT2_VECTORS,
     Graph,
     SrgParams,
-    adjacent,
     build_graph,
     check_rep_uniqueness,
     delsarte_bound,
-    is_representative,
-    min_coset_distance,
     srg_eigenvalues,
     verify_srg,
     weight6_distance_census,
@@ -78,8 +75,6 @@ def test_weight4_needs_low_bit(reps):
     with_low = (1 << 0) | (1 << 1) | (1 << 2) | (1 << 3)
     assert without_low not in reps
     assert with_low in reps
-    assert not is_representative(without_low)
-    assert is_representative(with_low)
 
 
 def test_rep_uniqueness_exhaustive(code, reps):
@@ -149,32 +144,13 @@ def test_rep_of_matches_scan_oracle(code, reps):
 def test_min_distance_inside_octad_is_two(code):
     rng = random.Random(10)
     octads = code.weight8.tolist()
+    z6, table = coset_graph.vectors_of_weight(6), weight6_distance_table(code)
     for _ in range(100):
         c = rng.choice(octads)
         bits = [b for b in range(24) if (c >> b) & 1]
         drop = rng.sample(bits, 2)
         z = c ^ (1 << drop[0]) ^ (1 << drop[1])
-        assert min_coset_distance(code, z) == 2
-
-
-def test_min_distance_requires_weight_six(code):
-    with pytest.raises(DomainError, match="weight-6"):
-        min_coset_distance(code, 0b11)
-
-
-def test_min_distance_matches_full_scan(code):
-    # early-exit result equals the brute-force minimum over all 759 words
-    rng = random.Random(11)
-    zs = []
-    for _ in range(10_000):
-        bits = rng.sample(range(24), 6)
-        z = 0
-        for b in bits:
-            z |= 1 << b
-        zs.append(z)
-    brute = min_coset_distance_bulk(code, np.array(zs, dtype=np.uint32))
-    for z, expected in zip(zs, brute.tolist()):
-        assert min_coset_distance(code, z) == expected
+        assert table[np.searchsorted(z6, z)] == 2
 
 
 def test_weight6_distance_census(code):
@@ -233,32 +209,33 @@ def test_weight6_scan_holds_no_pair_matrix():
 # ------------------------------------------------------------- adjacency
 
 
-def test_self_not_adjacent(code, reps):
+def _graph_bit(graph, reps, x, y):
+    """The edge bit of the vertices whose representatives are x and y."""
+    u, v = np.searchsorted(reps, [x, y])
+    assert (reps[u], reps[v]) == (x, y)
+    return graph.row_bits(int(u))[v]
+
+
+def test_self_not_adjacent(graph):
     rng = random.Random(12)
     for _ in range(20):
-        r = int(reps[rng.randrange(N_VERTICES)])
-        assert not adjacent(code, r, r)
+        v = rng.randrange(N_VERTICES)
+        assert not graph.row_bits(v)[v]
 
 
-def test_weight2_reps_sharing_a_bit_are_adjacent(code):
-    assert adjacent(code, 0b11, 0b101)  # {0,1} vs {0,2}: difference {1,2}
+def test_weight2_reps_sharing_a_bit_are_adjacent(graph, reps):
+    assert _graph_bit(graph, reps, 0b11, 0b101)  # {0,1} vs {0,2}: difference {1,2}
 
 
-def test_disjoint_weight2_reps_not_adjacent(code):
-    assert not adjacent(code, 0b11, 0b1100)
+def test_disjoint_weight2_reps_not_adjacent(graph, reps):
+    assert not _graph_bit(graph, reps, 0b11, 0b1100)
 
 
-def test_adjacent_rejects_non_representative(code):
-    with pytest.raises(DomainError, match="not a coset representative"):
-        adjacent(code, 0b111, 0)
-
-
-def test_adjacent_matches_definition_oracle_scalar(code, reps):
+def test_adjacent_matches_definition_oracle_scalar(code, reps, graph):
     rng = random.Random(13)
-    enc = reps.tolist()
     for _ in range(400):
-        x, y = rng.choice(enc), rng.choice(enc)
-        assert adjacent(code, x, y) == adjacent_by_translates(code, x, y)
+        u, v = rng.randrange(N_VERTICES), rng.randrange(N_VERTICES)
+        assert graph.row_bits(u)[v] == adjacent_by_translates(code, int(reps[u]), int(reps[v]))
 
 
 def test_graph_pairs_match_oracle(code, reps, graph):

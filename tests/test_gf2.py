@@ -33,28 +33,3 @@ def test_parse_rejects_bad_character():
 @given(vectors)
 def test_format_parse_roundtrip(x):
     assert parse_vec(format(x, "024b")) == x
-
-
-@given(vectors, vectors)
-def test_weight_of_sum_identity(x, y):
-    assert (x ^ y).bit_count() == x.bit_count() + y.bit_count() - 2 * (x & y).bit_count()
-
-
-def test_weight_of_sum_identity_thousand_pairs():
-    import random
-
-    rng = random.Random(1)
-    for _ in range(1000):
-        x, y = rng.randrange(1 << 24), rng.randrange(1 << 24)
-        assert (x ^ y).bit_count() == x.bit_count() + y.bit_count() - 2 * (x & y).bit_count()
-
-
-@given(vectors, vectors)
-def test_even_weights_closed_under_add(x, y):
-    if x.bit_count() % 2 == 0 and y.bit_count() % 2 == 0:
-        assert (x ^ y).bit_count() % 2 == 0
-
-
-def test_weight_extremes():
-    assert (0).bit_count() == 0
-    assert (VEC_LIMIT - 1).bit_count() == 24
