@@ -12,6 +12,7 @@ internal invalid-distance guard fired (2 is argparse usage).
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import os
 import sys
@@ -97,9 +98,18 @@ def _cache_head(code: golay.GolayCode, packed: np.ndarray) -> bytes:
 
 def save_graph_cache(path: str, g: coset_graph.Graph, code: golay.GolayCode) -> None:
     """Write the head and the rows to a temporary file beside `path`, then
-    rename it into place, so a reader never sees a half-written file."""
+    rename it into place, so a reader never sees a half-written file.  It
+    replaces only an absent file or one that starts with CACHE_MAGIC less its
+    version byte; anything else raises FileExistsError, "not a graph cache file"."""
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
+    try:
+        with open(path, "rb") as fh:
+            ours = fh.read(len(CACHE_MAGIC) - 1) == CACHE_MAGIC[:-1]
+    except FileNotFoundError:
+        ours = True
+    if not ours:
+        raise FileExistsError(errno.EEXIST, "not a graph cache file", path)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".graph-", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
@@ -241,10 +251,16 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     return _check_sets(args, invariant_floor=0)
 
 
-def cmd_search(args: argparse.Namespace) -> int:
-    if args.out:  # fail fast before the build; append mode never truncates
-        with open(args.out, "ab"):
+def _open_outputs(*paths: str | None) -> None:
+    """Fail fast before the build: open each given output path for appending,
+    which creates an absent file and never truncates one."""
+    for path in filter(None, paths):
+        with open(path, "ab"):
             pass
+
+
+def cmd_search(args: argparse.Namespace) -> int:
+    _open_outputs(args.out)
     code, reps, g, _ = _build_context(args)
     targets = args.sizes
     contiguous = targets == tuple(range(targets[0], targets[-1] + 1))
@@ -272,6 +288,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
+    _open_outputs(args.gap, args.edges)
     code, reps, g, _ = _build_context(args)
     sets: list[coclique.VertexSet] = []
     if args.sets:

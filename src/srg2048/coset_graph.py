@@ -134,8 +134,8 @@ def row_bytes(n: int) -> int:
     return 8 * -(-n // 64)
 
 
-#: Rows per band wherever rows are unpacked: the structural check in
-#: `Graph`, the build and `verify_srg`.
+#: Rows per band: the build packs BAND rows at a time, and `Graph.bands` unpacks
+#: as many for the structure check and `verify_srg` (the exports take shorter bands).
 BAND = 256
 
 
@@ -146,13 +146,13 @@ class Graph:
     (packed[u, v >> 3] >> (v & 7)) & 1.  Rows are row_bytes(n) long,
     zero-padded past bit n - 1, so `words` can view them as 64-bit words
     for popcount kernels; for n = 2048 nothing is padded.
-    Neighbour lists are unpacked from the rows on each call.
+    `bands` unpacks them a band at a time, for the checks and the exports.
 
     The constructor is the one place the structure is checked, for built
     and loaded rows alike: the shape and dtype, then no loop, then
-    symmetry, taken BAND rows at a time against the same BAND columns of
-    the rows from that band on, so no n x n bool matrix is ever formed.
-    Any failure raises GraphConstructionError.
+    symmetry, each band against the same columns of the rows from that
+    band on, so no n x n bool matrix is ever formed.  Any failure raises
+    GraphConstructionError.
     """
 
     def __init__(self, packed: np.ndarray):
@@ -162,19 +162,23 @@ class Graph:
                 f"packed rows must be uint8 of shape {(n, row_bytes(n))}, "
                 f"got {packed.dtype} {packed.shape}"
             )
-        v = np.arange(n)
-        if ((packed[v, v >> 3] >> (v & 7)) & 1).any():
-            raise GraphConstructionError("adjacency matrix has a loop")
-        for lo in range(0, n, BAND):
-            # entries (u, v) with u in this band and v >= lo, against (v, u)
-            rows = np.unpackbits(packed[lo : lo + BAND, lo >> 3 :], axis=1, bitorder="little")
-            h = len(rows)
-            cols = np.unpackbits(packed[lo:, lo >> 3 : (lo + h + 7) >> 3], axis=1, bitorder="little")
-            if not np.array_equal(rows[:, : n - lo], cols[:, :h].T):
-                raise GraphConstructionError("adjacency matrix not symmetric")
         self.n = n
         self.packed = packed
         self.words = packed.view(np.uint64)
+        v = np.arange(n)
+        if ((packed[v, v >> 3] >> (v & 7)) & 1).any():
+            raise GraphConstructionError("adjacency matrix has a loop")
+        for lo, rows in self.bands():
+            # entries (u, v) with u in this band and v >= lo, against (v, u)
+            h = len(rows)
+            cols = np.unpackbits(packed[lo:, lo >> 3 : (lo + h + 7) >> 3], axis=1, bitorder="little")
+            if not np.array_equal(rows[:, lo:], cols[:, :h].T.view(bool)):
+                raise GraphConstructionError("adjacency matrix not symmetric")
+
+    def bands(self, height: int = BAND):
+        """Yield (lo, row_bits(slice(lo, lo + height))) for lo = 0, height, ..."""
+        for lo in range(0, self.n, height):
+            yield lo, self.row_bits(slice(lo, lo + height))
 
     def row_bits(self, u: int | slice) -> np.ndarray:
         """Row u, or the rows of a slice, unpacked to bool, one entry per vertex."""
@@ -184,9 +188,6 @@ class Graph:
     def degrees(self) -> np.ndarray:
         """All row degrees as an int32 array."""
         return np.bitwise_count(self.words).sum(axis=1, dtype=np.int32)
-
-    def neighbors(self, u: int) -> np.ndarray:
-        return np.flatnonzero(self.row_bits(u)).astype(np.int32)
 
     def edge_count(self) -> int:
         return int(np.bitwise_count(self.packed).sum()) // 2
@@ -283,8 +284,7 @@ def verify_srg(g: Graph) -> SrgParams:
     band, block = (np.empty((m, n), dtype=np.float32) for m in (height, width))
     product = np.empty((height, width), dtype=np.float32)
     wrong, lam_wrong = (np.empty((height, width), dtype=bool) for _ in range(2))
-    for lo in range(0, n, height):
-        rows = g.row_bits(slice(lo, lo + height))
+    for lo, rows in g.bands(height):
         h = len(rows)
         a = band[:h]
         np.copyto(a, rows)

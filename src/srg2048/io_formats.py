@@ -33,6 +33,7 @@ from .errors import DatFormatError, DomainError
 DAT_MIN_SIZE = 2
 DAT_MAX_SIZE = COCLIQUE_SIZE_CAP
 ENTRY_BYTES = 3
+EXPORT_BAND = 32  # rows per unpack in the exports: 64 KiB of bool rows; the joins set the time
 # bit position of each entry byte, in stream order
 _ENTRY_SHIFTS = {
     "little": np.array([0, 8, 16], dtype=np.uint32),
@@ -134,20 +135,19 @@ def export_gap(g: Graph, sets=()) -> str:
     """
     labels = _vertex_labels(g.n)
     parts: list[str] = ["A:=[\n"]
-    last = g.n - 1
-    for u in range(g.n):
-        row = ",".join(labels[g.neighbors(u)].tolist())
-        parts.append(f"[{row}]{',' if u != last else ''}\n")
+    for lo, rows in g.bands(EXPORT_BAND):
+        for u, bits in enumerate(rows, start=lo):
+            row = ",".join(labels[np.flatnonzero(bits)].tolist())
+            parts.append(f"[{row}]{',' if u < g.n - 1 else ''}\n")
     parts.append("];\n")
     parts.append("MIS:=[\n")
-    n_sets = len(sets)
     for i, s in enumerate(sets):
         if s.members and s.members[-1] >= g.n:
             raise DomainError(
                 f"set {i + 1} contains vertex {s.members[-1]}, graph has {g.n}"
             )
         row = ",".join(labels[list(s.members)].tolist())
-        parts.append(f"[{row}]{',' if i != n_sets - 1 else ''}\n")
+        parts.append(f"[{row}]{',' if i < len(sets) - 1 else ''}\n")
     parts.append("];\n")
     parts.append(gap_trailer(g.n))
     return "".join(parts)
@@ -156,16 +156,16 @@ def export_gap(g: Graph, sets=()) -> str:
 def export_edge_list(g: Graph) -> str:
     """Plain text debug export: one '1-based u v' line per edge, u < v.
 
-    Row by row, with no edge array or list of pairs at once: the lines of
+    Band by band, with no edge array or list of pairs at once: the lines of
     row u are its larger neighbours' labels joined by a newline and u's
     label, so no line is formatted on its own.
     """
     labels = _vertex_labels(g.n)
     parts: list[str] = []
-    for u in range(g.n):
-        nbrs = g.neighbors(u)
-        upper = labels[nbrs[nbrs > u]].tolist()
-        if upper:
-            head = labels[u] + " "
-            parts.append(head + ("\n" + head).join(upper) + "\n")
+    for lo, rows in g.bands(EXPORT_BAND):
+        for u, bits in enumerate(rows, start=lo):
+            upper = labels[u + 1 :][np.flatnonzero(bits[u + 1 :])].tolist()
+            if upper:
+                head = labels[u] + " "
+                parts.append(head + ("\n" + head).join(upper) + "\n")
     return "".join(parts)

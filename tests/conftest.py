@@ -1,10 +1,11 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from srg2048 import build_code, build_graph, build_reps
 
-from oracles import graph_from_edges
+from oracles import graph_from_bool_matrix, graph_from_edges
 
 
 @pytest.fixture(scope="session")
@@ -45,3 +46,11 @@ def petersen():
         if not set(pairs[i]) & set(pairs[j])
     ]
     return graph_from_edges(10, edges)
+
+
+@pytest.fixture(scope="session")
+def random300():
+    """A seeded symmetric graph on 300 vertices: a band of 256 rows and a
+    partial band of 44."""
+    upper = np.triu(np.random.default_rng(300).random((300, 300)) < 0.5, k=1)
+    return graph_from_bool_matrix(upper | upper.T)

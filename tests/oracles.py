@@ -50,6 +50,11 @@ def bool_matrix(g):
     return g.row_bits(slice(None))
 
 
+def neighbors(g, u):
+    """The neighbours of vertex u, ascending, from its unpacked row."""
+    return np.flatnonzero(g.row_bits(u))
+
+
 def feasibility_identity(params):
     """Both sides of k(k - lambda - 1) = (v - k - 1) mu."""
     return (

@@ -27,6 +27,8 @@ from srg2048.cli import (
 )
 from srg2048.golay import DEFAULT_GENERATOR_ROWS
 
+from oracles import neighbors
+
 
 def test_parse_size_targets():
     assert parse_size_targets("20-23") == (20, 21, 22, 23)
@@ -184,6 +186,24 @@ def test_search_out_fails_before_the_build(tmp_path, monkeypatch, capsys):
     assert captured.err.startswith("file error: ")
 
 
+@pytest.mark.parametrize("bad", ["--gap", "--edges"])
+def test_export_paths_fail_before_the_build(tmp_path, monkeypatch, capsys, bad):
+    def no_build(code, reps):
+        raise AssertionError("the graph was built")
+
+    monkeypatch.setattr(coset_graph, "build_graph", no_build)
+    good = tmp_path / "good.txt"
+    good.write_bytes(b"kept\n")
+    other = "--edges" if bad == "--gap" else "--gap"
+    argv = ["export", other, str(good), bad, str(tmp_path / "no" / "such" / "dir" / "x")]
+    assert main(argv) == EXIT_FORMAT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("file error: ")
+    assert good.read_bytes() == b"kept\n"  # opened for appending or not at all
+
+
 def test_check_flags_non_coclique(tmp_path, capsys):
     # vertex 0 and its first neighbour: encodings 0 and 3 (both representatives)
     bad = tmp_path / "bad.dat"
@@ -275,10 +295,10 @@ def _corrupt_rows(graph, kind):
     packed = graph.packed.copy()
     if kind == "loop":  # vertex 0 joined to itself, cut from its first neighbour
         packed[0, 0] |= 1
-        nb = int(graph.neighbors(0)[0])
+        nb = int(neighbors(graph, 0)[0])
         packed[0, nb >> 3] &= ~np.uint8(1 << (nb & 7))
     elif kind == "asymmetric":  # one bit of row 0 moved: every degree is kept
-        nb = int(graph.neighbors(0)[0])
+        nb = int(neighbors(graph, 0)[0])
         other = int(np.flatnonzero(~graph.row_bits(0))[1])  # [0] is vertex 0
         packed[0, nb >> 3] &= ~np.uint8(1 << (nb & 7))
         packed[0, other >> 3] |= np.uint8(1 << (other & 7))
@@ -500,14 +520,49 @@ def _write_unreadable(path, code, graph, kind):
      "npz uncompressed"],
 )
 def test_unreadable_cache_is_rebuilt_by_verify(tmp_path, capsys, code, reps, graph, kind):
+    """Every kind is a miss.  A file that starts with the cache magic (of
+    any version) is rewritten; any other file is left as it was, with one
+    stderr line, and verify's report and exit code are unchanged."""
     cache = tmp_path / "graph.npz"
     _write_unreadable(cache, code, graph, kind)
+    before = cache.read_bytes()
     assert load_graph_cache(str(cache), code, reps) is None
     assert main(["verify", "--cache", str(cache)]) == EXIT_OK
     captured = capsys.readouterr()
     assert _sha256(captured.out) == VERIFY_DIGEST
-    assert "Traceback" not in captured.err
-    assert hashlib.sha256(cache.read_bytes()).hexdigest() == CACHE_DIGEST
+    if before.startswith(b"srg2048 graph v"):
+        assert captured.err == ""
+        assert hashlib.sha256(cache.read_bytes()).hexdigest() == CACHE_DIGEST
+    else:
+        assert captured.err == f"cache: write failed: {cache}: not a graph cache file\n"
+        assert cache.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [cache]
+
+
+# sha256 of srgbench/pool.dat
+POOL_FILE_DIGEST = "2f9d7ebfe7789a04b630aba4637c783c8b4ba8ebb0c9204f376ad56180f9664a"
+
+
+def test_container_given_as_its_own_cache_is_left_alone(tmp_path, capsys):
+    container = tmp_path / "P"
+    container.write_bytes(Path(POOL).read_bytes())
+    assert main(["check", str(container), "--cache", str(container)]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert _sha256(captured.out) == POOL_DIGESTS["check"]
+    assert captured.err == f"cache: write failed: {container}: not a graph cache file\n"
+    assert hashlib.sha256(container.read_bytes()).hexdigest() == POOL_FILE_DIGEST
+
+
+def test_build_leaves_a_file_that_is_not_a_cache_alone(tmp_path, capsys):
+    cache = tmp_path / "E"
+    cache.write_bytes(b"")
+    assert main(["build", "--cache", str(cache)]) == EXIT_FORMAT
+    captured = capsys.readouterr()
+    assert "edges: 282624" in captured.out
+    assert "cache:" not in captured.out
+    assert captured.err == f"cache: write failed: {cache}: not a graph cache file\n"
+    assert cache.read_bytes() == b""
+    assert list(tmp_path.iterdir()) == [cache]
 
 
 @pytest.mark.parametrize(

@@ -33,6 +33,7 @@ from oracles import (
     int_rows,
     is_coclique_ref,
     is_maximal_ref,
+    neighbors,
     pair_invariant_ref,
     translation_perm,
 )
@@ -93,18 +94,18 @@ def test_singleton_is_coclique_not_maximal(graph):
 
 
 def test_adjacent_pair_is_not_coclique(graph):
-    v = int(graph.neighbors(0)[0])
+    v = int(neighbors(graph, 0)[0])
     assert not is_coclique(graph, VertexSet((0, v)))
 
 
 def test_non_neighbor_pair_is_coclique(graph):
-    nbrs = set(graph.neighbors(0).tolist())
+    nbrs = set(neighbors(graph, 0).tolist())
     w = next(v for v in range(1, graph.n) if v not in nbrs)
     assert is_coclique(graph, VertexSet((0, w)))
 
 
 def test_is_maximal_rejects_non_coclique(graph):
-    v = int(graph.neighbors(0)[0])
+    v = int(neighbors(graph, 0)[0])
     with pytest.raises(DomainError, match="coclique"):
         is_maximal(graph, VertexSet((0, v)))
 
@@ -123,7 +124,7 @@ def _reference_cases(request, reps, case):
     if case == "empty":
         return g, [VertexSet(())]
     if case == "neighbourhood":  # 276 members: vertex 0 counts 276, past uint8
-        return g, [VertexSet(tuple(g.neighbors(0).tolist()))]
+        return g, [VertexSet(tuple(neighbors(g, 0).tolist()))]
     return g, [VertexSet((0,)), VertexSet((g.n - 1,))]
 
 
@@ -164,7 +165,7 @@ def test_singleton_profile(graph):
 
 
 def test_profile_identities_on_pair(graph):
-    nbrs = set(graph.neighbors(0).tolist())
+    nbrs = set(neighbors(graph, 0).tolist())
     w = next(v for v in range(1, graph.n) if v not in nbrs)
     s = VertexSet((0, w))
     profile = external_profile(graph, s)
@@ -192,7 +193,7 @@ def test_pair_invariant_trivial_sizes(graph):
 
 
 def test_pair_invariant_two_element_direct(graph):
-    nbrs = set(graph.neighbors(0).tolist())
+    nbrs = set(neighbors(graph, 0).tolist())
     w = next(v for v in range(1, graph.n) if v not in nbrs)
     s = VertexSet((0, w))
     value = pair_invariant(graph, s)
@@ -215,7 +216,7 @@ def test_pair_invariant_two_element_direct(graph):
 def test_pair_invariant_leaves_members_out_of_w8(graph):
     # not a coclique: vertex 0 has 8 neighbours inside the set, yet as a
     # member it is no common W8-neighbour of the other eight
-    s = VertexSet(tuple(sorted([0, *graph.neighbors(0)[:8].tolist()])))
+    s = VertexSet(tuple(sorted([0, *neighbors(graph, 0)[:8].tolist()])))
     assert pair_invariant(graph, s) == pair_invariant_ref(int_rows(graph), s)
 
 
@@ -425,7 +426,7 @@ def test_search_checks_each_candidate_once(graph, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["adjacent pair", "not maximal"])
 def test_search_rejects_a_bad_candidate(graph, monkeypatch, kind):
-    members = [0, int(graph.neighbors(0)[0])] if kind == "adjacent pair" else [0]
+    members = [0, int(neighbors(graph, 0)[0])] if kind == "adjacent pair" else [0]
     monkeypatch.setattr(coclique, "_fresh_run", lambda *args: list(members))
     with pytest.raises(InternalConsistencyError, match="independent checker"):
         search_maximal(graph, [2], budget=1, seed=DEFAULT_SEED)

@@ -9,6 +9,7 @@ import pytest
 
 from srg2048 import coset_graph
 from srg2048.coset_graph import (
+    BAND,
     DEGREE,
     N_VERTICES,
     TARGET_PARAMS,
@@ -41,6 +42,7 @@ from oracles import (
     graph_from_bool_matrix,
     graph_from_edges,
     min_coset_distance_bulk,
+    neighbors,
     rep_of_scan,
     translation_perm,
     vectors_of_weight_ref,
@@ -249,7 +251,7 @@ def test_graph_pairs_match_oracle(code, reps, graph):
 
 
 def test_degrees_all_276(graph):
-    assert all(len(graph.neighbors(u)) == DEGREE for u in range(graph.n))
+    assert all(len(neighbors(graph, u)) == DEGREE for u in range(graph.n))
 
 
 def test_edge_count(graph):
@@ -258,7 +260,7 @@ def test_edge_count(graph):
 
 def test_neighbors_of_vertex_zero_are_weight2_reps(graph, reps):
     expected = np.flatnonzero(np.bitwise_count(reps) == 2)
-    assert np.array_equal(graph.neighbors(0), expected.astype(np.int32))
+    assert np.array_equal(neighbors(graph, 0), expected)
     assert len(expected) == 276
 
 
@@ -273,7 +275,7 @@ def test_neighbors_match_has_edge(graph):
     rng = random.Random(16)
     for _ in range(50):
         u = rng.randrange(graph.n)
-        row = set(graph.neighbors(u).tolist())
+        row = set(neighbors(graph, u).tolist())
         bits = graph.row_bits(u)
         for _ in range(20):
             v = rng.randrange(graph.n)
@@ -455,7 +457,7 @@ def _set_bit(packed, u, v, value):
         packed[u, v >> 3] &= ~np.uint8(1 << (v & 7))
 
 
-@pytest.mark.parametrize("which", ["graph", "petersen"])
+@pytest.mark.parametrize("which", ["graph", "petersen", "random300"])
 @pytest.mark.parametrize(
     "kind, message",
     [("loop", "adjacency matrix has a loop"), ("asymmetric", "adjacency matrix not symmetric")],
@@ -463,18 +465,29 @@ def _set_bit(packed, u, v, value):
 def test_graph_rejects_a_loop_or_an_asymmetric_row(request, which, kind, message):
     g = request.getfixturevalue(which)
     packed = g.packed.copy()
-    u = g.n - 3  # in the last band of the 2048-vertex graph
+    u = g.n - 3  # in the last band: the partial second band of the 300-vertex graph
+    lo = u - u % BAND
     if kind == "loop":
         _set_bit(packed, u, u, True)
-    else:  # move one bit of row u: its degree is kept
+    else:  # move one bit of row u inside its band's own columns: its degree is kept
         row = g.row_bits(u)
-        _set_bit(packed, u, int(np.flatnonzero(row)[0]), False)
+        _set_bit(packed, u, lo + int(np.flatnonzero(row[lo:])[0]), False)
         row[u] = True  # the new bit must not be a loop
-        _set_bit(packed, u, int(np.flatnonzero(~row)[0]), True)
+        _set_bit(packed, u, lo + int(np.flatnonzero(~row[lo:])[0]), True)
     with pytest.raises(GraphConstructionError) as info:
         Graph(packed)
     assert str(info.value) == message
 
+
+
+@pytest.mark.parametrize("which", ["cycle5", "random300", "graph"])
+def test_bands_cover_the_rows_in_order(request, which):
+    g = request.getfixturevalue(which)
+    bands = list(g.bands())
+    assert [lo for lo, _ in bands] == list(range(0, g.n, BAND))
+    assert all(len(rows) == min(BAND, g.n - lo) for lo, rows in bands)
+    assert np.array_equal(np.concatenate([rows for _, rows in bands]), g.row_bits(slice(None)))
+    assert [lo for lo, _ in g.bands(128)] == list(range(0, g.n, 128))
 
 
 def test_rows_are_padded_to_whole_words(cycle5, petersen, graph):

@@ -283,7 +283,7 @@ def sparse_graph():
 EXPORT_SETS = [VertexSet(()), VertexSet((5,)), VertexSet((0, 3)), VertexSet((1, 3, 5))]
 
 
-@pytest.mark.parametrize("name", ["petersen", "cycle5", "sparse_graph"])
+@pytest.mark.parametrize("name", ["petersen", "cycle5", "sparse_graph", "random300"])
 def test_exports_match_the_str_oracle(request, name):
     g = request.getfixturevalue(name)
     sets = [s for s in EXPORT_SETS if not s.members or s.members[-1] < g.n]

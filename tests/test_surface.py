@@ -130,7 +130,7 @@ def dead_names(package, outside):
 def test_every_public_name_has_a_caller_outside_the_tests():
     package = {p.stem: p.read_text() for p in PACKAGE}
     labels = {label for m, src in package.items() for label, _, _ in _definitions(m, ast.parse(src))}
-    assert {"cli.main", "coset_graph.Graph.neighbors", "gf2.VEC_LIMIT"} <= labels
+    assert {"cli.main", "coset_graph.Graph.bands", "gf2.VEC_LIMIT"} <= labels
     assert dead_names(package, [p.read_text() for p in OUTSIDE]) == []
 
 
