@@ -288,12 +288,13 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
+    data = b""
+    if args.sets:
+        with open(args.sets, "rb") as fh:  # fail fast before the outputs and the build
+            data = fh.read()
     _open_outputs(args.gap, args.edges)
     code, reps, g, _ = _build_context(args)
-    sets: list[coclique.VertexSet] = []
-    if args.sets:
-        with open(args.sets, "rb") as fh:
-            sets = io_formats.read_dat(fh.read(), reps, byteorder=args.byteorder)
+    sets = io_formats.read_dat(data, reps, byteorder=args.byteorder)  # none without --sets
     if args.gap:
         text = io_formats.export_gap(g, sets)
         with open(args.gap, "w", encoding="ascii") as fh:

@@ -29,6 +29,9 @@ from tables.
 `verify_srg` checks the srg parameters independently of how the graph was
 built: exact common-neighbour counts for all 2,096,128 pairs, from a
 float32 product of the 0/1 adjacency matrix with itself, block by block.
+Each float32 row of the left factor holds two adjacency rows, the second
+scaled by the power of two above the degree k, so one product counts for
+both; the sums stay integers below 2^24, exact in float32, for k < 4096.
 
 `build_reps` returns the representatives as one ascending uint32 array,
 the one labelling every caller takes: vertex v is the representative at
@@ -251,17 +254,27 @@ def verify_srg(g: Graph) -> SrgParams:
 
     The common-neighbour count of a pair u < v is entry (u, v) of A @ A for
     the 0/1 adjacency matrix A, a route independent of how the graph was
-    constructed.  It is taken block by block: BAND unpacked rows as float32
-    times each block of BAND // 2 rows from the band on, into one small
-    product buffer compared in place.  Every partial sum is an integer at
-    most n < 2^24, so the counts are exact in any order of summation.  A
-    k-regular graph with 0 < k < n - 1 has both kinds of pair in row 0, so
-    lambda and mu are read there, from the first adjacent and the first
-    non-adjacent pair in row-major order, and every pair u < v is compared
-    with them.  Raises VerificationError for any other k, and with a
-    witness vertex or pair on any non-constancy: the row-major first bad
-    pair, a lambda mismatch before a mu mismatch in the same row, found by
-    redoing the failing band row by row with exact popcounts.
+    constructed.  A k-regular graph with 0 < k < n - 1 has both kinds of
+    pair in row 0, so lambda and mu are read there, from the first adjacent
+    and the first non-adjacent pair in row-major order, and every pair
+    u < v is compared with them.
+
+    The product is taken in float32, block by block, with two adjacency
+    rows in each float32 row: a band of BAND rows u becomes BAND // 2 rows
+    A[u1] + base * A[u2], where base = 2^bit_length(k) is the power of two
+    above k, so one product with a block of BAND // 2 plain rows v gives
+    c(u1, v) + base * c(u2, v) for both rows at once.  Every entry and
+    partial sum is an integer from 0 to k * (base + 1), below 2^24 for
+    k < 4096, so the counts are exact in any order of summation.  Blocks
+    past the band are compared with the expected counts packed the same
+    way.  The band's own blocks are split with floor(p / base), exact as
+    base is a power of two, and each half is compared on its pairs u < v.
+
+    Raises DomainError for k >= 4096, before any product, and
+    VerificationError for any k outside 0 < k < n - 1, and with a witness
+    vertex or pair on any non-constancy: the row-major first bad pair, a
+    lambda mismatch before a mu mismatch in the same row, found by redoing
+    the failing band row by row with exact popcounts.
     """
     n = g.n
     degrees = g.degrees()
@@ -277,36 +290,70 @@ def verify_srg(g: Graph) -> SrgParams:
         raise VerificationError(
             "degenerate graph: needs both adjacent and non-adjacent pairs"
         )
+    if k >= 4096:
+        raise DomainError(
+            f"degree {k} is too large for exact paired float32 rows, "
+            "which need a degree below 4096"
+        )
+    base = 1 << k.bit_length()
     row = g.row_bits(0)  # no loop, so the argmax is vertex 0's first neighbour
     first_pairs = (int(np.argmax(row)), 1 + int(np.argmin(row[1:])))
     lam, mu = (int(np.bitwise_count(g.words[0] & g.words[v]).sum()) for v in first_pairs)
     height, width = min(BAND, n), min(BAND // 2, n)  # 128-row blocks gave the lowest peak
-    band, block = (np.empty((m, n), dtype=np.float32) for m in (height, width))
-    product = np.empty((height, width), dtype=np.float32)
-    wrong, lam_wrong = (np.empty((height, width), dtype=bool) for _ in range(2))
+    paired = (height + 1) // 2
+    band, block = (np.empty((m, n), dtype=np.float32) for m in (paired, width))
+    product, expected = (np.empty((paired, width), dtype=np.float32) for _ in range(2))
+    offset = np.empty((paired, 1), dtype=np.float32)
+    wrong = np.empty((paired, width), dtype=bool)
     for lo, rows in g.bands(height):
         h = len(rows)
-        a = band[:h]
-        np.copyto(a, rows)
+        # rows r and half + r share float32 row r; an odd band's middle row is alone
+        half = (h + 1) // 2
+        a, pairs = band[:half], band[: h - half]
+        np.copyto(pairs, rows[half:])
+        pairs *= base
+        np.add(pairs, rows[: h - half], out=pairs)
+        np.copyto(a[h - half :], rows[h - half : half])
+        offset[: h - half] = mu * (1 + base)
+        offset[h - half : half] = mu
         for blo in range(lo, n, width):
-            diagonal = blo < lo + h
-            if diagonal:  # the block's rows lie in the band
-                b = a[blo - lo : blo - lo + width]
+            diagonal = blo < lo + h  # the block's rows lie in the band
+            if diagonal:
+                bits = rows[blo - lo : blo - lo + width]
             else:
                 bits = g.row_bits(slice(blo, blo + width))
-                b = block[: len(bits)]
-                np.copyto(b, bits)
-            w = len(b)
-            common, x, y = product[:h, :w], wrong[:h, :w], lam_wrong[:h, :w]
+            w = len(bits)
+            b, common = block[:w], product[:half, :w]
+            np.copyto(b, bits)
             np.matmul(a, b.T, out=common)
-            np.not_equal(common, mu, out=x)
-            np.not_equal(common, lam, out=y)
-            np.copyto(x, y, where=rows[:, blo : blo + w])
-            if diagonal:  # only the pairs u < v
-                x &= np.arange(blo, blo + w) > np.arange(lo, lo + h)[:, None]
-            if x.any():
+            if diagonal:
+                failed = _diagonal_mismatch(common, rows, lo, blo, base, lam, mu)
+            else:
+                e, x = expected[:half, :w], wrong[:half, :w]
+                np.multiply(a[:, blo : blo + w], lam - mu, out=e)
+                e += offset[:half]
+                np.not_equal(common, e, out=x)
+                failed = x.any()
+            if failed:
                 raise _first_bad_pair(g, rows, lo, lam, mu)
     return SrgParams(n, k, lam, mu)
+
+
+def _diagonal_mismatch(
+    common: np.ndarray, rows: np.ndarray, lo: int, blo: int, base: int, lam: int, mu: int
+) -> bool:
+    """Whether a block of the band's own rows has a bad pair u < v.  The
+    packed counts are split into each row's half, exactly, since base is a
+    power of two, and each half keeps its pairs u < v."""
+    half, w = common.shape
+    high = np.floor(common * (1 / base))
+    for first, counts in ((0, common - base * high), (half, high[: len(rows) - half])):
+        adjacent = rows[first : first + len(counts), blo : blo + w]
+        expect = np.where(adjacent, np.float32(lam), np.float32(mu))
+        # row i is vertex lo + first + i, column j is vertex blo + j
+        if np.triu(counts != expect, lo + first - blo + 1).any():
+            return True
+    return False
 
 
 def _first_bad_pair(g: Graph, rows: np.ndarray, lo: int, lam: int, mu: int) -> VerificationError:

@@ -204,6 +204,21 @@ def test_export_paths_fail_before_the_build(tmp_path, monkeypatch, capsys, bad):
     assert good.read_bytes() == b"kept\n"  # opened for appending or not at all
 
 
+def test_export_sets_fail_before_the_outputs_and_the_build(tmp_path, monkeypatch, capsys):
+    def no_build(code, reps):
+        raise AssertionError("the graph was built")
+
+    monkeypatch.setattr(coset_graph, "build_graph", no_build)
+    gap = tmp_path / "g.g"
+    argv = ["export", "--sets", str(tmp_path / "no" / "such" / "dir" / "x.dat"), "--gap", str(gap)]
+    assert main(argv) == EXIT_FORMAT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("file error: ")
+    assert not gap.exists()
+
+
 def test_check_flags_non_coclique(tmp_path, capsys):
     # vertex 0 and its first neighbour: encodings 0 and 3 (both representatives)
     bad = tmp_path / "bad.dat"
@@ -441,6 +456,23 @@ VERIFY_DIGEST = "ae2280b85089081bc14fdccee000b22b64b5262adb7c0e7823c0870036df884
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", ["generators-nonsystematic.txt", "generators-bench-seed1.txt"])
+def test_verify_report_is_pinned_for_other_generator_matrices(monkeypatch, capsys, graph, name):
+    """An equivalent code gives the same report from other adjacency rows,
+    so verify_srg checks another graph's products."""
+    built = []
+    build = coset_graph.build_graph
+
+    def spy(code, reps):
+        built.append(build(code, reps))
+        return built[-1]
+
+    monkeypatch.setattr(coset_graph, "build_graph", spy)
+    assert main(["verify", "--generators", str(Path(MIXED).parent / name)]) == EXIT_OK
+    assert _sha256(capsys.readouterr().out) == VERIFY_DIGEST
+    assert not np.array_equal(built[0].packed, graph.packed)
 
 
 @pytest.fixture(scope="module")

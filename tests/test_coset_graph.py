@@ -19,6 +19,7 @@ from srg2048.coset_graph import (
     build_graph,
     check_rep_uniqueness,
     delsarte_bound,
+    row_bytes,
     srg_eigenvalues,
     verify_srg,
     weight6_distance_census,
@@ -357,6 +358,15 @@ def _switched(graph, a, b, c, d):
     return _edited(graph, (a, b, False), (c, d, False), (a, c, True), (b, d, True))
 
 
+def _cliques_and(n, size, edges, labels):
+    """Disjoint copies of K_size on the vertices outside `labels`, in order,
+    and the graph of `edges` on `labels`: edge (a, b) joins labels[a], labels[b]."""
+    rest = [v for v in range(n) if v not in labels]
+    cliques = [rest[i : i + size] for i in range(0, len(rest), size)]
+    pairs = [pair for c in cliques for pair in itertools.combinations(c, 2)]
+    return graph_from_edges(n, pairs + [(labels[a], labels[b]) for a, b in edges])
+
+
 # messages and witnesses as the row-by-row popcount check reported them
 @pytest.mark.parametrize(
     "make, message, witness",
@@ -406,8 +416,29 @@ def _switched(graph, a, b, c, d):
             "lambda not constant: pair (0, 37) has 43 common neighbours, expected 44",
             (0, 37),
         ),
+        (  # K4s and a cube on 128..135: the bad rows are the second rows of their
+            # float32 rows (128 + r shares row r), and the first bad pair lies in
+            # the band's own columns
+            lambda g: _cliques_and(264, 4, _CUBE, range(128, 136)),
+            "lambda not constant: pair (128, 129) has 0 common neighbours, expected 2",
+            (128, 129),
+        ),
+        (  # the same, but row 128's cube neighbours lie in a block past the band
+            lambda g: _cliques_and(520, 4, _CUBE, [128, *range(300, 307)]),
+            "lambda not constant: pair (128, 300) has 0 common neighbours, expected 2",
+            (128, 300),
+        ),
+        (  # triangles and a pentagon on 262..266: the last band, 256..268, has 13
+            # rows, and row 262 is its middle row, the one with no second row
+            lambda g: _cliques_and(269, 3, [(i, (i + 1) % 5) for i in range(5)], range(262, 267)),
+            "lambda not constant: pair (262, 263) has 0 common neighbours, expected 1",
+            (262, 263),
+        ),
     ],
-    ids=["prism", "cube", "lambda-first", "late-band", "toggle", "switch-mu", "switch-lambda"],
+    ids=[
+        "prism", "cube", "lambda-first", "late-band", "toggle", "switch-mu", "switch-lambda",
+        "second-row-diagonal", "second-row-off-diagonal", "odd-middle-row",
+    ],
 )
 def test_verify_failures_are_pinned(graph, make, message, witness):
     with pytest.raises(VerificationError) as info:
@@ -437,8 +468,25 @@ def test_verify_srg_holds_no_band_wide_buffers(graph):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # a 256 x 2048 float32 product and its bool temporaries per band took 9 MiB
-    assert peak < 6 * 2**20
+    # a 256 x 2048 float32 product and its bool temporaries per band took 9 MiB,
+    # and a band of 256 float32 rows, one adjacency row each, 4.5 MiB
+    assert peak < 4 * 2**20
+
+
+def test_verify_refuses_a_degree_too_large_for_paired_rows(monkeypatch):
+    """K_{4096,4096}: at degree 4096 two rows' packed counts could pass 2^24,
+    so verify_srg refuses before it unpacks a band for the product."""
+    n = 8192
+    packed = np.zeros((n, row_bytes(n)), dtype=np.uint8)
+    packed[: n // 2, n // 16 :] = packed[n // 2 :, : n // 16] = 0xFF
+    g = Graph(packed)
+
+    def no_bands(*args):
+        raise AssertionError("a band was unpacked")
+
+    monkeypatch.setattr(g, "bands", no_bands)
+    with pytest.raises(DomainError, match="^degree 4096 is too large"):
+        verify_srg(g)
 
 
 def test_graph_constructors_reject_bad_input():
