@@ -46,9 +46,11 @@ def parse_size_targets(text: str) -> tuple[int, ...]:
     """Accept 'LO-HI', a single size, or a comma list of either.
 
     Raises ValueError on a part that is not a size or range, on a range
-    with LO > HI, on a size above the ratio bound COCLIQUE_SIZE_CAP, and
+    with LO > HI, on a size no maximal coclique has (below
+    COCLIQUE_SIZE_FLOOR or above the ratio bound COCLIQUE_SIZE_CAP), and
     when no size is given.
     """
+    floor, cap = coclique.COCLIQUE_SIZE_FLOOR, coclique.COCLIQUE_SIZE_CAP
     targets: set[int] = set()
     for part in text.split(","):
         part = part.strip()
@@ -62,10 +64,10 @@ def parse_size_targets(text: str) -> tuple[int, ...]:
             raise ValueError(f"not a size or LO-HI range: {part!r}") from None
         if lo > hi:
             raise ValueError(f"empty range {part!r}: {lo} > {hi}")
-        if hi > coclique.COCLIQUE_SIZE_CAP:
+        if lo < floor or hi > cap:
             raise ValueError(
-                f"size {hi} out of range: a coclique has 0 to "
-                f"{coclique.COCLIQUE_SIZE_CAP} vertices (the ratio bound)"
+                f"size {lo if lo < floor else hi} out of range: "
+                f"a maximal coclique has {floor} to {cap} vertices"
             )
         targets.update(range(lo, hi + 1))
     if not targets:
@@ -288,6 +290,8 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
+    if not args.gap and not args.edges:
+        args.usage_error("nothing to export: pass --gap and/or --edges")
     data = b""
     if args.sets:
         with open(args.sets, "rb") as fh:  # fail fast before the outputs and the build
@@ -305,8 +309,6 @@ def cmd_export(args: argparse.Namespace) -> int:
         with open(args.edges, "w", encoding="ascii") as fh:
             fh.write(text)
         print(f"wrote edge list {args.edges} ({g.edge_count()} edges)")
-    if not args.gap and not args.edges:
-        print("nothing to export: pass --gap and/or --edges")
     return EXIT_OK
 
 
@@ -320,12 +322,19 @@ _COMMANDS = {
 }
 
 
+def _cache_arg(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("empty path: pass --cache alone for the default file")
+    return text
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--generators", help="generator matrix file (12 lines of 24 '0'/'1')")
     p.add_argument(
         "--cache",
         nargs="?",
         const="auto",
+        type=_cache_arg,
         help="reuse/write a graph cache file (default location under "
         "$SRG2048_CACHE_DIR or ~/.cache/srg2048)",
     )
@@ -393,6 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gap", help="output path of the GAP text file")
     p.add_argument("--edges", help="output path of the plain edge list")
     _add_common(p)
+    p.set_defaults(usage_error=p.error)
 
     return parser
 

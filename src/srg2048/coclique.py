@@ -69,6 +69,11 @@ from .golay import census
 #: means the construction is broken, not that the search got lucky.
 COCLIQUE_SIZE_CAP = 85
 
+#: Least size of a maximal coclique S: each of the 2048 - |S| vertices outside
+#: S has a neighbour in S, and S has 276 * |S| edges out, so
+#: 2048 - |S| <= 276 * |S|, which gives |S| >= 8.
+COCLIQUE_SIZE_FLOOR = 8
+
 DEFAULT_SEED = 2048
 DEFAULT_BUDGET = 120_000
 

@@ -32,6 +32,8 @@ float32 product of the 0/1 adjacency matrix with itself, block by block.
 Each float32 row of the left factor holds two adjacency rows, the second
 scaled by the power of two above the degree k, so one product counts for
 both; the sums stay integers below 2^24, exact in float32, for k < 4096.
+Every block is compared in one step with the expected counts, packed the
+same way: lambda or mu by adjacency, and k on the diagonal.
 
 `build_reps` returns the representatives as one ascending uint32 array,
 the one labelling every caller takes: vertex v is the representative at
@@ -263,12 +265,13 @@ def verify_srg(g: Graph) -> SrgParams:
     rows in each float32 row: a band of BAND rows u becomes BAND // 2 rows
     A[u1] + base * A[u2], where base = 2^bit_length(k) is the power of two
     above k, so one product with a block of BAND // 2 plain rows v gives
-    c(u1, v) + base * c(u2, v) for both rows at once.  Every entry and
-    partial sum is an integer from 0 to k * (base + 1), below 2^24 for
-    k < 4096, so the counts are exact in any order of summation.  Blocks
-    past the band are compared with the expected counts packed the same
-    way.  The band's own blocks are split with floor(p / base), exact as
-    base is a power of two, and each half is compared on its pairs u < v.
+    c(u1, v) + base * c(u2, v) for both rows at once.  Every block, the
+    band's own included, is compared in one `not_equal` with the expected
+    counts packed the same way: lambda or mu by adjacency, and k at (u, u).
+    Every entry and expected value is an integer <= k * (base + 1) < 2^24
+    for k < 4096, so the counts are exact in any order of summation.  The
+    band's own blocks also compare pairs (u, v) with v < u; A @ A is
+    symmetric, so such a pair is bad only if (v, u) is, in the same band.
 
     Raises DomainError for k >= 4096, before any product, and
     VerificationError for any k outside 0 < k < n - 1, and with a witness
@@ -317,43 +320,22 @@ def verify_srg(g: Graph) -> SrgParams:
         offset[: h - half] = mu * (1 + base)
         offset[h - half : half] = mu
         for blo in range(lo, n, width):
-            diagonal = blo < lo + h  # the block's rows lie in the band
-            if diagonal:
-                bits = rows[blo - lo : blo - lo + width]
-            else:
-                bits = g.row_bits(slice(blo, blo + width))
+            own = blo < lo + h  # the block's columns are the band's own vertices
+            bits = rows[blo - lo : blo - lo + width] if own else g.row_bits(slice(blo, blo + width))
             w = len(bits)
             b, common = block[:w], product[:half, :w]
+            e, x = expected[:half, :w], wrong[:half, :w]
             np.copyto(b, bits)
             np.matmul(a, b.T, out=common)
-            if diagonal:
-                failed = _diagonal_mismatch(common, rows, lo, blo, base, lam, mu)
-            else:
-                e, x = expected[:half, :w], wrong[:half, :w]
-                np.multiply(a[:, blo : blo + w], lam - mu, out=e)
-                e += offset[:half]
-                np.not_equal(common, e, out=x)
-                failed = x.any()
-            if failed:
+            np.multiply(a[:, blo : blo + w], lam - mu, out=e)
+            e += offset[:half]
+            if own:  # entry (u, u) is the degree k, not mu
+                for first, count, scale in ((0, half, 1), (half, h - half, base)):
+                    u = np.arange(max(blo, lo + first), min(blo + w, lo + first + count))
+                    e[u - lo - first, u - blo] += (k - mu) * scale
+            if np.not_equal(common, e, out=x).any():
                 raise _first_bad_pair(g, rows, lo, lam, mu)
     return SrgParams(n, k, lam, mu)
-
-
-def _diagonal_mismatch(
-    common: np.ndarray, rows: np.ndarray, lo: int, blo: int, base: int, lam: int, mu: int
-) -> bool:
-    """Whether a block of the band's own rows has a bad pair u < v.  The
-    packed counts are split into each row's half, exactly, since base is a
-    power of two, and each half keeps its pairs u < v."""
-    half, w = common.shape
-    high = np.floor(common * (1 / base))
-    for first, counts in ((0, common - base * high), (half, high[: len(rows) - half])):
-        adjacent = rows[first : first + len(counts), blo : blo + w]
-        expect = np.where(adjacent, np.float32(lam), np.float32(mu))
-        # row i is vertex lo + first + i, column j is vertex blo + j
-        if np.triu(counts != expect, lo + first - blo + 1).any():
-            return True
-    return False
 
 
 def _first_bad_pair(g: Graph, rows: np.ndarray, lo: int, lam: int, mu: int) -> VerificationError:

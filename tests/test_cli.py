@@ -43,6 +43,9 @@ def test_parse_size_targets():
     with pytest.raises(ValueError, match="out of range"):
         parse_size_targets("0-3000")
     assert parse_size_targets("85") == (85,)
+    assert parse_size_targets("8") == (8,)
+    with pytest.raises(ValueError, match="out of range"):
+        parse_size_targets("7")
     with pytest.raises(ValueError, match="out of range"):
         parse_size_targets("86")
 
@@ -55,6 +58,7 @@ def test_parse_size_targets():
         ("40-20", "empty range"),
         ("0-3000", "out of range"),
         ("85-86", "out of range"),
+        ("1-7", "out of range"),
         ("20-21 --budget 0", "at least 1"),
         ("20-21 --budget x", "not an integer"),
     ],
@@ -217,6 +221,22 @@ def test_export_sets_fail_before_the_outputs_and_the_build(tmp_path, monkeypatch
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("file error: ")
     assert not gap.exists()
+
+
+@pytest.mark.parametrize("sets", [[], ["--sets", "absent.dat"]])
+def test_export_without_outputs_is_usage_error(tmp_path, monkeypatch, capsys, sets):
+    """Raised before the --sets container is read or the graph is built."""
+    def no_build(code, reps):
+        raise AssertionError("the graph was built")
+
+    monkeypatch.setattr(coset_graph, "build_graph", no_build)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(["export", *sets])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "nothing to export: pass --gap and/or --edges" in captured.err
 
 
 def test_check_flags_non_coclique(tmp_path, capsys):
@@ -422,6 +442,22 @@ def test_default_cache_file_is_named_for_its_format(tmp_path, monkeypatch, capsy
     names = [p.name for p in tmp_path.iterdir()]
     assert len(names) == 1
     assert re.fullmatch(r"graph-[0-9a-f]{16}\.bin", names[0])
+
+
+@pytest.mark.parametrize("command", ["build", "verify", "check"])
+def test_empty_cache_value_is_usage_error(tmp_path, monkeypatch, capsys, command):
+    """An empty --cache= would turn the cache off without a word."""
+    def no_build(code, reps):
+        raise AssertionError("the graph was built")
+
+    monkeypatch.setattr(coset_graph, "build_graph", no_build)
+    monkeypatch.setenv("SRG2048_CACHE_DIR", str(tmp_path))
+    pool = str(Path(__file__).resolve().parents[1] / "srgbench" / "pool.dat")
+    with pytest.raises(SystemExit) as info:
+        main([command, *([pool] if command == "check" else []), "--cache="])
+    assert info.value.code == 2
+    assert "argument --cache: empty path" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv", [["check"], ["check", "--cache"], ["invariants", "--cache"]])
