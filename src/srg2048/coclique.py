@@ -33,15 +33,17 @@ checking path, deduplicated, and the first set of each size is kept.  For
 a fixed seed the output is a pure function of the inputs.
 
 The search never unpacks the adjacency: eligibility is one packed mask in
-the rows' 64-bit word layout.  Picking v clears N(v) and v itself from it,
-and a perturbation starts from the complement of its kept members' cover,
-the same cover `is_maximal` tests.  Candidates are the mask's set bits,
-unpacked once per step.  Residual degrees (neighbours among the
-still-eligible vertices) are recomputed at each degree-guided step as
-popcounts of the candidates' rows ANDed with the mask.  While every vertex
-is eligible the residual degree is the row degree, so that step reuses the
-degrees computed once per search.  Both shortcuts give the same degrees,
-hence the same RNG draws and the same output, as a plain recount.
+the rows' 64-bit word layout.  Each search builds once the *closed* rows,
+~(N(v) | {v}) in that layout (as large as the rows: 512 KiB for n = 2048), so
+picking v is the one AND `emask &= closed[v]`, and a perturbation starts
+from the AND of its kept members' closed rows, the complement of the
+cover `is_maximal` tests.  Candidates are the mask's set bits, unpacked
+once per step.  Residual degrees (neighbours among the still-eligible
+vertices) are recomputed at each degree-guided step as popcounts of the
+candidates' rows ANDed with the mask.  While every vertex is eligible the
+residual degree is the row degree, so that step reuses the degrees
+computed once per search.  Both shortcuts give the same degrees, hence
+the same RNG draws and the same output, as a plain recount.
 
 A degree-guided pick draws from at most the first four vertices of a
 stable sort, so the early states of the max-, min- and blend-runs and of
@@ -52,6 +54,27 @@ vertices minus the members and their cover, so equal member sets give
 equal degrees, an equal order and equal draws.  Only states with at least
 MEMO_MIN_CANDIDATES candidates enter it, at most MEMO_CAP of them (a few
 MiB); once full it still answers but stops growing.
+
+Two kinds of step have an outcome fixed in advance, and the search skips
+their work but still makes their random draws, the same calls in the
+same order, so the RNG state and every output stay those of a plain
+step-by-step run:
+
+- When a degree-guided step finds every residual degree 0, the eligible
+  set E is independent: each pick removes only itself, so all of E joins
+  whatever the picks.  The step makes its own draws, then those of an
+  m-candidate step for m = |E| - 1 down to 1, and adds E at once.
+- A max or min run of depth 1 draws randrange(1) for its pick count and
+  again for its pick, so no draw changes its course: it is a function of
+  its start members.  The memo also maps the direction and the sorted
+  start members to such a run's result, under the same MEMO_CAP, and a
+  repeat makes its 2 * (|result| - |start|) randrange(1) calls and
+  returns the result.  Blend and uniform runs, and deeper picks, depend
+  on their draws and are never kept.  As for degree orders, only a start
+  with at least MEMO_MIN_CANDIDATES candidates is kept: fresh runs start
+  from every vertex and recur, while perturbation starts have a few dozen
+  candidates and almost never do (1 repeat in 1,009 depth-1 perturbation
+  runs at seeds 1-3, budget 2000, against 185 in 188 fresh ones).
 """
 
 from __future__ import annotations
@@ -89,7 +112,7 @@ FOCUS_WINDOW = 3
 FRESH_MAX_DEPTHS = (2, 3, 4)
 PICK_DEPTH = max(FRESH_MAX_DEPTHS)
 # Only states with this many candidates enter a search's memo of degree
-# orders, and it holds at most MEMO_CAP of them.
+# orders, and it holds at most MEMO_CAP of them and of depth-1 run results.
 MEMO_MIN_CANDIDATES = 256
 MEMO_CAP = 1 << 13
 
@@ -210,6 +233,27 @@ class SearchConfig:
     stop_when_complete: bool = True
 
 
+def _closed_rows(words: np.ndarray) -> np.ndarray:
+    """The rows of ~(N(v) | {v}) in the rows' word layout: picking v leaves
+    `emask & closed[v]` eligible, and a kept set leaves the AND of its rows."""
+    closed = ~words
+    v = np.arange(words.shape[0])
+    closed.view(np.uint8)[v, v >> 3] &= (255 ^ (1 << (v & 7))).astype(np.uint8)
+    return closed
+
+
+def _degree_step(rng: random.Random, mode: str, q: float) -> bool:
+    """Whether this step picks by degree: always for max/min, with
+    probability q for blend, never for uniform."""
+    return mode in ("max", "min") or (mode == "blend" and rng.random() < q)
+
+
+def _pick_index(rng: random.Random, m: int, depth: int) -> int:
+    """Position in the degree order of an m-candidate step's pick: one of
+    the first 1..depth, the count drawn first."""
+    return rng.randrange(min(m, 1 + rng.randrange(max(depth, 1))))
+
+
 def _complete(
     words: np.ndarray,
     row_degrees: np.ndarray,
@@ -221,8 +265,10 @@ def _complete(
     mode: str,
     depth: int = 1,
     q: float = 0.5,
-) -> list[int]:
-    """Extend `members` until no eligible vertex remains (hence maximal).
+    closed: np.ndarray | None = None,
+) -> tuple[int, ...]:
+    """Extend `members` until no eligible vertex remains (hence maximal);
+    return the result, sorted.
 
     mode "uniform": pick uniformly among eligible vertices.
     mode "max"/"min": pick randomly among the `depth` highest/lowest
@@ -230,8 +276,9 @@ def _complete(
     mode "blend": per step, a max-pick with probability q, else uniform.
 
     `emask` is the eligibility mask in the rows' word layout; it is
-    updated in place.  `words` are the adjacency rows as 64-bit words and
-    `row_degrees` their popcounts.  A residual degree is
+    updated in place.  `words` are the adjacency rows as 64-bit words,
+    `row_degrees` their popcounts and `closed` the `_closed_rows` of
+    `words` (built here when not given).  A residual degree is
     popcount(row & emask) over the words; when every vertex is eligible it
     equals the row degree, which is used as is.  The candidates' rows are
     gathered into `scratch`, a buffer shaped like `words` that lives for
@@ -240,44 +287,75 @@ def _complete(
     the system.
 
     `memo` maps (min-pick, sorted members) to the first PICK_DEPTH vertices
-    of the stable degree order (see the module notes); a `depth` beyond
-    PICK_DEPTH bypasses it.
+    of the stable degree order, and ("run", min-pick, sorted start members)
+    to the result of a depth-1 max/min run (see the module notes); a
+    `depth` beyond PICK_DEPTH bypasses it.  Both kinds hold only states
+    with at least MEMO_MIN_CANDIDATES candidates.
     """
+    if closed is None:
+        closed = _closed_rows(words)
+    run = None
+    if depth == 1 and mode in ("max", "min") and (
+        np.bitwise_count(emask).sum() >= MEMO_MIN_CANDIDATES
+    ):
+        run = ("run", mode == "min", tuple(sorted(members)))
+        result = memo.get(run)
+        if result is not None:
+            # each skipped step drew randrange(1) twice: the count, the pick
+            for _ in range(2 * (len(result) - len(members))):
+                rng.randrange(1)
+            return result
     n = row_degrees.size
     ebytes = emask.view(np.uint8)
-    while True:
+    # a pick leaves eligibility for good, so n picks empty any mask
+    for _ in range(n + 1):
         # nonzero is markedly faster on bool than on the unpacked uint8
         cands = np.unpackbits(ebytes, bitorder="little").view(bool).nonzero()[0]
-        if cands.size == 0:
+        m = cands.size
+        if m == 0:
             break
-        degree_pick = mode in ("max", "min") or (mode == "blend" and rng.random() < q)
-        if not degree_pick:
-            v = int(cands[rng.randrange(cands.size)])
+        if not _degree_step(rng, mode, q):
+            v = int(cands[rng.randrange(m)])
         else:
             key = None
-            if depth <= PICK_DEPTH and cands.size >= MEMO_MIN_CANDIDATES:
+            if depth <= PICK_DEPTH and m >= MEMO_MIN_CANDIDATES:
                 key = (mode == "min", tuple(sorted(members)))
             top = memo.get(key) if key else None
             if top is None:
-                if cands.size == n:
+                if m == n:
                     degs = row_degrees
                 else:
                     # "clip" writes straight into out; the default mode buffers
-                    rows = np.take(words, cands, axis=0, out=scratch[: cands.size], mode="clip")
+                    rows = np.take(words, cands, axis=0, out=scratch[:m], mode="clip")
                     rows &= emask
                     degs = np.bitwise_count(rows).sum(axis=1, dtype=row_degrees.dtype)
+                if not degs.any():
+                    # the candidates are independent, so all of them join
+                    # whatever the order: make the draws of their m steps
+                    _pick_index(rng, m, depth)
+                    for k in range(m - 1, 0, -1):
+                        if _degree_step(rng, mode, q):
+                            _pick_index(rng, k, depth)
+                        else:
+                            rng.randrange(k)
+                    members.extend(cands.tolist())
+                    break
                 top = cands[(-degs if mode != "min" else degs).argsort(kind="stable")]
                 if key and len(memo) < MEMO_CAP:
                     memo[key] = top = top[:PICK_DEPTH].copy()
-            take = min(cands.size, 1 + rng.randrange(max(depth, 1)))
-            v = int(top[rng.randrange(take)])
+            v = int(top[_pick_index(rng, m, depth)])
         members.append(v)
-        emask &= ~words[v]
-        ebytes[v >> 3] &= 255 ^ (1 << (v & 7))  # rows have no loops: v itself
-    return sorted(members)
+        emask &= closed[v]
+    else:
+        raise InternalConsistencyError("a picked vertex stayed eligible")
+    # a tuple, so the memo can hand the same result to every repeat
+    result = tuple(sorted(members))
+    if run is not None and len(memo) < MEMO_CAP:
+        memo[run] = result
+    return result
 
 
-def _fresh_run(words, row_degrees, scratch, memo, valid, rng) -> list[int]:
+def _fresh_run(words, row_degrees, scratch, memo, closed, valid, rng) -> tuple[int, ...]:
     roll = rng.random()
     if roll < 0.30:
         mode, depth, q = "uniform", 1, 0.0
@@ -287,20 +365,26 @@ def _fresh_run(words, row_degrees, scratch, memo, valid, rng) -> list[int]:
         mode, depth, q = "blend", 1, 0.3 + 0.6 * rng.random()
     else:
         mode, depth, q = "min", rng.choice([1, 2]), 0.0
-    return _complete(words, row_degrees, scratch, memo, valid.copy(), [], rng, mode, depth, q)
+    return _complete(
+        words, row_degrees, scratch, memo, valid.copy(), [], rng, mode, depth, q, closed
+    )
 
 
-def _perturb_run(words, row_degrees, scratch, memo, valid, rng, source: list[int]) -> list[int]:
+def _perturb_run(
+    words, row_degrees, scratch, memo, closed, valid, rng, source: tuple[int, ...]
+) -> tuple[int, ...]:
     j = min(rng.choice([1, 2, 2, 3, 3, 4]), MAX_REMOVE, len(source) - 1)
     keep = list(source)
     for _ in range(j):
         keep.pop(rng.randrange(len(keep)))
-    emask = valid & ~(np.bitwise_or.reduce(words[keep], axis=0) | _pack(words.shape[1], keep))
+    emask = valid & np.bitwise_and.reduce(closed[keep], axis=0)
     if rng.random() < 0.6:
         mode, depth = "max", rng.choice([1, 2])
     else:
         mode, depth = "uniform", 1
-    return _complete(words, row_degrees, scratch, memo, emask, keep, rng, mode, depth)
+    return _complete(
+        words, row_degrees, scratch, memo, emask, keep, rng, mode, depth, 0.5, closed
+    )
 
 
 def search_maximal(
@@ -316,26 +400,31 @@ def search_maximal(
     size.  Every returned set has been re-verified with is_maximal, which
     checks the coclique property first.  An exhausted budget with missing
     sizes is not an error; the result simply lacks those sizes.  On a
-    2048-vertex graph a coclique above the ratio bound COCLIQUE_SIZE_CAP
-    raises InternalConsistencyError.
+    2048-vertex graph a target outside [COCLIQUE_SIZE_FLOOR,
+    COCLIQUE_SIZE_CAP], which no maximal coclique has, raises DomainError
+    before any attempt, and a coclique above the ratio bound raises
+    InternalConsistencyError; any other graph allows sizes 0 to n.
     """
     cfg = config or SearchConfig()
     targets = {int(t) for t in size_targets}
     if budget <= 0:
         raise DomainError(f"budget must be positive, got {budget}")
-    if any(t < 0 or t > g.n for t in targets):
-        raise DomainError("size targets out of range")
-    hard_cap = COCLIQUE_SIZE_CAP if g.n == N_VERTICES else g.n
+    floor, hard_cap = (COCLIQUE_SIZE_FLOOR, COCLIQUE_SIZE_CAP) if g.n == N_VERTICES else (0, g.n)
+    if any(t < floor or t > hard_cap for t in targets):
+        raise DomainError(
+            f"size targets out of range: a maximal coclique has {floor} to {hard_cap} vertices"
+        )
     rng = random.Random(seed)
     words = g.words
     # degrees below 2^15 fit int16, for which the stable argsort is a radix sort
     row_degrees = g.degrees().astype(np.int16 if g.n < 1 << 15 else np.int32)
     scratch = np.empty_like(words)
+    closed = _closed_rows(words)
     memo: dict = {}
     valid = _pack(words.shape[1], np.arange(g.n))
 
     found: dict[int, VertexSet] = {}
-    pool: dict[int, list[list[int]]] = {}
+    pool: dict[int, list[tuple[int, ...]]] = {}
     seen: set[tuple[int, ...]] = set()
 
     def near_missing() -> set[int]:
@@ -345,7 +434,7 @@ def search_maximal(
 
     focus = near_missing()
 
-    def pool_pick() -> list[int]:
+    def pool_pick() -> tuple[int, ...]:
         sizes = sorted(pool)
         near = [s for s in sizes if s in focus]
         if near and rng.random() < 0.8:
@@ -357,9 +446,11 @@ def search_maximal(
         if cfg.stop_when_complete and targets <= found.keys():
             break
         if not pool or rng.random() < FRESH_FRACTION:
-            members = _fresh_run(words, row_degrees, scratch, memo, valid, rng)
+            members = _fresh_run(words, row_degrees, scratch, memo, closed, valid, rng)
         else:
-            members = _perturb_run(words, row_degrees, scratch, memo, valid, rng, pool_pick())
+            members = _perturb_run(
+                words, row_degrees, scratch, memo, closed, valid, rng, pool_pick()
+            )
         size = len(members)
         if size > hard_cap:
             raise InternalConsistencyError(

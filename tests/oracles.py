@@ -6,7 +6,9 @@ decided by binary search in the enumerated codewords (the package uses
 syndromes), and arbitrary-precision integer rows for the coclique checks
 (the package uses popcounts over packed 64-bit words and column sums of
 the members' rows), and `str()` of every vertex number for the text
-exports (the package joins a table of labels).  The graph helpers
+exports (the package joins a table of labels), and a plain step-by-step
+greedy run on a bool matrix for the search (the package memoises, skips
+steps whose outcome is fixed and works on packed masks).  The graph helpers
 pack small bool matrices and edge lists into `Graph` rows, whose
 constructor checks them; the package itself never holds an n x n bool
 matrix.
@@ -185,6 +187,34 @@ def pair_invariant_ref(rows, s):
             if row_u & rows[v] == 0:
                 total += 1
     return total
+
+
+def complete_ref(adj, start, rng, mode, depth=1, q=0.5):
+    """A greedy run of the search from `start`, one plain step at a time.
+
+    `adj` is the n x n bool adjacency.  Each step takes the eligible
+    vertices (outside the members and their neighbourhoods) as the
+    candidates, recounts every candidate's neighbours among them, sorts
+    stably and draws, with no memo and no shortcut: the draws the search
+    must make, in its order.
+    """
+    adj = np.asarray(adj, dtype=bool)
+    members = list(start)
+    eligible = ~adj[members].any(axis=0)
+    eligible[members] = False
+    while (m := np.count_nonzero(eligible)) > 0:
+        cands = np.flatnonzero(eligible)
+        if mode in ("max", "min") or (mode == "blend" and rng.random() < q):
+            degs = adj[np.ix_(cands, cands)].sum(axis=1)
+            order = np.argsort(degs if mode == "min" else -degs, kind="stable")
+            take = min(m, 1 + rng.randrange(max(depth, 1)))
+            v = int(cands[order[rng.randrange(take)]])
+        else:
+            v = int(cands[rng.randrange(m)])
+        members.append(v)
+        eligible &= ~adj[v]
+        eligible[v] = False
+    return sorted(members)
 
 
 # ----------------------------------------------------------- text exports

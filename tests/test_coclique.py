@@ -28,6 +28,8 @@ from srg2048.io_formats import read_dat, write_dat
 
 from oracles import (
     bitmask,
+    bool_matrix,
+    complete_ref,
     external_profile_ref,
     graph_from_bool_matrix,
     int_rows,
@@ -399,6 +401,117 @@ def test_deep_picks_bypass_the_degree_memo(graph):
     assert is_maximal(graph, VertexSet(tuple(members)))
 
 
+# ------------------------------------------------- exactness of a run
+
+
+def _start_mask(adj, start, n_words):
+    """The vertices outside `start` and its neighbourhoods, as a mask of
+    n_words 64-bit words."""
+    bits = np.zeros(n_words * 64, dtype=bool)
+    bits[: len(adj)] = ~adj[list(start)].any(axis=0)
+    bits[list(start)] = False
+    return np.packbits(bits, bitorder="little").view(np.uint64)
+
+
+def _complete_runs(g, adj, runs, seed):
+    """Each (mode, depth, q, start) of `runs` through `_complete`, one memo
+    and one RNG for them all, and through `complete_ref`, its own RNG:
+    the members of every run and both RNG states at the end."""
+    words = g.words
+    row_degrees = g.degrees().astype(np.int16)
+    scratch, closed, memo = np.empty_like(words), coclique._closed_rows(words), {}
+    fast, ref = random.Random(seed), random.Random(seed)
+    got, want = [], []
+    for mode, depth, q, start in runs:
+        emask = _start_mask(adj, start, words.shape[1])
+        got.append(list(coclique._complete(
+            words, row_degrees, scratch, memo, emask, list(start), fast, mode, depth, q,
+            closed,
+        )))
+        want.append(complete_ref(adj, start, ref, mode, depth, q))
+    return got, want, fast.getstate(), ref.getstate(), memo
+
+
+@pytest.fixture(scope="module")
+def graph_bits(graph):
+    return bool_matrix(graph)
+
+
+@pytest.mark.parametrize("name", ["graph", "petersen", "random300"])
+def test_closed_rows_clear_each_closed_neighbourhood(request, name):
+    g = request.getfixturevalue(name)
+    closed = coclique._closed_rows(g.words)
+    bits = np.unpackbits(closed.view(np.uint8), axis=1, bitorder="little")
+    assert (bits[:, : g.n] == ~(bool_matrix(g) | np.eye(g.n, dtype=bool))).all()
+
+
+RUN_MODES = [
+    ("uniform", 1, 0.0),
+    *[("max", d, 0.0) for d in (1, 2, 3, 4)],
+    *[("min", d, 0.0) for d in (1, 2)],
+    ("blend", 1, 0.3),
+    ("blend", 1, 0.9),
+]
+
+
+@pytest.mark.parametrize("start", ["fresh", "perturbed"])
+@pytest.mark.parametrize("mode, depth, q", RUN_MODES)
+@pytest.mark.parametrize("seed", [3, 11])
+def test_complete_matches_the_stepwise_reference(
+    graph, graph_bits, reps, start, mode, depth, q, seed
+):
+    members = ()
+    if start == "perturbed":  # a pooled set with a seeded few members removed
+        pool = read_dat(POOL_DAT.read_bytes(), reps)
+        kept, rng = list(pool[seed].members), random.Random(seed)
+        for _ in range(3):
+            kept.pop(rng.randrange(len(kept)))
+        members = tuple(kept)
+    got, want, got_state, want_state, _ = _complete_runs(
+        graph, graph_bits, [(mode, depth, q, members)], seed
+    )
+    assert got == want
+    assert got_state == want_state
+
+
+def _star_with_isolated_vertices():
+    # vertex 0 joins 1..5; 6..69 are isolated, so after a max pick of 0 the
+    # eligible set is independent; 70 vertices take two words per row
+    adj = np.zeros((70, 70), dtype=bool)
+    adj[0, 1:6] = adj[1:6, 0] = True
+    return adj
+
+
+@pytest.mark.parametrize("mode, depth, q", RUN_MODES)
+@pytest.mark.parametrize("case", ["star", "edgeless"])
+def test_complete_matches_the_reference_on_an_independent_tail(case, mode, depth, q):
+    adj = _star_with_isolated_vertices() if case == "star" else np.zeros((70, 70), dtype=bool)
+    g = graph_from_bool_matrix(adj)
+    runs = [(mode, depth, q, ())] * 3 + [(mode, depth, q, (7, 9))] * 2
+    got, want, got_state, want_state, _ = _complete_runs(g, adj, runs, seed=5)
+    assert got == want
+    assert got_state == want_state
+
+
+@pytest.mark.parametrize("threshold", [coclique.MEMO_MIN_CANDIDATES, 0])
+def test_repeated_depth_one_runs_match_the_reference(graph, graph_bits, monkeypatch, threshold):
+    # min and max runs of depth 1 come back through the shared memo, with
+    # blend and uniform runs from the same starts in between; the perturbed
+    # start has too few candidates to be kept unless the threshold is 0
+    monkeypatch.setattr(coclique, "MEMO_MIN_CANDIDATES", threshold)
+    perturbed = tuple(complete_ref(graph_bits, (), random.Random(9), "max", 2)[3:])
+    runs = [
+        (mode, 1, 0.6, start)
+        for start in ((), perturbed)
+        for mode in ("min", "blend", "max", "uniform", "min", "blend", "max")
+    ]
+    got, want, got_state, want_state, memo = _complete_runs(graph, graph_bits, runs, seed=17)
+    assert got == want
+    assert got_state == want_state
+    assert ("run", True, ()) in memo
+    assert (("run", False, perturbed) in memo) == (threshold == 0)
+
+
 def test_search_checks_each_candidate_once(graph, monkeypatch):
     calls = {"is_coclique": 0, "is_maximal": 0}
     for name in calls:
@@ -429,7 +542,7 @@ def test_search_rejects_a_bad_candidate(graph, monkeypatch, kind):
     members = [0, int(neighbors(graph, 0)[0])] if kind == "adjacent pair" else [0]
     monkeypatch.setattr(coclique, "_fresh_run", lambda *args: list(members))
     with pytest.raises(InternalConsistencyError, match="independent checker"):
-        search_maximal(graph, [2], budget=1, seed=DEFAULT_SEED)
+        search_maximal(graph, [20], budget=1, seed=DEFAULT_SEED)
 
 
 def test_search_holds_no_bool_matrix(graph):
@@ -456,6 +569,17 @@ def test_search_rejects_bad_targets(graph):
         search_maximal(graph, [-3], budget=10, seed=DEFAULT_SEED)
 
 
+@pytest.mark.parametrize("targets", [[5], [7, 20], [86], [0], [N_VERTICES]])
+def test_search_refuses_sizes_no_maximal_coclique_has(graph, monkeypatch, targets):
+    # on the 2048-vertex graph a maximal coclique has 8 to 85 vertices
+    def no_attempt(*args):
+        raise AssertionError("an attempt was made")
+
+    monkeypatch.setattr(coclique, "_fresh_run", no_attempt)
+    with pytest.raises(DomainError, match="8 to 85 vertices"):
+        search_maximal(graph, targets, budget=10, seed=DEFAULT_SEED)
+
+
 @pytest.mark.parametrize("n", [N_VERTICES, 10])
 def test_search_caps_sizes_at_the_ratio_bound(n):
     # every vertex of an edgeless graph joins the first set; only the
@@ -463,7 +587,7 @@ def test_search_caps_sizes_at_the_ratio_bound(n):
     g = graph_from_bool_matrix(np.zeros((n, n), dtype=bool))
     if n == N_VERTICES:
         with pytest.raises(InternalConsistencyError, match="size 2048 above the bound 85"):
-            search_maximal(g, [1], budget=1)
+            search_maximal(g, [20], budget=1)
     else:
         assert search_maximal(g, [n], budget=1) == [VertexSet(tuple(range(n)))]
 
