@@ -18,13 +18,15 @@ cross-check:
     w(z) = 4 -> no edge (no codeword can bring the difference to weight 2);
     w(z) = 6 -> edge iff some weight-8 codeword c has w(z + c) = 2.
 
-A result of the scan over the 759 weight-8 words outside {2, 4} is
+A distance outside {2, 4} from a weight-6 z to the 759 weight-8 words is
 treated as a hard error rather than assumed impossible.  The representative
 differences are exactly the 145,499 even vectors of weight at most 6.
 `build_graph` checks the case rule against the syndromes on all of them,
-reading the weight-6 case straight from `weight6_distance_table`, the full
-scan of every weight-6 vector with its guard, which adds per-byte distances
-from tables.
+reading the weight-6 case straight from `weight6_distance_table`.  That
+table decides every (z, c) pair with its guard: w(z + c) = 14 - 2 |z & c|
+for a weight-8 c, so the minimum is a threshold count of the points z
+shares with the words, kept as bitsets over the words for every subset of
+at most 6 points.
 
 `verify_srg` checks the srg parameters independently of how the graph was
 built: exact common-neighbour counts for all 2,096,128 pairs, from a
@@ -99,34 +101,83 @@ def build_reps() -> np.ndarray:
 def weight6_distance_table(code: GolayCode) -> np.ndarray:
     """Minimum distance from each weight-6 vector to the weight-8 codewords.
 
-    Returns one byte per weight-6 vector, in the ascending order of
-    `vectors_of_weight(6)`: the minimum of w(z + c) over the 759 weight-8
-    words c, by a full scan over bytes: w(z + c) is the sum of w(z_k ^ c_k)
-    over the bytes k = 0, 1, 2, so each distance adds three rows looked up
-    in 256 x 759 tables.  Raises InvalidDistanceError the moment any
-    minimum falls outside {2, 4}.  Cached per code, so the build and
-    `weight6_distance_census` share one scan.
+    Returns one byte per weight-6 vector z, in the ascending order of
+    `vectors_of_weight(6)`: the minimum of w(z + c) over the weight-8 words
+    c, decided for every (z, c) pair by a threshold count.  A word c of
+    weight 8 has w(z + c) = 14 - 2 |z & c|, so the minimum is 2 iff some c
+    contains z, 4 iff none does but some c holds 5 of z's points, and at
+    least 6 otherwise.
+
+    Both questions are asked of every k-subset S of the 24 points, k <= 6,
+    as bitsets over the words c: A[S], the words containing S, and B[S],
+    the words holding at least k - 1 points of S.  For S = P + {b}, with b
+    above every point of P, A[S] = A[P] & M[b] and B[S] = A[P] | (B[P] & M[b]),
+    where M[b] is the set of words through point b.  In the order of
+    `vectors_of_weight(k)` the sets with top point b form one block, read
+    from the first C(b, k - 1) sets of level k - 1, so each level is 24
+    block operations.  Level 6 is reduced block by block to A != 0 and
+    B != 0 and never stored, and the count runs one 64-word bitset column
+    at a time in level buffers allocated once.
+
+    Raises InternalConsistencyError if `code.weight8` holds a word of
+    another weight, before any count, and InvalidDistanceError for the
+    ascending-first z with B = 0, with its distance from a direct scan.
+    Cached per code, so the build and `weight6_distance_census` share one
+    count.
     """
-    z6 = vectors_of_weight(6)
     w8 = code.weight8
-    byte = np.arange(256, dtype=np.uint32)[:, None]
-    part = [np.bitwise_count(byte ^ ((w8 >> (8 * k)) & 0xFF)) for k in range(3)]
-    table = np.empty(len(z6), dtype=np.uint8)
-    # 512 rows keep both 512 x 759 byte buffers in cache
-    total, term = (np.empty((512, len(w8)), dtype=np.uint8) for _ in range(2))
-    for lo in range(0, len(z6), 512):
-        chunk = z6[lo : lo + 512]
-        d, t = total[: len(chunk)], term[: len(chunk)]
-        np.take(part[0], chunk & 0xFF, axis=0, out=d)
-        for k in (1, 2):
-            np.take(part[k], (chunk >> (8 * k)) & 0xFF, axis=0, out=t)
-            d += t
-        dist = d.min(axis=1)
-        bad = np.flatnonzero((dist != 2) & (dist != 4))
-        if bad.size:
-            raise InvalidDistanceError(int(chunk[bad[0]]), int(dist[bad[0]]))
-        table[lo : lo + len(chunk)] = dist
-    return table
+    odd = np.flatnonzero(np.bitwise_count(w8) != 8)
+    if odd.size:
+        c = int(w8[odd[0]])
+        raise InternalConsistencyError(
+            f"weight-8 list holds a word of weight {c.bit_count()}: {c:024b}"
+        )
+    # M[b]: bit j of column w set iff word 64 w + j holds point b (any bit order
+    # within a column serves, as only A != 0 and B != 0 are read)
+    columns = -(-len(w8) // 64)
+    through = np.zeros((VEC_BITS, 64 * columns), dtype=bool)
+    through[:, : len(w8)] = (w8[None, :] >> np.arange(VEC_BITS, dtype=np.uint32)[:, None]) & 1
+    masks = np.packbits(through, axis=1, bitorder="little").view(np.uint64)
+    # block b of level k: the sets with top point b, one per set among the
+    # first C(b, k - 1) of level k - 1, as (b, offset, length)
+    blocks = {k: [] for k in range(2, 7)}
+    for k, block in blocks.items():
+        lo = 0
+        for b in range(k - 1, VEC_BITS):
+            block.append((b, lo, math.comb(b, k - 1)))
+            lo += math.comb(b, k - 1)
+    a_level, b_level = (
+        {k: np.empty(math.comb(VEC_BITS, k), dtype=np.uint64) for k in range(1, 6)} for _ in range(2)
+    )
+    term = np.empty(math.comb(VEC_BITS - 1, 5), dtype=np.uint64)
+    hit = np.empty(len(term), dtype=bool)
+    inside, near = (np.zeros(math.comb(VEC_BITS, 6), dtype=bool) for _ in range(2))
+    for w in range(columns):
+        m = masks[:, w]
+        a_level[1][:] = m
+        b_level[1][:] = ~np.uint64(0)  # every word holds at least 0 points of {b}
+        for k in range(2, 6):
+            a_prev, b_prev = a_level[k - 1], b_level[k - 1]
+            for b, lo, n in blocks[k]:
+                a, at_least = a_level[k][lo : lo + n], b_level[k][lo : lo + n]
+                np.bitwise_and(a_prev[:n], m[b], out=a)
+                np.bitwise_and(b_prev[:n], m[b], out=at_least)
+                np.bitwise_or(at_least, a_prev[:n], out=at_least)
+        # level 6, one block at a time: only whether A and B are empty
+        for b, lo, n in blocks[6]:
+            t, h = term[:n], hit[:n]
+            np.bitwise_and(b_level[5][:n], m[b], out=t)
+            np.bitwise_or(t, a_level[5][:n], out=t)
+            np.not_equal(t, 0, out=h)
+            near[lo : lo + n] |= h
+            np.bitwise_and(a_level[5][:n], m[b], out=t)
+            np.not_equal(t, 0, out=h)
+            inside[lo : lo + n] |= h
+    far = np.flatnonzero(~near)
+    if far.size:
+        z = int(vectors_of_weight(6)[far[0]])
+        raise InvalidDistanceError(z, int(np.bitwise_count(w8 ^ np.uint32(z)).min()))
+    return np.where(inside, np.uint8(2), np.uint8(4))
 
 
 def weight6_distance_census(code: GolayCode) -> dict[int, int]:
@@ -201,19 +252,62 @@ class Graph:
 def build_graph(code: GolayCode, reps: np.ndarray) -> Graph:
     """Assemble the graph as a Cayley graph on the representative syndromes.
 
-    First the connection set is checked against the case rule on every
-    difference z of weight 0, 2, 4 or 6: an edge iff w(z) = 2, or w(z) = 6
-    and z's weight-6 table entry is 2.  Then each band of BAND rows is
-    looked up in the connection set and packed straight into the rows, so
-    the graph never exists as a bool matrix.  Raises
-    GraphConstructionError if any vertex degree differs from 276,
-    InvalidDistanceError if the weight-8 scan finds a distance outside
-    {2, 4}, and InternalConsistencyError if the case analysis disagrees
-    with the syndromes on any even vector of weight at most 6.
+    First the connection set D, the syndromes of the weight-2 vectors, is
+    checked against the case rule on every difference z of weight 0, 2, 4
+    or 6: an edge iff w(z) = 2, or w(z) = 6 and z's weight-6 table entry is
+    2.  Then a syndrome -> vertex index gives the neighbours of u as the
+    vertices of syn(u) + d for the 276 d in D; they are scattered into a
+    band of BAND bool rows at a time and packed, so the graph never exists
+    as a bool matrix.  Raises GraphConstructionError if two representatives
+    share a syndrome, if a neighbour syndrome names no vertex, or if any
+    vertex degree differs from 276; InvalidDistanceError if a weight-6
+    vector lies at a distance outside {2, 4} from the weight-8 words; and
+    InternalConsistencyError if the case analysis disagrees with the
+    syndromes on any even vector of weight at most 6.
     """
     connection = np.zeros(SYNDROME_LIMIT, dtype=bool)
     connection[code.syndromes(WEIGHT2_VECTORS)] = True
-    # the case analysis first: the scan's scratch is freed before the rows exist
+    # the case analysis first: its differences are freed before the rows exist
+    _check_case_rule(code, connection)
+    syn = code.syndromes(reps)
+    n = len(syn)
+    vertex = np.full(SYNDROME_LIMIT, -1, dtype=np.int16)
+    vertex[syn] = np.arange(n)
+    clash = np.flatnonzero(vertex[syn] != np.arange(n))
+    if clash.size:
+        u = int(clash[0])
+        raise GraphConstructionError(
+            f"representatives {u} and {int(vertex[syn[u]])} share syndrome {int(syn[u])}"
+        )
+    step = np.flatnonzero(connection).astype(np.uint16)
+    packed = np.zeros((n, row_bytes(n)), dtype=np.uint8)
+    band = np.empty((min(BAND, n), n), dtype=bool)
+    for lo in range(0, n, BAND):
+        # the neighbours of u are the vertices of syn(u) + d, for d in the connection set
+        ends = vertex[syn[lo : lo + BAND, None] ^ step[None, :]]
+        unmapped = np.flatnonzero(ends < 0)
+        if unmapped.size:
+            r, j = divmod(int(unmapped[0]), len(step))
+            raise GraphConstructionError(
+                f"vertex {lo + r} has neighbour syndrome {int(syn[lo + r] ^ step[j])}, "
+                "which names no vertex"
+            )
+        rows = band[: len(ends)]
+        rows[:] = False
+        rows[np.arange(len(ends))[:, None], ends] = True
+        packed[lo : lo + BAND, : -(-n // 8)] = np.packbits(rows, axis=1, bitorder="little")
+    degrees = np.bitwise_count(packed.view(np.uint64)).sum(axis=1)
+    bad = np.flatnonzero(degrees != DEGREE)
+    if bad.size:
+        v = int(bad[0])
+        raise GraphConstructionError(
+            f"vertex {v} has degree {int(degrees[v])}, expected {DEGREE}"
+        )
+    return Graph(packed)
+
+
+def _check_case_rule(code: GolayCode, connection: np.ndarray) -> None:
+    """The connection set against the case rule on every even z of weight <= 6."""
     z = np.concatenate([vectors_of_weight(w) for w in (0, 2, 4, 6)])
     rule = [np.full(math.comb(VEC_BITS, w), w == 2) for w in (0, 2, 4)]
     rule.append(weight6_distance_table(code) == 2)
@@ -223,20 +317,6 @@ def build_graph(code: GolayCode, reps: np.ndarray) -> Graph:
             f"case analysis and syndromes disagree on {off.size} of {len(z)} "
             f"differences, first {int(z[off[0]]):024b}"
         )
-    syn = code.syndromes(reps)
-    n = len(syn)
-    packed = np.zeros((n, row_bytes(n)), dtype=np.uint8)
-    for lo in range(0, n, BAND):
-        band = connection[syn[lo : lo + BAND, None] ^ syn[None, :]]
-        packed[lo : lo + BAND, : -(-n // 8)] = np.packbits(band, axis=1, bitorder="little")
-    degrees = np.bitwise_count(packed.view(np.uint64)).sum(axis=1)
-    bad = np.flatnonzero(degrees != DEGREE)
-    if bad.size:
-        v = int(bad[0])
-        raise GraphConstructionError(
-            f"vertex {v} has degree {int(degrees[v])}, expected {DEGREE}"
-        )
-    return Graph(packed)
 
 
 class SrgParams(NamedTuple):

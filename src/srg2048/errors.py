@@ -22,7 +22,7 @@ class DomainError(SrgError, ValueError):
 
 
 class InvalidDistanceError(SrgError):
-    """The weight-8 scan returned a distance outside {2, 4}.
+    """A weight-6 vector lies at a distance outside {2, 4} from the weight-8 words.
 
     This is believed impossible for weight-6 inputs but is guarded rather
     than assumed; if it ever fires the whole construction must stop.

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srg2048 import coset_graph
 from srg2048.coset_graph import (
@@ -205,8 +207,79 @@ def test_weight6_scan_holds_no_pair_matrix():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # all 134,596 x 759 pairs at one byte each would be 102 MB
-    assert peak < 4 << 20
+    # all 134,596 x 759 pairs at one byte each would be 102 MB; the count's
+    # level buffers, one 64-word column at a time, take about 0.9 MB
+    assert peak < 2 << 20
+
+
+def _random_weight8(seed, count):
+    """`count` seeded random words of weight 8, in no particular order."""
+    points = np.argsort(np.random.default_rng(seed).random((count, 24)), axis=1)[:, :8]
+    return (np.uint32(1) << points.astype(np.uint32)).sum(axis=1, dtype=np.uint32)
+
+
+def _table_agrees_with_the_oracle(weight8):
+    """The table on a fresh code holding `weight8` equals the full scan, or
+    raises the guard of the scan's ascending-first entry outside {2, 4}.
+    Returns whether the guard fired."""
+    code = build_code()  # fresh, so the per-code cache is cold
+    code.weight8 = weight8
+    z6 = coset_graph.vectors_of_weight(6)
+    brute = min_coset_distance_bulk(code, z6)
+    bad = np.flatnonzero((brute != 2) & (brute != 4))
+    if not bad.size:
+        assert np.array_equal(weight6_distance_table(code), brute)
+        return False
+    with pytest.raises(InvalidDistanceError) as info:
+        weight6_distance_table(code)
+    assert (info.value.vector, info.value.distance) == (int(z6[bad[0]]), int(brute[bad[0]]))
+    return True
+
+
+# these lists are not Steiner systems: a weight-6 z may lie in two words, and a
+# 5-subset in none, so the count is checked where the octads' structure fails
+
+
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), extra=st.integers(1, 200))
+def test_weight6_table_with_extra_weight8_words(code, seed, extra):
+    weight8 = np.concatenate([code.weight8, _random_weight8(seed, extra)])
+    assert not _table_agrees_with_the_oracle(weight8)
+
+
+@settings(max_examples=4, deadline=None)
+@given(drop=st.integers(0, 758))
+def test_weight6_guard_without_one_octad(code, drop):
+    assert _table_agrees_with_the_oracle(np.delete(code.weight8, drop))
+
+
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_weight6_table_on_random_weight8_lists(seed):
+    _table_agrees_with_the_oracle(_random_weight8(seed, 759))
+
+
+@pytest.mark.parametrize(
+    "points",
+    [range(8), range(1, 9), (0, 2, 3, 4, 5, 6, 7, 8), range(16, 24)],
+    ids=["holds_63", "all_of_63_but_its_lowest_point", "all_of_63_but_point_1", "far_from_63"],
+)
+def test_weight6_table_on_one_word(points):
+    # z = 63 (points 0-5) is the first weight-6 vector; one word decides its
+    # distance, so the guard names 63 itself unless the word holds 5 of its points
+    assert _table_agrees_with_the_oracle(np.array([sum(1 << p for p in points)], dtype=np.uint32))
+
+
+@pytest.mark.parametrize("weight", [0, 6, 7, 10, 24])
+def test_weight8_word_of_another_weight_is_refused_before_any_count(code, weight):
+    # without the octad that holds vector 63 the count would fire the distance
+    # guard; a word of another weight must be refused first, as the count's
+    # w(z + c) = 14 - 2 |z & c| holds only for w(c) = 8
+    stray = (1 << weight) - 1
+    fresh = build_code()
+    fresh.weight8 = np.append(code.weight8[code.weight8 & 63 != 63], np.uint32(stray))
+    with pytest.raises(InternalConsistencyError, match=f"word of weight {weight}: {stray:024b}"):
+        weight6_distance_table(fresh)
 
 
 # ------------------------------------------------------------- adjacency
@@ -685,6 +758,45 @@ def test_vectors_of_weight_match_combinations(w):
     values = coset_graph.vectors_of_weight(w)
     assert values.dtype == np.uint32
     assert np.array_equal(values, vectors_of_weight_ref(w))
+
+
+def _code_with_rep_syndromes(rewrite):
+    """A fresh code whose `syndromes` passes the representatives' through `rewrite`."""
+    fresh = build_code()
+    plain = fresh.syndromes
+
+    def syndromes(xs):
+        out = plain(xs)
+        if len(out) == N_VERTICES:
+            out = rewrite(out.copy())
+        return out
+
+    fresh.syndromes = syndromes
+    return fresh
+
+
+def test_build_graph_refuses_two_representatives_with_one_syndrome(reps):
+    def collide(syn):
+        syn[7] = syn[3]
+        return syn
+
+    with pytest.raises(GraphConstructionError, match=r"representatives (3 and 7|7 and 3) share syndrome"):
+        build_graph(_code_with_rep_syndromes(collide), reps)
+
+
+def test_build_graph_refuses_a_neighbour_syndrome_that_names_no_vertex(code, reps):
+    # an odd syndrome for vertex 1 leaves its own even syndrome unnamed; vertex 0
+    # (the zero vector) is adjacent to vertex 1 (a weight-2 vector), so it is
+    # the first vertex to reach it
+    odd = int(code.syndromes(np.uint32(1)))
+
+    def move(syn):
+        syn[1] = odd
+        return syn
+
+    unnamed = int(code.syndromes(reps[1]))
+    with pytest.raises(GraphConstructionError, match=f"vertex 0 has neighbour syndrome {unnamed}, which names no vertex"):
+        build_graph(_code_with_rep_syndromes(move), reps)
 
 
 def test_case_rule_is_checked_against_syndromes(code, reps, monkeypatch):
