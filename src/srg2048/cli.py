@@ -176,7 +176,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     print(f"codewords: {len(code.codewords)}")
     print(f"weight distribution: {_format_census(code.weight_distribution())}")
     print(f"representatives: {len(reps)}")
-    print(f"edges: {g.edge_count()}")
+    print(f"edges: {int(g.degrees().sum()) // 2}")
     print(f"build time: {elapsed:.2f}s")
     if cache_file:
         print(f"cache: {cache_file}")
@@ -308,7 +308,7 @@ def cmd_export(args: argparse.Namespace) -> int:
         text = io_formats.export_edge_list(g)
         with open(args.edges, "w", encoding="ascii") as fh:
             fh.write(text)
-        print(f"wrote edge list {args.edges} ({g.edge_count()} edges)")
+        print(f"wrote edge list {args.edges} ({int(g.degrees().sum()) // 2} edges)")
     return EXIT_OK
 
 
@@ -337,12 +337,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         type=_cache_arg,
         help="reuse/write a graph cache file (default location under "
         "$SRG2048_CACHE_DIR or ~/.cache/srg2048)",
-    )
-    p.add_argument(
-        "--byteorder",
-        choices=("little", "big"),
-        default="little",
-        help="entry byte order of .dat files (default little)",
     )
 
 
@@ -404,6 +398,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(usage_error=p.error)
 
+    for name in ("check", "invariants", "search", "export"):  # the commands that take a .dat
+        sub.choices[name].add_argument(
+            "--byteorder",
+            choices=("little", "big"),
+            default="little",
+            help="entry byte order of .dat files (default little)",
+        )
     return parser
 
 

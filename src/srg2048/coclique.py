@@ -40,10 +40,7 @@ from the AND of its kept members' closed rows, the complement of the
 cover `is_maximal` tests.  Candidates are the mask's set bits, unpacked
 once per step.  Residual degrees (neighbours among the still-eligible
 vertices) are recomputed at each degree-guided step as popcounts of the
-candidates' rows ANDed with the mask.  While every vertex is eligible the
-residual degree is the row degree, so that step reuses the degrees
-computed once per search.  Both shortcuts give the same degrees, hence
-the same RNG draws and the same output, as a plain recount.
+candidates' rows ANDed with the mask.
 
 A degree-guided pick draws from at most the first four vertices of a
 stable sort, so the early states of the max-, min- and blend-runs and of
@@ -256,16 +253,15 @@ def _pick_index(rng: random.Random, m: int, depth: int) -> int:
 
 def _complete(
     words: np.ndarray,
-    row_degrees: np.ndarray,
     scratch: np.ndarray,
     memo: dict,
     emask: np.ndarray,
     members: list[int],
     rng: random.Random,
     mode: str,
-    depth: int = 1,
-    q: float = 0.5,
-    closed: np.ndarray | None = None,
+    depth: int,
+    q: float,
+    closed: np.ndarray,
 ) -> tuple[int, ...]:
     """Extend `members` until no eligible vertex remains (hence maximal);
     return the result, sorted.
@@ -276,11 +272,9 @@ def _complete(
     mode "blend": per step, a max-pick with probability q, else uniform.
 
     `emask` is the eligibility mask in the rows' word layout; it is
-    updated in place.  `words` are the adjacency rows as 64-bit words,
-    `row_degrees` their popcounts and `closed` the `_closed_rows` of
-    `words` (built here when not given).  A residual degree is
-    popcount(row & emask) over the words; when every vertex is eligible it
-    equals the row degree, which is used as is.  The candidates' rows are
+    updated in place.  `words` are the adjacency rows as 64-bit words and
+    `closed` their `_closed_rows`.  A residual degree is popcount(row &
+    emask) over the words.  The candidates' rows are
     gathered into `scratch`, a buffer shaped like `words` that lives for
     the whole search: a fresh array of up to n rows at every step costs a
     page fault per 4 KiB whenever the allocator hands the memory back to
@@ -292,8 +286,6 @@ def _complete(
     `depth` beyond PICK_DEPTH bypasses it.  Both kinds hold only states
     with at least MEMO_MIN_CANDIDATES candidates.
     """
-    if closed is None:
-        closed = _closed_rows(words)
     run = None
     if depth == 1 and mode in ("max", "min") and (
         np.bitwise_count(emask).sum() >= MEMO_MIN_CANDIDATES
@@ -305,7 +297,9 @@ def _complete(
             for _ in range(2 * (len(result) - len(members))):
                 rng.randrange(1)
             return result
-    n = row_degrees.size
+    n = words.shape[0]
+    # degrees below 2^15 fit int16, for which the stable argsort is a radix sort
+    dtype = np.int16 if n < 1 << 15 else np.int32
     ebytes = emask.view(np.uint8)
     # a pick leaves eligibility for good, so n picks empty any mask
     for _ in range(n + 1):
@@ -322,13 +316,10 @@ def _complete(
                 key = (mode == "min", tuple(sorted(members)))
             top = memo.get(key) if key else None
             if top is None:
-                if m == n:
-                    degs = row_degrees
-                else:
-                    # "clip" writes straight into out; the default mode buffers
-                    rows = np.take(words, cands, axis=0, out=scratch[:m], mode="clip")
-                    rows &= emask
-                    degs = np.bitwise_count(rows).sum(axis=1, dtype=row_degrees.dtype)
+                # "clip" writes straight into out; the default mode buffers
+                rows = np.take(words, cands, axis=0, out=scratch[:m], mode="clip")
+                rows &= emask
+                degs = np.bitwise_count(rows).sum(axis=1, dtype=dtype)
                 if not degs.any():
                     # the candidates are independent, so all of them join
                     # whatever the order: make the draws of their m steps
@@ -355,7 +346,7 @@ def _complete(
     return result
 
 
-def _fresh_run(words, row_degrees, scratch, memo, closed, valid, rng) -> tuple[int, ...]:
+def _fresh_run(words, scratch, memo, closed, valid, rng) -> tuple[int, ...]:
     roll = rng.random()
     if roll < 0.30:
         mode, depth, q = "uniform", 1, 0.0
@@ -365,13 +356,11 @@ def _fresh_run(words, row_degrees, scratch, memo, closed, valid, rng) -> tuple[i
         mode, depth, q = "blend", 1, 0.3 + 0.6 * rng.random()
     else:
         mode, depth, q = "min", rng.choice([1, 2]), 0.0
-    return _complete(
-        words, row_degrees, scratch, memo, valid.copy(), [], rng, mode, depth, q, closed
-    )
+    return _complete(words, scratch, memo, valid.copy(), [], rng, mode, depth, q, closed)
 
 
 def _perturb_run(
-    words, row_degrees, scratch, memo, closed, valid, rng, source: tuple[int, ...]
+    words, scratch, memo, closed, valid, rng, source: tuple[int, ...]
 ) -> tuple[int, ...]:
     j = min(rng.choice([1, 2, 2, 3, 3, 4]), MAX_REMOVE, len(source) - 1)
     keep = list(source)
@@ -382,9 +371,7 @@ def _perturb_run(
         mode, depth = "max", rng.choice([1, 2])
     else:
         mode, depth = "uniform", 1
-    return _complete(
-        words, row_degrees, scratch, memo, emask, keep, rng, mode, depth, 0.5, closed
-    )
+    return _complete(words, scratch, memo, emask, keep, rng, mode, depth, 0.5, closed)
 
 
 def search_maximal(
@@ -416,8 +403,6 @@ def search_maximal(
         )
     rng = random.Random(seed)
     words = g.words
-    # degrees below 2^15 fit int16, for which the stable argsort is a radix sort
-    row_degrees = g.degrees().astype(np.int16 if g.n < 1 << 15 else np.int32)
     scratch = np.empty_like(words)
     closed = _closed_rows(words)
     memo: dict = {}
@@ -446,11 +431,9 @@ def search_maximal(
         if cfg.stop_when_complete and targets <= found.keys():
             break
         if not pool or rng.random() < FRESH_FRACTION:
-            members = _fresh_run(words, row_degrees, scratch, memo, closed, valid, rng)
+            members = _fresh_run(words, scratch, memo, closed, valid, rng)
         else:
-            members = _perturb_run(
-                words, row_degrees, scratch, memo, closed, valid, rng, pool_pick()
-            )
+            members = _perturb_run(words, scratch, memo, closed, valid, rng, pool_pick())
         size = len(members)
         if size > hard_cap:
             raise InternalConsistencyError(

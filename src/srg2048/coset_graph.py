@@ -245,9 +245,6 @@ class Graph:
         """All row degrees as an int32 array."""
         return np.bitwise_count(self.words).sum(axis=1, dtype=np.int32)
 
-    def edge_count(self) -> int:
-        return int(np.bitwise_count(self.packed).sum()) // 2
-
 
 def build_graph(code: GolayCode, reps: np.ndarray) -> Graph:
     """Assemble the graph as a Cayley graph on the representative syndromes.
@@ -258,27 +255,22 @@ def build_graph(code: GolayCode, reps: np.ndarray) -> Graph:
     2.  Then a syndrome -> vertex index gives the neighbours of u as the
     vertices of syn(u) + d for the 276 d in D; they are scattered into a
     band of BAND bool rows at a time and packed, so the graph never exists
-    as a bool matrix.  Raises GraphConstructionError if two representatives
-    share a syndrome, if a neighbour syndrome names no vertex, or if any
-    vertex degree differs from 276; InvalidDistanceError if a weight-6
-    vector lies at a distance outside {2, 4} from the weight-8 words; and
+    as a bool matrix.  Raises GraphConstructionError if a neighbour
+    syndrome names no vertex, if `Graph` refuses the rows, or if any vertex
+    degree differs from 276; InvalidDistanceError if a weight-6 vector lies
+    at a distance outside {2, 4} from the weight-8 words; and
     InternalConsistencyError if the case analysis disagrees with the
-    syndromes on any even vector of weight at most 6.
+    syndromes on any even vector of weight at most 6, or if two
+    representatives lie in the same coset, as in `check_rep_uniqueness`.
     """
     connection = np.zeros(SYNDROME_LIMIT, dtype=bool)
     connection[code.syndromes(WEIGHT2_VECTORS)] = True
     # the case analysis first: its differences are freed before the rows exist
     _check_case_rule(code, connection)
-    syn = code.syndromes(reps)
+    syn = _distinct_syndromes(code, reps)
     n = len(syn)
     vertex = np.full(SYNDROME_LIMIT, -1, dtype=np.int16)
     vertex[syn] = np.arange(n)
-    clash = np.flatnonzero(vertex[syn] != np.arange(n))
-    if clash.size:
-        u = int(clash[0])
-        raise GraphConstructionError(
-            f"representatives {u} and {int(vertex[syn[u]])} share syndrome {int(syn[u])}"
-        )
     step = np.flatnonzero(connection).astype(np.uint16)
     packed = np.zeros((n, row_bytes(n)), dtype=np.uint8)
     band = np.empty((min(BAND, n), n), dtype=bool)
@@ -296,14 +288,15 @@ def build_graph(code: GolayCode, reps: np.ndarray) -> Graph:
         rows[:] = False
         rows[np.arange(len(ends))[:, None], ends] = True
         packed[lo : lo + BAND, : -(-n // 8)] = np.packbits(rows, axis=1, bitorder="little")
-    degrees = np.bitwise_count(packed.view(np.uint64)).sum(axis=1)
+    g = Graph(packed)
+    degrees = g.degrees()
     bad = np.flatnonzero(degrees != DEGREE)
     if bad.size:
         v = int(bad[0])
         raise GraphConstructionError(
             f"vertex {v} has degree {int(degrees[v])}, expected {DEGREE}"
         )
-    return Graph(packed)
+    return g
 
 
 def _check_case_rule(code: GolayCode, connection: np.ndarray) -> None:
@@ -475,6 +468,15 @@ def check_rep_uniqueness(code: GolayCode, reps: np.ndarray) -> int:
     2048 syndromes decides every pair.  Returns the number of pairs;
     raises InternalConsistencyError with a witness pair on a shared coset.
     """
+    _distinct_syndromes(code, reps)
+    n = len(reps)
+    return n * (n - 1) // 2
+
+
+def _distinct_syndromes(code: GolayCode, reps: np.ndarray) -> np.ndarray:
+    """The representatives' syndromes, after checking that no two are equal;
+    a clash names the least vertex v whose syndrome an earlier vertex has,
+    and the first such earlier vertex."""
     syn = code.syndromes(reps)
     # stable: each run of equal syndromes lists its vertices in order
     order = np.argsort(syn, kind="stable")
@@ -484,5 +486,4 @@ def check_rep_uniqueness(code: GolayCode, reps: np.ndarray) -> int:
         v = int(clash.min())
         first = int(order[np.searchsorted(ranked, syn[v])])
         raise InternalConsistencyError(f"representatives {first} and {v} lie in the same coset")
-    n = len(reps)
-    return n * (n - 1) // 2
+    return syn

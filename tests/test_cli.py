@@ -26,6 +26,7 @@ from srg2048.cli import (
     save_graph_cache,
 )
 from srg2048.golay import DEFAULT_GENERATOR_ROWS
+from srg2048.io_formats import read_dat, write_dat
 
 from oracles import neighbors
 
@@ -522,6 +523,25 @@ def pool_cache(tmp_path_factory, code, graph):
 def test_check_path_output_is_pinned(capsys, pool_cache, command):
     assert main([command, POOL, "--cache", pool_cache]) == EXIT_OK
     assert _sha256(capsys.readouterr().out) == POOL_DIGESTS[command]
+
+
+def test_check_reads_a_big_endian_container(tmp_path, monkeypatch, capsys, reps):
+    monkeypatch.setenv("SRG2048_CACHE_DIR", str(tmp_path))
+    big = tmp_path / "pool-big.dat"
+    big.write_bytes(write_dat(read_dat(Path(POOL).read_bytes(), reps), reps, byteorder="big"))
+    assert big.read_bytes() != Path(POOL).read_bytes()
+    assert main(["check", "--byteorder", "big", str(big), "--cache"]) == EXIT_OK
+    assert _sha256(capsys.readouterr().out) == POOL_DIGESTS["check"]
+
+
+@pytest.mark.parametrize("command", ["build", "verify"])
+def test_byteorder_is_a_usage_error_without_a_container(capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--byteorder", "big"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --byteorder big" in captured.err
 
 
 @pytest.mark.parametrize("command", ["invariants", "check"])

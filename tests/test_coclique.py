@@ -377,7 +377,7 @@ def test_degree_memo_is_capped(graph, reps, monkeypatch):
 
     def recorded(*args):
         members = complete(*args)
-        memos.append(len(args[3]))
+        memos.append(len(args[2]))
         return members
 
     monkeypatch.setattr(coclique, "_complete", recorded)
@@ -394,8 +394,8 @@ def test_deep_picks_bypass_the_degree_memo(graph):
     valid = coclique._pack(words.shape[1], np.arange(graph.n))
     memo = {}
     members = coclique._complete(
-        words, graph.degrees().astype(np.int16), np.empty_like(words), memo,
-        valid, [], random.Random(3), "max", 4 * coclique.PICK_DEPTH,
+        words, np.empty_like(words), memo, valid, [], random.Random(3), "max",
+        4 * coclique.PICK_DEPTH, 0.5, coclique._closed_rows(words),
     )
     assert memo == {}
     assert is_maximal(graph, VertexSet(tuple(members)))
@@ -418,15 +418,13 @@ def _complete_runs(g, adj, runs, seed):
     and one RNG for them all, and through `complete_ref`, its own RNG:
     the members of every run and both RNG states at the end."""
     words = g.words
-    row_degrees = g.degrees().astype(np.int16)
     scratch, closed, memo = np.empty_like(words), coclique._closed_rows(words), {}
     fast, ref = random.Random(seed), random.Random(seed)
     got, want = [], []
     for mode, depth, q, start in runs:
         emask = _start_mask(adj, start, words.shape[1])
         got.append(list(coclique._complete(
-            words, row_degrees, scratch, memo, emask, list(start), fast, mode, depth, q,
-            closed,
+            words, scratch, memo, emask, list(start), fast, mode, depth, q, closed
         )))
         want.append(complete_ref(adj, start, ref, mode, depth, q))
     return got, want, fast.getstate(), ref.getstate(), memo

@@ -329,7 +329,8 @@ def test_degrees_all_276(graph):
 
 
 def test_edge_count(graph):
-    assert graph.edge_count() == N_VERTICES * DEGREE // 2
+    edges = int(graph.degrees().sum()) // 2
+    assert edges == int(bool_matrix(graph).sum()) // 2 == N_VERTICES * DEGREE // 2
 
 
 def test_neighbors_of_vertex_zero_are_weight2_reps(graph, reps):
@@ -760,14 +761,15 @@ def test_vectors_of_weight_match_combinations(w):
     assert np.array_equal(values, vectors_of_weight_ref(w))
 
 
-def _code_with_rep_syndromes(rewrite):
-    """A fresh code whose `syndromes` passes the representatives' through `rewrite`."""
+def _code_with_rep_syndromes(rewrite, count=N_VERTICES):
+    """A fresh code whose `syndromes` passes those of any `count` vectors,
+    by default the representatives', through `rewrite`."""
     fresh = build_code()
     plain = fresh.syndromes
 
     def syndromes(xs):
         out = plain(xs)
-        if len(out) == N_VERTICES:
+        if len(out) == count:
             out = rewrite(out.copy())
         return out
 
@@ -780,8 +782,20 @@ def test_build_graph_refuses_two_representatives_with_one_syndrome(reps):
         syn[7] = syn[3]
         return syn
 
-    with pytest.raises(GraphConstructionError, match=r"representatives (3 and 7|7 and 3) share syndrome"):
+    with pytest.raises(InternalConsistencyError, match=r"^representatives 3 and 7 lie in the same coset$"):
         build_graph(_code_with_rep_syndromes(collide), reps)
+
+
+def test_build_graph_refuses_a_vertex_of_the_wrong_degree(reps, monkeypatch):
+    # a connection set one syndrome short, past the case-rule check: the rows
+    # stay symmetric and loop-free, so only the degree check sees it
+    def merge(syn):
+        syn[0] = syn[1]
+        return syn
+
+    monkeypatch.setattr(coset_graph, "_check_case_rule", lambda code, connection: None)
+    with pytest.raises(GraphConstructionError, match=r"^vertex 0 has degree 275, expected 276$"):
+        build_graph(_code_with_rep_syndromes(merge, count=DEGREE), reps)
 
 
 def test_build_graph_refuses_a_neighbour_syndrome_that_names_no_vertex(code, reps):
