@@ -99,10 +99,11 @@ def _cache_head(code: golay.GolayCode, packed: np.ndarray) -> bytes:
 
 
 def save_graph_cache(path: str, g: coset_graph.Graph, code: golay.GolayCode) -> None:
-    """Write the head and the rows to a temporary file beside `path`, then
-    rename it into place, so a reader never sees a half-written file.  It
-    replaces only an absent file or one that starts with CACHE_MAGIC less its
-    version byte; anything else raises FileExistsError, "not a graph cache file"."""
+    """Write the head, then the rows straight from `g.packed` with no copy,
+    to a temporary file beside `path`, then rename it into place, so a
+    reader never sees a half-written file.  It replaces only an absent file
+    or one that starts with CACHE_MAGIC less its version byte; anything else
+    raises FileExistsError, "not a graph cache file"."""
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     try:
@@ -115,7 +116,8 @@ def save_graph_cache(path: str, g: coset_graph.Graph, code: golay.GolayCode) -> 
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".graph-", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(_cache_head(code, g.packed) + g.packed.tobytes())
+            fh.write(_cache_head(code, g.packed))
+            fh.write(g.packed)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -289,9 +291,34 @@ def cmd_search(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _file_key(path: str):
+    """What names the file at `path`: its device and inode when it exists,
+    else its resolved absolute path, so two spellings of one file agree."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
+
+
+def _write_pieces(path: str, pieces) -> int:
+    """Write text pieces to `path` as they come; the characters written,
+    which for ASCII text are the bytes."""
+    with open(path, "w", encoding="ascii") as fh:
+        return sum(map(fh.write, pieces))
+
+
 def cmd_export(args: argparse.Namespace) -> int:
     if not args.gap and not args.edges:
         args.usage_error("nothing to export: pass --gap and/or --edges")
+    # writing over the container, or one output over the other, loses data
+    files = {"--sets": args.sets, "--gap": args.gap, "--edges": args.edges}
+    keys = {}
+    for flag, path in files.items():
+        if path:
+            other = keys.setdefault(_file_key(path), flag)
+            if other != flag:
+                args.usage_error(f"{flag} {path} is the same file as {other} {files[other]}")
     data = b""
     if args.sets:
         with open(args.sets, "rb") as fh:  # fail fast before the outputs and the build
@@ -300,14 +327,11 @@ def cmd_export(args: argparse.Namespace) -> int:
     code, reps, g, _ = _build_context(args)
     sets = io_formats.read_dat(data, reps, byteorder=args.byteorder)  # none without --sets
     if args.gap:
-        text = io_formats.export_gap(g, sets)
-        with open(args.gap, "w", encoding="ascii") as fh:
-            fh.write(text)
-        print(f"wrote gap file {args.gap} ({len(text)} bytes, {len(sets)} sets)")
+        # gap_pieces checks the sets before _write_pieces truncates the file
+        size = _write_pieces(args.gap, io_formats.gap_pieces(g, sets))
+        print(f"wrote gap file {args.gap} ({size} bytes, {len(sets)} sets)")
     if args.edges:
-        text = io_formats.export_edge_list(g)
-        with open(args.edges, "w", encoding="ascii") as fh:
-            fh.write(text)
+        _write_pieces(args.edges, io_formats.edge_list_pieces(g))
         print(f"wrote edge list {args.edges} ({int(g.degrees().sum()) // 2} edges)")
     return EXIT_OK
 

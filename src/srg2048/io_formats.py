@@ -20,9 +20,17 @@ stream in that canonical order round-trips byte-exactly.
 The GAP export is a text file defining `A` (the n adjacency lists,
 1-based) and `MIS` (the vertex-number lists of the given sets), followed by
 a trailer that loads the grape package and rebuilds the graph on 1..n.
+
+Each text export has one formatting route, `gap_pieces` and
+`edge_list_pieces`, which yields the text one band of EXPORT_BAND rows at a
+time.  The CLI writes each piece to the open output file as it comes, so no
+more than one band of text exists at once; `export_gap` and
+`export_edge_list` join the same pieces into one string.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -33,7 +41,7 @@ from .errors import DatFormatError, DomainError
 DAT_MIN_SIZE = 2
 DAT_MAX_SIZE = COCLIQUE_SIZE_CAP
 ENTRY_BYTES = 3
-EXPORT_BAND = 32  # rows per unpack in the exports: 64 KiB of bool rows; the joins set the time
+EXPORT_BAND = 32  # rows per unpack and per piece in the exports: 64 KiB of bool rows, ~45 KB of text
 # bit position of each entry byte, in stream order
 _ENTRY_SHIFTS = {
     "little": np.array([0, 8, 16], dtype=np.uint32),
@@ -127,45 +135,65 @@ def _vertex_labels(n: int) -> np.ndarray:
     return np.array([str(v) for v in range(1, n + 1)], dtype=object)
 
 
-def export_gap(g: Graph, sets=()) -> str:
-    """GAP/grape text: adjacency lists, the sets, and the trailer for g.n.
+def gap_pieces(g: Graph, sets=()) -> Iterator[str]:
+    """The GAP/grape text of g and the sets, in pieces: the opening of `A`,
+    then the adjacency lists of each band of EXPORT_BAND rows, then the end
+    of `A` with the MIS block and the trailer for g.n.
 
     Every list is joined from the label table, so no vertex number is
-    formatted more than once.
+    formatted more than once.  The sets are checked when this is called, so
+    a set naming a vertex >= g.n raises DomainError before any piece exists.
     """
-    labels = _vertex_labels(g.n)
-    parts: list[str] = ["A:=[\n"]
-    for lo, rows in g.bands(EXPORT_BAND):
-        for u, bits in enumerate(rows, start=lo):
-            row = ",".join(labels[np.flatnonzero(bits)].tolist())
-            parts.append(f"[{row}]{',' if u < g.n - 1 else ''}\n")
-    parts.append("];\n")
-    parts.append("MIS:=[\n")
     for i, s in enumerate(sets):
         if s.members and s.members[-1] >= g.n:
             raise DomainError(
                 f"set {i + 1} contains vertex {s.members[-1]}, graph has {g.n}"
             )
+    return _gap_text(g, sets)
+
+
+def _gap_text(g: Graph, sets) -> Iterator[str]:
+    """The pieces of `gap_pieces`, once its sets are checked."""
+    labels = _vertex_labels(g.n)
+    yield "A:=[\n"
+    for lo, rows in g.bands(EXPORT_BAND):
+        lines = []
+        for u, bits in enumerate(rows, start=lo):
+            row = ",".join(labels[np.flatnonzero(bits)].tolist())
+            lines.append(f"[{row}]{',' if u < g.n - 1 else ''}\n")
+        yield "".join(lines)
+    lines = ["];\nMIS:=[\n"]
+    for i, s in enumerate(sets):
         row = ",".join(labels[list(s.members)].tolist())
-        parts.append(f"[{row}]{',' if i < len(sets) - 1 else ''}\n")
-    parts.append("];\n")
-    parts.append(gap_trailer(g.n))
-    return "".join(parts)
+        lines.append(f"[{row}]{',' if i < len(sets) - 1 else ''}\n")
+    lines.append("];\n" + gap_trailer(g.n))
+    yield "".join(lines)
 
 
-def export_edge_list(g: Graph) -> str:
-    """Plain text debug export: one '1-based u v' line per edge, u < v.
+def edge_list_pieces(g: Graph) -> Iterator[str]:
+    """The plain text debug export, one '1-based u v' line per edge, u < v,
+    in one piece per band of EXPORT_BAND rows.
 
-    Band by band, with no edge array or list of pairs at once: the lines of
-    row u are its larger neighbours' labels joined by a newline and u's
-    label, so no line is formatted on its own.
+    No edge array or list of pairs exists at once: the lines of row u are
+    its larger neighbours' labels joined by a newline and u's label, so no
+    line is formatted on its own.
     """
     labels = _vertex_labels(g.n)
-    parts: list[str] = []
     for lo, rows in g.bands(EXPORT_BAND):
+        lines = []
         for u, bits in enumerate(rows, start=lo):
             upper = labels[u + 1 :][np.flatnonzero(bits[u + 1 :])].tolist()
             if upper:
                 head = labels[u] + " "
-                parts.append(head + ("\n" + head).join(upper) + "\n")
-    return "".join(parts)
+                lines.append(head + ("\n" + head).join(upper) + "\n")
+        yield "".join(lines)
+
+
+def export_gap(g: Graph, sets=()) -> str:
+    """The whole GAP text as one string: `gap_pieces` joined."""
+    return "".join(gap_pieces(g, sets))
+
+
+def export_edge_list(g: Graph) -> str:
+    """The whole edge list as one string: `edge_list_pieces` joined."""
+    return "".join(edge_list_pieces(g))

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from srg2048 import coset_graph, golay
+from srg2048 import coset_graph, golay, io_formats
 from srg2048.cli import (
     CACHE_MAGIC,
     EXIT_DISTANCE,
@@ -25,6 +26,7 @@ from srg2048.cli import (
     parse_size_targets,
     save_graph_cache,
 )
+from srg2048.coclique import VertexSet
 from srg2048.golay import DEFAULT_GENERATOR_ROWS
 from srg2048.io_formats import read_dat, write_dat
 
@@ -564,6 +566,20 @@ def test_export_output_is_pinned(tmp_path, capsys, pool_cache):
     assert _sha256(edges.read_text()) == POOL_DIGESTS["edges"]
 
 
+def test_export_holds_no_whole_output_in_memory(tmp_path, capsys, pool_cache):
+    gap, edges = tmp_path / "pool.g", tmp_path / "edges.txt"
+    argv = ["export", "--gap", str(gap), "--edges", str(edges), "--sets", POOL, "--cache", pool_cache]
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # each text as a list of row strings and then their join, with the
+    # encoded copy for the write, took 8.5 MiB; the cache load is 0.5 MiB
+    assert peak < 4 * 2**20
+
+
 # sha256 of the cache file of the default generators: 96 + 2048 * 256 bytes
 CACHE_DIGEST = "251b643231d88831aa3224244cda1024ed53bf83c3b187e663acb1c3b6f60d93"
 CACHE_SIZE = 524_384
@@ -573,6 +589,19 @@ def test_cache_file_is_pinned(pool_cache):
     data = Path(pool_cache).read_bytes()
     assert len(data) == CACHE_SIZE
     assert hashlib.sha256(data).hexdigest() == CACHE_DIGEST
+
+
+def test_cache_write_copies_no_rows(tmp_path, code, graph):
+    path = tmp_path / "graph.bin"
+    tracemalloc.start()
+    try:
+        save_graph_cache(str(path), graph, code)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # `tobytes()` of the 512 KiB of rows and its concatenation to the head took 1 MiB
+    assert peak < 128 * 2**10
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CACHE_DIGEST
 
 
 # ------------------------------------------------------ malformed files
@@ -639,6 +668,54 @@ def test_container_given_as_its_own_cache_is_left_alone(tmp_path, capsys):
     assert _sha256(captured.out) == POOL_DIGESTS["check"]
     assert captured.err == f"cache: write failed: {container}: not a graph cache file\n"
     assert hashlib.sha256(container.read_bytes()).hexdigest() == POOL_FILE_DIGEST
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--sets", "P", "--gap", "P"], "--gap P is the same file as --sets P"),
+        (["--sets", "P", "--edges", "P"], "--edges P is the same file as --sets P"),
+        (["--gap", "F", "--edges", "sub/../F"], "--edges sub/../F is the same file as --gap F"),
+        (["--sets", "link", "--gap", "P"], "--gap P is the same file as --sets link"),
+        (["--sets", "P", "--edges", "hard"], "--edges hard is the same file as --sets P"),
+    ],
+)
+def test_export_refuses_to_write_over_its_input_or_its_other_output(
+    tmp_path, monkeypatch, capsys, argv, message
+):
+    """A usage error before any file is read, created or truncated: earlier
+    versions replaced the container P with the GAP text, and with
+    `--gap F --edges F` left only the edge list in F."""
+    def no_build(code, reps):
+        raise AssertionError("the graph was built")
+
+    monkeypatch.setattr(coset_graph, "build_graph", no_build)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "P").write_bytes(Path(POOL).read_bytes())
+    (tmp_path / "link").symlink_to("P")
+    (tmp_path / "hard").hardlink_to("P")
+    (tmp_path / "sub").mkdir()
+    with pytest.raises(SystemExit) as info:
+        main(["export", *argv])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert hashlib.sha256((tmp_path / "P").read_bytes()).hexdigest() == POOL_FILE_DIGEST
+    assert not (tmp_path / "F").exists()
+
+
+def test_export_refuses_a_set_beyond_the_graph_before_truncating(
+    tmp_path, monkeypatch, capsys, pool_cache
+):
+    monkeypatch.setattr(io_formats, "read_dat", lambda data, reps, byteorder: [VertexSet((2, 2048))])
+    gap = tmp_path / "g.g"
+    gap.write_bytes(b"kept\n")
+    assert main(["export", "--gap", str(gap), "--cache", pool_cache]) == EXIT_VERIFY
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: set 1 contains vertex 2048, graph has 2048\n"
+    assert gap.read_bytes() == b"kept\n"
 
 
 def test_build_leaves_a_file_that_is_not_a_cache_alone(tmp_path, capsys):

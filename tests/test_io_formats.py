@@ -1,3 +1,4 @@
+import io
 import random
 import re
 
@@ -9,8 +10,11 @@ from srg2048.coclique import VertexSet
 from srg2048.coset_graph import DEGREE, N_VERTICES
 from srg2048.errors import DatFormatError, DomainError
 from srg2048.io_formats import (
+    EXPORT_BAND,
+    edge_list_pieces,
     export_edge_list,
     export_gap,
+    gap_pieces,
     gap_trailer,
     read_dat,
     write_dat,
@@ -307,5 +311,25 @@ def test_gap_trailer_rebuilds_the_graph_it_follows(petersen):
 
 
 def test_gap_rejects_a_set_beyond_the_graph(petersen):
+    sink = io.StringIO()
+    with pytest.raises(DomainError, match="vertex 10"):
+        sink.writelines(gap_pieces(petersen, [VertexSet((2, 10))]))
+    assert sink.getvalue() == ""  # refused before the first piece
     with pytest.raises(DomainError, match="vertex 10"):
         export_gap(petersen, [VertexSet((2, 10))])
+
+
+def test_exports_come_one_band_at_a_time(graph):
+    """One piece per EXPORT_BAND rows, and the GAP text's head and tail."""
+    bands = N_VERTICES // EXPORT_BAND
+    gap = list(gap_pieces(graph, [VertexSet((0, 1, 5))]))
+    assert len(gap) == bands + 2
+    assert gap[0] == "A:=[\n"
+    assert all(piece.count("\n") == EXPORT_BAND for piece in gap[1:-1])
+    assert gap[-1] == "];\nMIS:=[\n[1,2,6]\n];\n" + gap_trailer(N_VERTICES)
+    edges = list(edge_list_pieces(graph))
+    assert len(edges) == bands
+    for i, piece in enumerate(edges):
+        heads = {int(line.split()[0]) for line in piece.splitlines()}
+        assert heads <= set(range(i * EXPORT_BAND + 1, (i + 1) * EXPORT_BAND + 1))
+    assert "".join(edges) == export_edge_list(graph)
