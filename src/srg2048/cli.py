@@ -6,14 +6,15 @@ documented values, and reports use stable line formats.
 
 Exit codes: 0 success; 3 data-format or file error, and `build --cache`
 when the cache cannot be written; 4 verification or check failure; 5 the
-internal invalid-distance guard fired (2 is argparse usage).
+internal invalid-distance guard fired; 2 usage, from argparse or from
+`_build_context`, the one route to every command's files, when an output
+is the same file as an input (the cache file included) or another output.
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
-import hashlib
 import os
 import sys
 import tempfile
@@ -88,6 +89,8 @@ def _generator_bytes(code: golay.GolayCode) -> bytes:
 def _cache_path(args: argparse.Namespace, code: golay.GolayCode) -> str:
     if args.cache and args.cache != "auto":
         return args.cache
+    import hashlib  # loads OpenSSL: only runs that use the cache pay for it
+
     digest = hashlib.sha256(_generator_bytes(code)).hexdigest()[:16]
     return os.path.join(default_cache_dir(), f"graph-{digest}.bin")
 
@@ -95,6 +98,8 @@ def _cache_path(args: argparse.Namespace, code: golay.GolayCode) -> str:
 def _cache_head(code: golay.GolayCode, packed: np.ndarray) -> bytes:
     """The 96 bytes before the rows in a cache file: CACHE_MAGIC, the 12
     generator rows as little-endian uint32 and the sha256 of the rows."""
+    import hashlib
+
     return CACHE_MAGIC + _generator_bytes(code) + hashlib.sha256(packed).digest()
 
 
@@ -147,15 +152,45 @@ def _build_code(args: argparse.Namespace) -> golay.GolayCode:
     return golay.build_code(generators)
 
 
+def _file_key(path: str):
+    """What names the file at `path`: its device and inode when it exists,
+    else its resolved absolute path, so two spellings of one file agree."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
+
+
 def _build_context(args: argparse.Namespace):
-    """code, reps, graph -- through the cache when enabled -- and the cache
-    file, None when the cache is off or could not be written."""
+    """The one route to every command's files.  After `--generators` is read,
+    and before any other file is read or the graph is built: an output (named
+    in `args.writes`) that is the same file as an input or as another output
+    is a usage error, the container (named in `args.reads`) is read, and each
+    output is opened for appending, which creates an absent file and truncates
+    none.  Returns code, reps, the graph (through the cache when enabled), the
+    cache file (None when off or unwritable) and the container's bytes."""
     code = _build_code(args)
-    reps = coset_graph.build_reps()
-    g = None
     cache_file = _cache_path(args, code) if args.cache else None
-    if cache_file:
-        g = load_graph_cache(cache_file, code, reps)
+    # writing over an input, or one output over another, loses data
+    files = {"generators": args.generators, "cache": cache_file}
+    files.update((name, getattr(args, name)) for name in args.reads + args.writes)
+    keys = {}
+    for name, path in files.items():
+        if path:
+            other = keys.setdefault(_file_key(path), name)
+            if other != name and name in args.writes:
+                args.usage_error(f"--{name} {path} is the same file as --{other} {files[other]}")
+    data = b""
+    for name, path in files.items():
+        if path and name in args.reads:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        elif path and name in args.writes:
+            with open(path, "ab"):
+                pass
+    reps = coset_graph.build_reps()
+    g = load_graph_cache(cache_file, code, reps) if cache_file else None
     if g is None:
         g = coset_graph.build_graph(code, reps)
         if cache_file:
@@ -164,7 +199,7 @@ def _build_context(args: argparse.Namespace):
             except OSError as exc:  # the graph is built and checked: report and go on
                 print(f"cache: write failed: {cache_file}: {exc.strerror or exc}", file=sys.stderr)
                 cache_file = None
-    return code, reps, g, cache_file
+    return code, reps, g, cache_file, data
 
 
 def _format_census(census: dict[int, int]) -> str:
@@ -173,7 +208,7 @@ def _format_census(census: dict[int, int]) -> str:
 
 def cmd_build(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    code, reps, g, cache_file = _build_context(args)
+    code, reps, g, cache_file, _ = _build_context(args)
     elapsed = time.perf_counter() - t0
     print(f"codewords: {len(code.codewords)}")
     print(f"weight distribution: {_format_census(code.weight_distribution())}")
@@ -187,7 +222,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    code, reps, g, _ = _build_context(args)
+    code, reps, g, *_ = _build_context(args)
     print(f"codewords: {len(code.codewords)}")
     print(f"weight distribution: {_format_census(code.weight_distribution())}")
     counts = golay.census(np.bitwise_count(reps))
@@ -230,9 +265,7 @@ def _describe_set(
 
 
 def _check_sets(args: argparse.Namespace, invariant_floor: int) -> int:
-    with open(args.dat, "rb") as fh:  # fail fast before the build
-        data = fh.read()
-    code, reps, g, _ = _build_context(args)
+    _, reps, g, _, data = _build_context(args)
     sets = io_formats.read_dat(data, reps, byteorder=args.byteorder)
     failures = 0
     for i, s in enumerate(sets, start=1):
@@ -255,17 +288,8 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     return _check_sets(args, invariant_floor=0)
 
 
-def _open_outputs(*paths: str | None) -> None:
-    """Fail fast before the build: open each given output path for appending,
-    which creates an absent file and never truncates one."""
-    for path in filter(None, paths):
-        with open(path, "ab"):
-            pass
-
-
 def cmd_search(args: argparse.Namespace) -> int:
-    _open_outputs(args.out)
-    code, reps, g, _ = _build_context(args)
+    _, reps, g, *_ = _build_context(args)
     targets = args.sizes
     contiguous = targets == tuple(range(targets[0], targets[-1] + 1))
     label = f"{targets[0]}-{targets[-1]}" if contiguous else ",".join(map(str, targets))
@@ -291,16 +315,6 @@ def cmd_search(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _file_key(path: str):
-    """What names the file at `path`: its device and inode when it exists,
-    else its resolved absolute path, so two spellings of one file agree."""
-    try:
-        st = os.stat(path)
-    except OSError:
-        return os.path.realpath(path)
-    return st.st_dev, st.st_ino
-
-
 def _write_pieces(path: str, pieces) -> int:
     """Write text pieces to `path` as they come; the characters written,
     which for ASCII text are the bytes."""
@@ -311,20 +325,7 @@ def _write_pieces(path: str, pieces) -> int:
 def cmd_export(args: argparse.Namespace) -> int:
     if not args.gap and not args.edges:
         args.usage_error("nothing to export: pass --gap and/or --edges")
-    # writing over the container, or one output over the other, loses data
-    files = {"--sets": args.sets, "--gap": args.gap, "--edges": args.edges}
-    keys = {}
-    for flag, path in files.items():
-        if path:
-            other = keys.setdefault(_file_key(path), flag)
-            if other != flag:
-                args.usage_error(f"{flag} {path} is the same file as {other} {files[other]}")
-    data = b""
-    if args.sets:
-        with open(args.sets, "rb") as fh:  # fail fast before the outputs and the build
-            data = fh.read()
-    _open_outputs(args.gap, args.edges)
-    code, reps, g, _ = _build_context(args)
+    _, reps, g, _, data = _build_context(args)
     sets = io_formats.read_dat(data, reps, byteorder=args.byteorder)  # none without --sets
     if args.gap:
         # gap_pieces checks the sets before _write_pieces truncates the file
@@ -352,7 +353,8 @@ def _cache_arg(text: str) -> str:
     return text
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, reads=(), writes=()) -> None:
+    p.set_defaults(reads=reads, writes=writes, usage_error=p.error)
     p.add_argument("--generators", help="generator matrix file (12 lines of 24 '0'/'1')")
     p.add_argument(
         "--cache",
@@ -400,8 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=text)
         p.add_argument("dat", nargs="?", help="path to the vertex-set container")
-        _add_common(p)
-        p.set_defaults(usage_error=p.error)
+        _add_common(p, reads=("dat",))
 
     p = sub.add_parser("search", help="search maximal cocliques and write a .dat file")
     p.add_argument("--out", help="output .dat path")
@@ -413,14 +414,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=coclique.DEFAULT_SEED)
     p.add_argument("--budget", type=_budget_arg, default=coclique.DEFAULT_BUDGET)
-    _add_common(p)
+    _add_common(p, writes=("out",))
 
     p = sub.add_parser("export", help="write the GAP file and/or an edge list")
     p.add_argument("--sets", help=".dat file whose sets go into the MIS list")
     p.add_argument("--gap", help="output path of the GAP text file")
     p.add_argument("--edges", help="output path of the plain edge list")
-    _add_common(p)
-    p.set_defaults(usage_error=p.error)
+    _add_common(p, reads=("sets",), writes=("gap", "edges"))
 
     for name in ("check", "invariants", "search", "export"):  # the commands that take a .dat
         sub.choices[name].add_argument(

@@ -4,6 +4,7 @@ import importlib.util
 import io
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from srg2048 import coset_graph, golay, io_formats
+from srg2048 import cli, coset_graph, golay, io_formats
 from srg2048.cli import (
     CACHE_MAGIC,
     EXIT_DISTANCE,
@@ -705,6 +706,54 @@ def test_export_refuses_to_write_over_its_input_or_its_other_output(
     assert not (tmp_path / "F").exists()
 
 
+GENERATORS = str(Path(MIXED).parent / "generators-nonsystematic.txt")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["search", "--out", "G", "--generators", "G"], "--out G is the same file as --generators G"),
+        (
+            ["export", "--edges", "G", "--generators", "G"],
+            "--edges G is the same file as --generators G",
+        ),
+        (["export", "--gap", "C", "--cache", "C"], "--gap C is the same file as --cache C"),
+        (
+            ["search", "--cache", "--out", "{default}"],
+            "--out {default} is the same file as --cache {dir}/{default}",
+        ),
+    ],
+    ids=["search-generators", "export-generators", "export-cache", "search-default-cache"],
+)
+def test_no_output_is_the_same_file_as_an_input(
+    tmp_path, monkeypatch, capsys, code, pool_cache, argv, message
+):
+    """A usage error before the graph is loaded or built, for every command
+    and every input: earlier versions replaced the generator rows G with the
+    .dat bytes or the edge list, and a warm cache C with the GAP text."""
+    def no_graph(*args):
+        raise AssertionError("the graph was loaded or built")
+
+    monkeypatch.setattr(coset_graph, "build_graph", no_graph)
+    monkeypatch.setattr(cli, "load_graph_cache", no_graph)
+    monkeypatch.setenv("SRG2048_CACHE_DIR", str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    rows = np.array(code.generators, dtype="<u4").tobytes()
+    default = f"graph-{hashlib.sha256(rows).hexdigest()[:16]}.bin"
+    shutil.copyfile(GENERATORS, tmp_path / "G")
+    for name in ("C", default):
+        shutil.copyfile(pool_cache, tmp_path / name)
+    with pytest.raises(SystemExit) as info:
+        main([arg.format(default=default) for arg in argv])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message.format(default=default, dir=tmp_path) in captured.err
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    generators_digest = hashlib.sha256(Path(GENERATORS).read_bytes()).hexdigest()
+    assert digests == {"G": generators_digest, "C": CACHE_DIGEST, default: CACHE_DIGEST}
+
+
 def test_export_refuses_a_set_beyond_the_graph_before_truncating(
     tmp_path, monkeypatch, capsys, pool_cache
 ):
@@ -784,6 +833,22 @@ def test_cold_commands_do_not_import_numpy_ma():
     )
     env = dict(os.environ, PYTHONPATH=str(Path(golay.__file__).parents[1]))
     assert subprocess.run([sys.executable, "-c", script], env=env).returncode == 0
+
+
+def test_a_run_without_the_cache_does_not_load_openssl():
+    """hashlib's OpenSSL backend adds about 3.4 MiB to a process's peak RSS,
+    and only the cache digests need it; a fresh interpreter keeps pytest's
+    own imports out of the check."""
+    script = (
+        "import sys\n"
+        "from srg2048.cli import main\n"
+        "main(['search', '--sizes', '20', '--budget', '1'])\n"
+        "sys.exit('_hashlib' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(golay.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert "coverage 20-20: . (0 of 1 sizes)" in run.stdout
 
 
 @settings(
