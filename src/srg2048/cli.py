@@ -19,6 +19,7 @@ import os
 import sys
 import tempfile
 import time
+import zlib
 
 import numpy as np
 
@@ -37,7 +38,9 @@ EXIT_VERIFY = 4
 EXIT_DISTANCE = 5
 
 # first 16 bytes of a graph cache file; the last one is the layout version
-CACHE_MAGIC = b"srg2048 graph v2"
+CACHE_MAGIC = b"srg2048 graph v3"
+# bytes before the rows: the magic, 12 generator rows and the rows' CRC-32
+CACHE_HEAD = len(CACHE_MAGIC) + 12 * 4 + 4
 
 # check and search report the pair invariant for sets at least this large
 LARGE_SET_FLOOR = 72
@@ -89,18 +92,15 @@ def _generator_bytes(code: golay.GolayCode) -> bytes:
 def _cache_path(args: argparse.Namespace, code: golay.GolayCode) -> str:
     if args.cache and args.cache != "auto":
         return args.cache
-    import hashlib  # loads OpenSSL: only runs that use the cache pay for it
-
-    digest = hashlib.sha256(_generator_bytes(code)).hexdigest()[:16]
-    return os.path.join(default_cache_dir(), f"graph-{digest}.bin")
+    digest = zlib.crc32(_generator_bytes(code))
+    return os.path.join(default_cache_dir(), f"graph-{digest:08x}.bin")
 
 
 def _cache_head(code: golay.GolayCode, packed: np.ndarray) -> bytes:
-    """The 96 bytes before the rows in a cache file: CACHE_MAGIC, the 12
-    generator rows as little-endian uint32 and the sha256 of the rows."""
-    import hashlib
-
-    return CACHE_MAGIC + _generator_bytes(code) + hashlib.sha256(packed).digest()
+    """The CACHE_HEAD bytes before the rows in a cache file: CACHE_MAGIC, then
+    the 12 generator rows and the CRC-32 of the rows as little-endian uint32.
+    The generator rows catch a stale file and the CRC-32 a damaged one."""
+    return CACHE_MAGIC + _generator_bytes(code) + zlib.crc32(packed).to_bytes(4, "little")
 
 
 def save_graph_cache(path: str, g: coset_graph.Graph, code: golay.GolayCode) -> None:
@@ -138,7 +138,7 @@ def load_graph_cache(
     packed = np.empty((n, coset_graph.row_bytes(n)), dtype=np.uint8)
     try:
         with open(path, "rb") as fh:
-            head, size, rest = fh.read(96), fh.readinto(packed), fh.read(1)
+            head, size, rest = fh.read(CACHE_HEAD), fh.readinto(packed), fh.read(1)
         if size != packed.nbytes or rest or head != _cache_head(code, packed):
             return None
         g = coset_graph.Graph(packed)

@@ -217,7 +217,7 @@ def check_set(g: Graph, s: VertexSet, pair: bool) -> tuple[bool, bool, dict[int,
     profile = census(counts[outside])
     invariant = None
     if pair:
-        r = bits[:, outside & (counts == 8)].astype(np.float32)
+        r = bits.take(np.flatnonzero(outside & (counts == 8)), axis=1).astype(np.float32)
         zero = (r @ r.T) == 0
         invariant = (np.count_nonzero(zero) - np.count_nonzero(zero.diagonal())) // 2
     return independent, independent and 0 not in profile, profile, invariant

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -433,15 +432,16 @@ def _first_bad_pair(g: Graph, rows: np.ndarray, lo: int, lam: int, mu: int) -> V
 def delsarte_bound(v: int, k: int, s) -> int:
     """Ratio bound on coclique size: floor(v / (1 + k / (-s))).
 
-    `s` is the smallest adjacency eigenvalue; exact rational arithmetic
-    throughout (floats are converted exactly).
+    `s` is the smallest adjacency eigenvalue, an int, float or Fraction;
+    with s = p/q exactly (q > 0), the bound is v(-p) / (kq - p), floored in
+    exact integer arithmetic.
     """
     if k <= 0:
         raise DomainError(f"degree must be positive, got {k}")
-    s = Fraction(s)
-    if s >= 0:
+    p, q = s.as_integer_ratio()
+    if p >= 0:
         raise DomainError(f"smallest eigenvalue must be negative, got {s}")
-    return math.floor(Fraction(v) / (1 + Fraction(k) / (-s)))
+    return v * -p // (k * q - p)
 
 
 def srg_eigenvalues(params: SrgParams) -> tuple:

@@ -8,15 +8,17 @@ syndromes), and arbitrary-precision integer rows for the coclique checks
 the members' rows), and `str()` of every vertex number for the text
 exports (the package joins a table of labels), and a plain step-by-step
 greedy run on a bool matrix for the search (the package memoises, skips
-steps whose outcome is fixed and works on packed masks).  The graph helpers
-pack small bool matrices and edge lists into `Graph` rows, whose
-constructor checks them; the package itself never holds an n x n bool
-matrix.
+steps whose outcome is fixed and works on packed masks), and `Fraction`
+arithmetic for the ratio bound (the package floors one integer quotient).
+The graph helpers pack small bool matrices and edge lists into `Graph`
+rows, whose constructor checks them; the package itself never holds an
+n x n bool matrix.
 """
 
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
@@ -63,6 +65,11 @@ def feasibility_identity(params):
         params.k * (params.k - params.lam - 1),
         (params.v - params.k - 1) * params.mu,
     )
+
+
+def delsarte_bound_ref(v, k, s):
+    """floor(v / (1 + k / (-s))) in exact rationals; floats convert exactly."""
+    return math.floor(Fraction(v) / (1 + Fraction(k) / (-Fraction(s))))
 
 
 def vectors_of_weight_ref(w):

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -315,9 +316,9 @@ def test_stale_cache_is_rebuilt(tmp_path, code, reps, graph):
 
 def _cache_bytes(generators, packed, magic=CACHE_MAGIC):
     """The bytes of a cache file, laid out as documented: magic, generators
-    as little-endian uint32, sha256 of the rows, rows."""
+    and the CRC-32 of the rows as little-endian uint32, rows."""
     rows = packed.tobytes()
-    head = magic + np.array(generators, dtype="<u4").tobytes() + hashlib.sha256(rows).digest()
+    head = magic + np.array([*generators, zlib.crc32(rows)], dtype="<u4").tobytes()
     return head + rows
 
 
@@ -387,14 +388,14 @@ def test_cache_rows_must_match_their_digest(tmp_path, code, reps, graph):
     swapped = np.packbits(bits[perm][:, perm], axis=1, bitorder="little")
     assert not np.array_equal(swapped, graph.packed)
     cache = tmp_path / "graph.npz"
-    cache.write_bytes(_cache_bytes(code.generators, graph.packed)[:96] + swapped.tobytes())
+    cache.write_bytes(_cache_bytes(code.generators, graph.packed)[:68] + swapped.tobytes())
     assert load_graph_cache(str(cache), code, reps) is None
     _write_raw_cache(cache, code, swapped)
     assert np.array_equal(load_graph_cache(str(cache), code, reps).packed, swapped)
 
 
 def test_cache_is_written_uncompressed(tmp_path, code, graph):
-    """The file is the 96-byte head and then the rows, byte for byte."""
+    """The file is the 68-byte head and then the rows, byte for byte."""
     cache = tmp_path / "graph.npz"
     save_graph_cache(str(cache), graph, code)
     assert cache.read_bytes() == _cache_bytes(code.generators, graph.packed)
@@ -445,7 +446,7 @@ def test_default_cache_file_is_named_for_its_format(tmp_path, monkeypatch, capsy
     assert main(["verify", "--cache"]) == EXIT_OK
     names = [p.name for p in tmp_path.iterdir()]
     assert len(names) == 1
-    assert re.fullmatch(r"graph-[0-9a-f]{16}\.bin", names[0])
+    assert re.fullmatch(r"graph-[0-9a-f]{8}\.bin", names[0])
 
 
 @pytest.mark.parametrize("command", ["build", "verify", "check"])
@@ -581,9 +582,9 @@ def test_export_holds_no_whole_output_in_memory(tmp_path, capsys, pool_cache):
     assert peak < 4 * 2**20
 
 
-# sha256 of the cache file of the default generators: 96 + 2048 * 256 bytes
-CACHE_DIGEST = "251b643231d88831aa3224244cda1024ed53bf83c3b187e663acb1c3b6f60d93"
-CACHE_SIZE = 524_384
+# sha256 of the cache file of the default generators: 68 + 2048 * 256 bytes
+CACHE_DIGEST = "96a4dbeebd2445fc801028c38ad93d71d9f0e3f3da2278479d15a00914fb0eb4"
+CACHE_SIZE = 524_356
 
 
 def test_cache_file_is_pinned(pool_cache):
@@ -618,6 +619,11 @@ def _write_unreadable(path, code, graph, kind):
         path.write_bytes(b"junk" * (CACHE_SIZE // 4))
     elif kind == "old version":
         path.write_bytes(_cache_bytes(code.generators, graph.packed, magic=b"srg2048 graph v1"))
+    elif kind == "version 2":  # a 96-byte head ending in the sha256 of the rows
+        rows = graph.packed.tobytes()
+        head = b"srg2048 graph v2" + np.array(code.generators, dtype="<u4").tobytes()
+        path.write_bytes(head + hashlib.sha256(rows).digest() + rows)
+        assert path.stat().st_size == 524_384
     elif kind == "other generators":  # the same code, its rows in another order
         path.write_bytes(_cache_bytes(code.generators[::-1], graph.packed))
     else:  # "npz compressed", "npz uncompressed": the archive earlier versions wrote
@@ -634,13 +640,14 @@ def _write_unreadable(path, code, graph, kind):
 
 @pytest.mark.parametrize(
     "kind",
-    ["empty file", "bare npy", "junk", "old version", "other generators", "npz compressed",
-     "npz uncompressed"],
+    ["empty file", "bare npy", "junk", "old version", "version 2", "other generators",
+     "npz compressed", "npz uncompressed"],
 )
 def test_unreadable_cache_is_rebuilt_by_verify(tmp_path, capsys, code, reps, graph, kind):
     """Every kind is a miss.  A file that starts with the cache magic (of
-    any version) is rewritten; any other file is left as it was, with one
-    stderr line, and verify's report and exit code are unchanged."""
+    any version) is replaced in place by the current layout; any other file
+    is left as it was, with one stderr line, and verify's report and exit
+    code are unchanged."""
     cache = tmp_path / "graph.npz"
     _write_unreadable(cache, code, graph, kind)
     before = cache.read_bytes()
@@ -648,13 +655,13 @@ def test_unreadable_cache_is_rebuilt_by_verify(tmp_path, capsys, code, reps, gra
     assert main(["verify", "--cache", str(cache)]) == EXIT_OK
     captured = capsys.readouterr()
     assert _sha256(captured.out) == VERIFY_DIGEST
+    assert list(tmp_path.iterdir()) == [cache]
     if before.startswith(b"srg2048 graph v"):
         assert captured.err == ""
         assert hashlib.sha256(cache.read_bytes()).hexdigest() == CACHE_DIGEST
     else:
         assert captured.err == f"cache: write failed: {cache}: not a graph cache file\n"
         assert cache.read_bytes() == before
-        assert list(tmp_path.iterdir()) == [cache]
 
 
 # sha256 of srgbench/pool.dat
@@ -739,7 +746,7 @@ def test_no_output_is_the_same_file_as_an_input(
     monkeypatch.setenv("SRG2048_CACHE_DIR", str(tmp_path))
     monkeypatch.chdir(tmp_path)
     rows = np.array(code.generators, dtype="<u4").tobytes()
-    default = f"graph-{hashlib.sha256(rows).hexdigest()[:16]}.bin"
+    default = f"graph-{zlib.crc32(rows):08x}.bin"
     shutil.copyfile(GENERATORS, tmp_path / "G")
     for name in ("C", default):
         shutil.copyfile(pool_cache, tmp_path / name)
@@ -835,20 +842,42 @@ def test_cold_commands_do_not_import_numpy_ma():
     assert subprocess.run([sys.executable, "-c", script], env=env).returncode == 0
 
 
-def test_a_run_without_the_cache_does_not_load_openssl():
-    """hashlib's OpenSSL backend adds about 3.4 MiB to a process's peak RSS,
-    and only the cache digests need it; a fresh interpreter keeps pytest's
-    own imports out of the check."""
+def test_no_command_loads_openssl_or_decimal(tmp_path):
+    """hashlib's OpenSSL backend adds about 3.6 MiB to a process's peak RSS
+    and `fractions` loads `_decimal`: the cache is digested with zlib's CRC-32
+    and the ratio bound taken in integers, so no command, with the cache or
+    without, the default-named file included, loads either.  One fresh
+    interpreter runs them all, which keeps pytest's own imports out."""
+    cache, gap = tmp_path / "C", tmp_path / "g.g"
+    runs = [
+        ["search", "--sizes", "20", "--budget", "1"],
+        ["build", "--cache", cache],
+        ["verify", "--cache"],
+        ["search", "--sizes", "20", "--budget", "1", "--cache", cache],
+        ["check", POOL, "--cache", cache],
+        ["invariants", POOL, "--cache", cache],
+        ["export", "--gap", gap, "--sets", POOL, "--cache", cache],
+    ]
     script = (
         "import sys\n"
         "from srg2048.cli import main\n"
-        "main(['search', '--sizes', '20', '--budget', '1'])\n"
-        "sys.exit('_hashlib' in sys.modules)\n"
+        f"for argv in {[[str(a) for a in argv] for argv in runs]!r}:\n"
+        "    code = main(argv)\n"
+        "    loaded = [m for m in ('_hashlib', '_decimal') if m in sys.modules]\n"
+        "    print(argv[0], code, *loaded, file=sys.stderr)\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(golay.__file__).parents[1]))
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(golay.__file__).parents[1]),
+        SRG2048_CACHE_DIR=str(tmp_path / "default"),
+    )
     run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    assert "coverage 20-20: . (0 of 1 sizes)" in run.stdout
+    assert run.stderr.splitlines() == [f"{argv[0]} {EXIT_OK}" for argv in runs]
+    assert run.stdout.count("coverage 20-20: . (0 of 1 sizes)") == 2
+    assert [p.suffix for p in (tmp_path / "default").iterdir()] == [".bin"]
+    assert cache.stat().st_size == CACHE_SIZE
+    assert gap.stat().st_size > 0
 
 
 @settings(

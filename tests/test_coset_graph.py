@@ -41,6 +41,7 @@ from oracles import (
     adjacent_by_translates,
     adjacent_many_oracle,
     bool_matrix,
+    delsarte_bound_ref,
     feasibility_identity,
     graph_from_bool_matrix,
     graph_from_edges,
@@ -658,6 +659,25 @@ def test_delsarte_bound_exact_fraction():
 def test_delsarte_bound_five_cycle():
     _, s = srg_eigenvalues(SrgParams(5, 2, 0, 1))
     assert delsarte_bound(5, 2, s) == 2
+
+
+_FIVE_CYCLE_S = srg_eigenvalues(SrgParams(5, 2, 0, 1))[1]
+
+
+@settings(max_examples=300)
+@given(
+    v=st.integers(1, 10**6),
+    k=st.integers(1, 10**5),
+    s=st.one_of(
+        st.integers(max_value=-1),
+        st.fractions(max_value=0, max_denominator=10**6).filter(lambda s: s < 0),
+        st.floats(max_value=0, exclude_max=True, allow_infinity=False, allow_nan=False),
+        st.just(_FIVE_CYCLE_S),
+    ),
+)
+def test_delsarte_bound_matches_the_rational_formula(v, k, s):
+    """The package floors one integer quotient; the oracle divides Fractions."""
+    assert delsarte_bound(v, k, s) == delsarte_bound_ref(v, k, s)
 
 
 def test_delsarte_bound_domain_errors():
