@@ -6,8 +6,9 @@ column sum of the members' rows unpacked to bytes, which holds because the
 adjacency is symmetric, and `check_set` takes a set's whole report from
 that one unpack: S is a coclique when its members' counts are all 0.  For
 a coclique S the *external profile* is the census dict d -> number of
-vertices w outside S with exactly d neighbours inside S; S is maximal
-exactly when it has no key 0.  The search's `is_maximal` needs no profile:
+vertices w outside S with exactly d neighbours inside S, one bincount of
+all n counts less one of the members' own; S is maximal exactly when it
+has no key 0.  The search's `is_maximal` needs no profile:
 it ANDs the rows, as 64-bit words, with the set's mask and ORs them into
 a cover.  Two bookkeeping identities
 hold for every coclique of a k-regular graph and are asserted liberally
@@ -18,8 +19,9 @@ in the tests:
 
 The *pair invariant* separates structurally different cocliques: writing
 W8 for the outside vertices with exactly 8 neighbours in S, it counts the
-2-subsets {u, v} of S having no common neighbour inside W8.  All pairs
-come from one Gram matrix of the members' rows restricted to W8.
+2-subsets {u, v} of S having no common neighbour inside W8.  W8 is read
+from the counts once the members' own are cleared, and all pairs come
+from one Gram matrix of the members' rows restricted to W8.
 
 The search is a seeded randomized-greedy engine with restarts and
 perturbation ("plateau") moves: fresh runs grow a coclique by repeatedly
@@ -83,7 +85,6 @@ import numpy as np
 
 from .coset_graph import N_VERTICES, Graph
 from .errors import DomainError, InternalConsistencyError
-from .golay import census
 
 #: Ratio bound on coclique size in the Golay coset graph; exceeding it
 #: means the construction is broken, not that the search got lucky.
@@ -158,25 +159,6 @@ def _members(g: Graph, s: VertexSet) -> np.ndarray:
     return np.array(s.members, dtype=np.intp)
 
 
-def _outside_counts(g: Graph, s: VertexSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """|N(w) & S| for every vertex w, the flags of the w outside S, and the
-    members' rows unpacked to one 0/1 byte per vertex: everything a set's
-    report needs, from one unpack.
-
-    The adjacency is symmetric (`Graph` checks it), so |N(w) & S| is the
-    number of members whose row has bit w: a column sum over the |S|
-    member rows, never a pass over all n rows.  A count is at most |S|, so
-    below 256 members the sum is taken in uint8, exact and several times
-    faster than a widening sum.
-    """
-    members = _members(g, s)
-    bits = np.unpackbits(g.packed[members], axis=1, count=g.n, bitorder="little")
-    counts = bits.sum(axis=0, dtype=np.uint8 if members.size < 256 else np.int32)
-    outside = np.ones(g.n, dtype=bool)
-    outside[members] = False
-    return counts, outside, bits
-
-
 def is_coclique(g: Graph, s: VertexSet) -> bool:
     """True iff no two members are adjacent."""
     members = _members(g, s)
@@ -204,20 +186,36 @@ def pair_invariant(g: Graph, s: VertexSet) -> int:
 
 def check_set(g: Graph, s: VertexSet, pair: bool) -> tuple[bool, bool, dict[int, int], int | None]:
     """(coclique, maximal, external profile, pair invariant or None) of S,
-    all from one `_outside_counts` call.
+    all from one unpack of the members' rows to one 0/1 byte per vertex.
 
-    The pair invariant is taken only when `pair` is true.  With R the
-    members' rows restricted to the W8 columns, entry (u, v) of R R^T
-    counts the common W8-neighbours of u and v.  The product is taken in
-    float32, exact because every entry is an integer at most n < 2^24.
-    Zero entries off the diagonal count each such pair twice.
+    The adjacency is symmetric (`Graph` checks it), so |N(w) & S| is the
+    number of members whose row has bit w: a column sum over the |S|
+    member rows, never a pass over all n rows.  A count is at most |S|, so
+    below 256 members the sum is taken in uint8, exact and several times
+    faster than a widening sum.  S is a coclique when its members' own
+    counts are all 0, and the profile is the tally of all n counts less
+    the tally of the members' own.
+
+    The pair invariant is taken only when `pair` is true.  W8 is read from
+    the counts with the members' entries cleared.  With R the members'
+    rows restricted to the W8 columns, entry (u, v) of R R^T counts the
+    common W8-neighbours of u and v.  The product is taken in float32,
+    exact because every entry is an integer at most n < 2^24.  Zero
+    entries off the diagonal count each such pair twice.
     """
-    counts, outside, bits = _outside_counts(g, s)
-    independent = not counts[~outside].any()
-    profile = census(counts[outside])
+    members = _members(g, s)
+    bits = np.unpackbits(g.packed[members], axis=1, count=g.n, bitorder="little")
+    counts = bits.sum(axis=0, dtype=np.uint8 if members.size < 256 else np.int32)
+    own = counts[members]
+    tally = np.bincount(counts)
+    tally -= np.bincount(own, minlength=tally.size)
+    degrees = np.flatnonzero(tally)
+    profile = dict(zip(degrees.tolist(), tally[degrees].tolist()))
+    independent = not own.any()
     invariant = None
     if pair:
-        r = bits.take(np.flatnonzero(outside & (counts == 8)), axis=1).astype(np.float32)
+        counts[members] = 0
+        r = bits.take(np.flatnonzero(counts == 8), axis=1).astype(np.float32)
         zero = (r @ r.T) == 0
         invariant = (np.count_nonzero(zero) - np.count_nonzero(zero.diagonal())) // 2
     return independent, independent and 0 not in profile, profile, invariant

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -432,13 +433,16 @@ def _first_bad_pair(g: Graph, rows: np.ndarray, lo: int, lam: int, mu: int) -> V
 def delsarte_bound(v: int, k: int, s) -> int:
     """Ratio bound on coclique size: floor(v / (1 + k / (-s))).
 
-    `s` is the smallest adjacency eigenvalue, an int, float or Fraction;
-    with s = p/q exactly (q > 0), the bound is v(-p) / (kq - p), floored in
-    exact integer arithmetic.
+    `s` is the smallest adjacency eigenvalue: an integer of any kind (numpy's
+    too), a float or a Fraction.  With s = p/q exactly (q > 0), the bound is
+    v(-p) / (kq - p), floored in exact integer arithmetic.
     """
     if k <= 0:
         raise DomainError(f"degree must be positive, got {k}")
-    p, q = s.as_integer_ratio()
+    try:
+        p, q = operator.index(s), 1
+    except TypeError:
+        p, q = s.as_integer_ratio()
     if p >= 0:
         raise DomainError(f"smallest eigenvalue must be negative, got {s}")
     return v * -p // (k * q - p)

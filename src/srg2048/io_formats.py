@@ -17,6 +17,10 @@ that are not canonical representatives.  Entry byte order is little-endian
 unless told otherwise; the writer emits entries in ascending order, and a
 stream in that canonical order round-trips byte-exactly.
 
+The reader walks the size bytes alone in Python, then decodes, looks up,
+sorts and duplicate-checks every entry of the stream in one numpy pass.
+Its error names the byte offset of the first fault in stream order.
+
 The GAP export is a text file defining `A` (the n adjacency lists,
 1-based) and `MIS` (the vertex-number lists of the given sets), followed by
 a trailer that loads the grape package and rebuilds the graph on 1..n.
@@ -64,49 +68,55 @@ def read_dat(data: bytes, reps: np.ndarray, byteorder: str = "little") -> list[V
     `reps` is the ascending representative array of `build_reps`, and an
     entry's vertex is its rank there, found by binary search.  Rejects
     sizes outside [2, 85], entries that are not representative encodings,
-    duplicate entries, and streams that do not end exactly on a record
-    boundary.  Each record's entries are decoded and looked up in one
-    vectorized pass; the error names the first bad entry.
+    duplicate entries in one record, and streams that do not end exactly
+    on a record boundary.  The error is that of the first faulty record;
+    in a record, its first bad entry comes before a duplicate.
     """
     if byteorder not in _ENTRY_SHIFTS:
         raise ValueError(f"byteorder must be 'little' or 'big', got {byteorder!r}")
-    shifts = _ENTRY_SHIFTS[byteorder]
-    sets: list[VertexSet] = []
+    starts: list[int] = []
     pos = 0
     total = len(data)
-    while pos < total:
-        size = data[pos]
-        if not DAT_MIN_SIZE <= size <= DAT_MAX_SIZE:
-            raise DatFormatError(
-                f"set size {size} is not in the range from {DAT_MIN_SIZE} to {DAT_MAX_SIZE}",
-                offset=pos,
-            )
-        end = pos + 1 + size * ENTRY_BYTES
+    while pos < total and DAT_MIN_SIZE <= data[pos] <= DAT_MAX_SIZE:
+        end = pos + 1 + data[pos] * ENTRY_BYTES
         if end > total:
-            raise DatFormatError(
-                f"truncated record: need {end - pos} bytes, stream has {total - pos}",
-                offset=pos,
-            )
-        entries = np.frombuffer(data, dtype=np.uint8, count=end - pos - 1, offset=pos + 1)
-        values = (entries.reshape(size, ENTRY_BYTES) << shifts).sum(axis=1, dtype=np.uint32)
-        indices = np.searchsorted(reps, values).clip(max=len(reps) - 1)
-        bad = np.flatnonzero(reps[indices] != values)
-        if bad.size:
-            i = int(bad[0])
-            raise DatFormatError(
-                f"entry {int(values[i]):#08x} is not a proper coset representation",
-                offset=pos + 1 + i * ENTRY_BYTES,
-            )
-        indices.sort()
-        same = np.flatnonzero(indices[1:] == indices[:-1])
-        if same.size:
-            raise DatFormatError(
-                f"duplicate entry for vertex {int(indices[same[0]])} in one record",
-                offset=pos,
-            )
-        sets.append(VertexSet(tuple(indices.tolist())))
+            break
+        starts.append(pos)
         pos = end
-    return sets
+    # the whole records before pos, in one pass
+    n = len(reps)
+    stream = np.frombuffer(data, dtype=np.uint8, count=pos)
+    sizes = stream[starts]
+    entry_bytes = np.ones(pos, dtype=bool)
+    entry_bytes[starts] = False
+    entries = stream[entry_bytes].reshape(-1, ENTRY_BYTES)
+    values = (entries << _ENTRY_SHIFTS[byteorder]).sum(axis=1, dtype=np.uint32)
+    record = np.repeat(np.arange(len(starts)), sizes)
+    indices = np.searchsorted(reps, values).clip(max=n - 1)
+    bad = np.flatnonzero(reps[indices] != values)
+    # a bad entry's clipped index may repeat, but its record reports it first
+    keys = np.sort(record * n + indices)
+    same = np.flatnonzero(keys[1:] == keys[:-1])
+    if bad.size and not (same.size and keys[same[0]] // n < record[bad[0]]):
+        i = int(bad[0])
+        raise DatFormatError(
+            f"entry {int(values[i]):#08x} is not a proper coset representation",
+            offset=int(record[i]) + 1 + i * ENTRY_BYTES,
+        )
+    if same.size:
+        r, v = divmod(int(keys[same[0]]), n)
+        raise DatFormatError(f"duplicate entry for vertex {v} in one record", offset=starts[r])
+    if pos < total:  # the walk stopped at a bad size or a truncated record
+        size = data[pos]
+        raise DatFormatError(
+            f"set size {size} is not in the range from {DAT_MIN_SIZE} to {DAT_MAX_SIZE}"
+            if not DAT_MIN_SIZE <= size <= DAT_MAX_SIZE
+            else f"truncated record: need {1 + size * ENTRY_BYTES} bytes, stream has {total - pos}",
+            offset=pos,
+        )
+    members = (keys % n).tolist()
+    ends = np.cumsum(sizes).tolist()
+    return [VertexSet(tuple(members[e - k : e])) for k, e in zip(sizes.tolist(), ends)]
 
 
 def write_dat(sets, reps: np.ndarray, byteorder: str = "little") -> bytes:

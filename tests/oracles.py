@@ -9,7 +9,9 @@ the members' rows), and `str()` of every vertex number for the text
 exports (the package joins a table of labels), and a plain step-by-step
 greedy run on a bool matrix for the search (the package memoises, skips
 steps whose outcome is fixed and works on packed masks), and `Fraction`
-arithmetic for the ratio bound (the package floors one integer quotient).
+arithmetic for the ratio bound (the package floors one integer quotient),
+and a record-by-record walk for the vertex-set container (the package
+decodes, looks up and checks every entry of the stream in one pass).
 The graph helpers pack small bool matrices and edge lists into `Graph`
 rows, whose constructor checks them; the package itself never holds an
 n x n bool matrix.
@@ -22,8 +24,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from srg2048.coclique import VertexSet
 from srg2048.coset_graph import Graph, row_bytes
-from srg2048.errors import DomainError, InternalConsistencyError
+from srg2048.errors import DatFormatError, DomainError, InternalConsistencyError
+from srg2048.io_formats import DAT_MAX_SIZE, DAT_MIN_SIZE, ENTRY_BYTES
 
 # enumerated here rather than taken from the package, which builds from them
 _WEIGHT2 = np.array(
@@ -222,6 +226,47 @@ def complete_ref(adj, start, rng, mode, depth=1, q=0.5):
         eligible &= ~adj[v]
         eligible[v] = False
     return sorted(members)
+
+
+# --------------------------------------------------------------- container
+
+
+def read_dat_ref(data, reps, byteorder="little"):
+    """The container read one record at a time, each checked in full before
+    the next is looked at: its size, its length, then its entries in order,
+    then duplicates, whose error names the least repeated vertex."""
+    rank = dict(zip(reps.tolist(), range(len(reps))))
+    sets = []
+    pos = 0
+    while pos < len(data):
+        size = data[pos]
+        if not DAT_MIN_SIZE <= size <= DAT_MAX_SIZE:
+            raise DatFormatError(
+                f"set size {size} is not in the range from {DAT_MIN_SIZE} to {DAT_MAX_SIZE}",
+                offset=pos,
+            )
+        end = pos + 1 + size * ENTRY_BYTES
+        if end > len(data):
+            raise DatFormatError(
+                f"truncated record: need {end - pos} bytes, stream has {len(data) - pos}",
+                offset=pos,
+            )
+        members = []
+        for at in range(pos + 1, end, ENTRY_BYTES):
+            value = int.from_bytes(data[at : at + ENTRY_BYTES], byteorder)
+            if value not in rank:
+                raise DatFormatError(
+                    f"entry {value:#08x} is not a proper coset representation", offset=at
+                )
+            members.append(rank[value])
+        repeated = [v for v, c in Counter(members).items() if c > 1]
+        if repeated:
+            raise DatFormatError(
+                f"duplicate entry for vertex {min(repeated)} in one record", offset=pos
+            )
+        sets.append(VertexSet(tuple(sorted(members))))
+        pos = end
+    return sets
 
 
 # ----------------------------------------------------------- text exports

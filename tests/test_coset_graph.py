@@ -680,6 +680,13 @@ def test_delsarte_bound_matches_the_rational_formula(v, k, s):
     assert delsarte_bound(v, k, s) == delsarte_bound_ref(v, k, s)
 
 
+@pytest.mark.parametrize("s", [-12, np.int64(-12), np.int32(-12), np.float64(-12.0)])
+def test_delsarte_bound_takes_numpy_scalars(s):
+    assert delsarte_bound(2048, 276, s) == 85
+    with pytest.raises(DomainError):
+        delsarte_bound(2048, 276, -s)
+
+
 def test_delsarte_bound_domain_errors():
     with pytest.raises(DomainError):
         delsarte_bound(2048, 276, 12)

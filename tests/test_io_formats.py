@@ -20,7 +20,7 @@ from srg2048.io_formats import (
     write_dat,
 )
 
-from oracles import export_edge_list_ref, export_gap_ref, graph_from_edges
+from oracles import export_edge_list_ref, export_gap_ref, graph_from_edges, read_dat_ref
 
 
 # ------------------------------------------------------------------ DAT
@@ -91,8 +91,16 @@ def test_read_accepts_unordered_entries(reps):
          "truncated record: need 7 bytes, stream has 4 (at byte offset 7)"),
         (bytes([2, 3, 0, 0, 5, 0, 0, 86]),
          "set size 86 is not in the range from 2 to 85 (at byte offset 7)"),
+        # a fault in an earlier record comes before a bad size or a truncation
+        (bytes([2, 3, 0, 0, 3, 0, 0, 86]),
+         "duplicate entry for vertex 1 in one record (at byte offset 0)"),
+        (bytes([2, 3, 0, 0, 7, 0, 0, 2, 3, 0, 0]),
+         "entry 0x000007 is not a proper coset representation (at byte offset 4)"),
     ],
-    ids=["entry", "entry-before-duplicate", "duplicate", "truncated", "size"],
+    ids=[
+        "entry", "entry-before-duplicate", "duplicate", "truncated", "size",
+        "duplicate-before-size", "entry-before-truncated",
+    ],
 )
 def test_read_errors_name_the_first_bad_byte(reps, data, message):
     with pytest.raises(DatFormatError) as info:
@@ -150,6 +158,59 @@ def test_near_valid_streams_parse_or_raise_format_error(reps, records):
     assert [s.members for s in sets] == [
         tuple(sorted(reps.tolist().index(e) for e in entries)) for entries in expected
     ]
+
+
+def _read_outcome(reader, data, reps, byteorder):
+    """The sets a reader returns, or the message and offset of its error."""
+    try:
+        return [s.members for s in reader(data, reps, byteorder=byteorder)]
+    except DatFormatError as e:
+        return str(e), e.offset
+
+
+_FAULTS = ("repeat", "byte", "cut", "append")  # in the order they are made
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.lists(st.lists(st.integers(0, N_VERTICES - 1), min_size=2, max_size=8), max_size=5),
+    st.sampled_from(["little", "big"]),
+    st.lists(
+        st.tuples(
+            st.sampled_from(_FAULTS), st.integers(0, 1 << 16), st.binary(min_size=1, max_size=8)
+        ),
+        max_size=3,
+    ),
+)
+def test_read_dat_matches_the_record_by_record_reader(reps, records, byteorder, faults):
+    """Valid streams, and streams with up to three faults: an entry copied
+    over the next in its record, a byte changed, a record cut short, bytes
+    appended.  Both readers give the same sets, or the same error at the
+    same offset."""
+    data = bytearray()
+    spans = []
+    for vertices in records:
+        spans.append((len(data), len(data) + 1 + 3 * len(vertices)))
+        data.append(len(vertices))
+        for v in vertices:
+            data += int(reps[v]).to_bytes(3, byteorder)
+    for kind, at, new in sorted(faults, key=lambda f: _FAULTS.index(f[0])):
+        start, end = spans[at % len(spans)] if spans else (0, 0)
+        size = (end - start - 1) // 3
+        if kind == "repeat" and spans:
+            i = start + 1 + 3 * (at % size)
+            j = start + 1 + 3 * ((at + 1) % size)
+            data[j : j + 3] = data[i : i + 3]
+        elif kind == "byte" and data:
+            data[at % len(data)] = new[0]
+        elif kind == "cut" and spans:
+            del data[end - 1 - at % (end - start - 1) : end]
+        elif kind == "append":
+            data += new
+    data = bytes(data)
+    assert _read_outcome(read_dat, data, reps, byteorder) == _read_outcome(
+        read_dat_ref, data, reps, byteorder
+    )
 
 
 def test_write_size_two_is_seven_bytes(reps):
