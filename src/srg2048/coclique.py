@@ -84,7 +84,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coset_graph import N_VERTICES, Graph
-from .errors import DomainError, InternalConsistencyError
+from .errors import DomainError, InternalConsistencyError, integer
 
 #: Ratio bound on coclique size in the Golay coset graph; exceeding it
 #: means the construction is broken, not that the search got lucky.
@@ -117,14 +117,14 @@ MEMO_CAP = 1 << 13
 
 @dataclass(frozen=True)
 class VertexSet:
-    """A strictly increasing tuple of vertex indices."""
+    """A strictly increasing tuple of vertex indices, each a Python int (not a bool)."""
 
     members: tuple[int, ...]
 
     def __post_init__(self):
         prev = -1
         for v in self.members:
-            if not isinstance(v, int) or v < 0:
+            if type(v) is not int or v < 0:  # a bool is no vertex
                 raise DomainError(f"vertex index must be a non-negative int: {v!r}")
             if v <= prev:
                 raise DomainError(
@@ -389,9 +389,11 @@ def search_maximal(
     COCLIQUE_SIZE_CAP], which no maximal coclique has, raises DomainError
     before any attempt, and a coclique above the ratio bound raises
     InternalConsistencyError; any other graph allows sizes 0 to n.
+    The seed, budget and targets must be integers, not bools (DomainError).
     """
     cfg = config or SearchConfig()
-    targets = {int(t) for t in size_targets}
+    targets = {integer(t, "size target") for t in size_targets}
+    budget, seed = integer(budget, "budget"), integer(seed, "seed")
     if budget <= 0:
         raise DomainError(f"budget must be positive, got {budget}")
     floor, hard_cap = (COCLIQUE_SIZE_FLOOR, COCLIQUE_SIZE_CAP) if g.n == N_VERTICES else (0, g.n)

@@ -23,10 +23,10 @@ treated as a hard error rather than assumed impossible.  The representative
 differences are exactly the 145,499 even vectors of weight at most 6.
 `build_graph` checks the case rule against the syndromes on all of them,
 reading the weight-6 case straight from `weight6_distance_table`.  That
-table decides every (z, c) pair with its guard: w(z + c) = 14 - 2 |z & c|
-for a weight-8 c, so the minimum is a threshold count of the points z
-shares with the words, kept as bitsets over the words for every subset of
-at most 6 points.
+table is read off the words with its guard: w(z + c) = 14 - 2 |z & c| for
+a weight-8 c, so z is at distance 2 iff it is a word less two points, and
+no z is at 6 or more once the words less three points are all C(24, 5)
+five-sets, a count the octads of S(5, 8, 24) pass.
 
 `verify_srg` checks the srg parameters independently of how the graph was
 built: exact common-neighbour counts for all 2,096,128 pairs, from a
@@ -58,6 +58,7 @@ from .errors import (
     InternalConsistencyError,
     InvalidDistanceError,
     VerificationError,
+    integer,
 )
 from .gf2 import VEC_BITS
 from .golay import SYNDROME_LIMIT, GolayCode, census
@@ -103,27 +104,22 @@ def weight6_distance_table(code: GolayCode) -> np.ndarray:
 
     Returns one byte per weight-6 vector z, in the ascending order of
     `vectors_of_weight(6)`: the minimum of w(z + c) over the weight-8 words
-    c, decided for every (z, c) pair by a threshold count.  A word c of
-    weight 8 has w(z + c) = 14 - 2 |z & c|, so the minimum is 2 iff some c
-    contains z, 4 iff none does but some c holds 5 of z's points, and at
-    least 6 otherwise.
+    c.  A word c of weight 8 has w(z + c) = 14 - 2 |z & c|, so the minimum
+    is 2 iff some c contains z, 4 iff none does but some c holds 5 of z's
+    points, and at least 6 otherwise.
 
-    Both questions are asked of every k-subset S of the 24 points, k <= 6,
-    as bitsets over the words c: A[S], the words containing S, and B[S],
-    the words holding at least k - 1 points of S.  For S = P + {b}, with b
-    above every point of P, A[S] = A[P] & M[b] and B[S] = A[P] | (B[P] & M[b]),
-    where M[b] is the set of words through point b.  In the order of
-    `vectors_of_weight(k)` the sets with top point b form one block, read
-    from the first C(b, k - 1) sets of level k - 1, so each level is 24
-    block operations.  Level 6 is reduced block by block to A != 0 and
-    B != 0 and never stored, and the count runs one 64-word bitset column
-    at a time in level buffers allocated once.
+    The table is read off the words, not scanned: each word less two of its
+    points is a z at distance 2, marked at its rank.  Every other z is at
+    distance 4 once every five-set lies in a word, and that guard is a
+    count: the words less three of their points, sorted, must take all
+    C(24, 5) = 42,504 values, as the 759 octads of S(5, 8, 24) do.  Only if
+    the count falls short are each z's six five-subsets looked up in them.
 
     Raises InternalConsistencyError if `code.weight8` holds a word of
     another weight, before any count, and InvalidDistanceError for the
-    ascending-first z with B = 0, with its distance from a direct scan.
-    Cached per code, so the build and `weight6_distance_census` share one
-    count.
+    ascending-first z with no five-subset in a word, with its distance from
+    a direct scan.  Cached per code, so the build and
+    `weight6_distance_census` share one table.
     """
     w8 = code.weight8
     odd = np.flatnonzero(np.bitwise_count(w8) != 8)
@@ -132,51 +128,29 @@ def weight6_distance_table(code: GolayCode) -> np.ndarray:
         raise InternalConsistencyError(
             f"weight-8 list holds a word of weight {c.bit_count()}: {c:024b}"
         )
-    # M[b]: bit j of column w set iff word 64 w + j holds point b (any bit order
-    # within a column serves, as only A != 0 and B != 0 are read)
-    columns = -(-len(w8) // 64)
-    through = np.zeros((VEC_BITS, 64 * columns), dtype=bool)
-    through[:, : len(w8)] = (w8[None, :] >> np.arange(VEC_BITS, dtype=np.uint32)[:, None]) & 1
-    masks = np.packbits(through, axis=1, bitorder="little").view(np.uint64)
-    # block b of level k: the sets with top point b, one per set among the
-    # first C(b, k - 1) of level k - 1, as (b, offset, length)
-    blocks = {k: [] for k in range(2, 7)}
-    for k, block in blocks.items():
-        lo = 0
-        for b in range(k - 1, VEC_BITS):
-            block.append((b, lo, math.comb(b, k - 1)))
-            lo += math.comb(b, k - 1)
-    a_level, b_level = (
-        {k: np.empty(math.comb(VEC_BITS, k), dtype=np.uint64) for k in range(1, 6)} for _ in range(2)
-    )
-    term = np.empty(math.comb(VEC_BITS - 1, 5), dtype=np.uint64)
-    hit = np.empty(len(term), dtype=bool)
-    inside, near = (np.zeros(math.comb(VEC_BITS, 6), dtype=bool) for _ in range(2))
-    for w in range(columns):
-        m = masks[:, w]
-        a_level[1][:] = m
-        b_level[1][:] = ~np.uint64(0)  # every word holds at least 0 points of {b}
-        for k in range(2, 6):
-            a_prev, b_prev = a_level[k - 1], b_level[k - 1]
-            for b, lo, n in blocks[k]:
-                a, at_least = a_level[k][lo : lo + n], b_level[k][lo : lo + n]
-                np.bitwise_and(a_prev[:n], m[b], out=a)
-                np.bitwise_and(b_prev[:n], m[b], out=at_least)
-                np.bitwise_or(at_least, a_prev[:n], out=at_least)
-        # level 6, one block at a time: only whether A and B are empty
-        for b, lo, n in blocks[6]:
-            t, h = term[:n], hit[:n]
-            np.bitwise_and(b_level[5][:n], m[b], out=t)
-            np.bitwise_or(t, a_level[5][:n], out=t)
-            np.not_equal(t, 0, out=h)
-            near[lo : lo + n] |= h
-            np.bitwise_and(a_level[5][:n], m[b], out=t)
-            np.not_equal(t, 0, out=h)
-            inside[lo : lo + n] |= h
-    far = np.flatnonzero(~near)
-    if far.size:
-        z = int(vectors_of_weight(6)[far[0]])
-        raise InvalidDistanceError(z, int(np.bitwise_count(w8 ^ np.uint32(z)).min()))
+    z6 = vectors_of_weight(6)
+    # the 8 points of each word, as one-point vectors, and the word less k of them
+    _, at = np.nonzero((w8[:, None] >> np.arange(VEC_BITS, dtype=np.uint32)) & 1)
+    points = np.uint32(1) << at.astype(np.uint32).reshape(-1, 8)
+
+    def less(k: int) -> np.ndarray:
+        # column j of `take` marks the points of the j-th k-subset of 8 positions
+        take = (vectors_of_weight(k)[: math.comb(8, k)] >> np.arange(8, dtype=np.uint32)[:, None]) & 1
+        return w8[:, None] ^ points @ take
+
+    inside = np.zeros(len(z6), dtype=bool)
+    inside[np.searchsorted(z6, less(2))] = True
+    # sorted five-sets above a sentinel 2^24: each distinct value is followed by a larger one
+    fives = np.sort(np.append(less(3), np.uint32(1 << VEC_BITS)))
+    if np.count_nonzero(fives[1:] != fives[:-1]) != math.comb(VEC_BITS, 5):
+        near, rest = np.zeros(len(z6), dtype=bool), z6.copy()
+        for _ in range(6):  # z less each of its points in turn
+            five = z6 ^ (rest & -rest)
+            near |= fives[np.searchsorted(fives, five)] == five
+            rest &= rest - np.uint32(1)
+        if not near.all():
+            z = int(z6[np.argmin(near)])  # the first z with no five-subset in a word
+            raise InvalidDistanceError(z, int(np.bitwise_count(w8 ^ np.uint32(z)).min()))
     return np.where(inside, np.uint8(2), np.uint8(4))
 
 
@@ -191,7 +165,7 @@ def row_bytes(n: int) -> int:
 
 
 #: Rows per band: the build packs BAND rows at a time, and `Graph.bands` unpacks
-#: as many for the structure check and `verify_srg` (the exports take shorter bands).
+#: as many for `verify_srg` (the exports take shorter bands).
 BAND = 256
 
 
@@ -202,12 +176,17 @@ class Graph:
     (packed[u, v >> 3] >> (v & 7)) & 1.  Rows are row_bytes(n) long,
     zero-padded past bit n - 1, so `words` can view them as 64-bit words
     for popcount kernels; for n = 2048 nothing is padded.
-    `bands` unpacks them a band at a time, for the checks and the exports.
+    `bands` unpacks them a band at a time, for `verify_srg` and the exports.
 
     The constructor is the one place the structure is checked, for built
-    and loaded rows alike: the shape and dtype, then no loop, then
-    symmetry, each band against the same columns of the rows from that
-    band on, so no n x n bool matrix is ever formed.  Any failure raises
+    and loaded rows alike: the shape and dtype, then no loop, then symmetry
+    of the square of side 8 row_bytes(n) whose rows past n are zero, so a
+    set bit in a row's padding is refused too.  The square is checked as
+    8 x 8 bit blocks, each gathered from 8 row bytes into one uint64, and
+    never unpacked: every block, transposed by three delta swaps (Warren,
+    *Hacker's Delight*, sec. 7-3), must equal the block at the mirrored
+    position.  The swaps run in place with one scratch array, so the check
+    holds three arrays of n^2 / 8 bytes.  Any failure raises
     GraphConstructionError.
     """
 
@@ -224,12 +203,21 @@ class Graph:
         v = np.arange(n)
         if ((packed[v, v >> 3] >> (v & 7)) & 1).any():
             raise GraphConstructionError("adjacency matrix has a loop")
-        for lo, rows in self.bands():
-            # entries (u, v) with u in this band and v >= lo, against (v, u)
-            h = len(rows)
-            cols = np.unpackbits(packed[lo:, lo >> 3 : (lo + h + 7) >> 3], axis=1, bitorder="little")
-            if not np.array_equal(rows[:, lo:], cols[:, :h].T.view(bool)):
-                raise GraphConstructionError("adjacency matrix not symmetric")
+        side = 8 * row_bytes(n)
+        square = packed if side == n else np.pad(packed, ((0, side - n), (0, 0)))
+        blocks, t = _blocks(square), np.empty((side // 8, side // 8), dtype=np.uint64)
+        # bit 8 r + c of a block is its entry (r, c)
+        for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0xF0F0F0F0)):
+            np.right_shift(blocks, shift, out=t)
+            t ^= blocks
+            t &= mask
+            blocks ^= t
+            t <<= shift
+            blocks ^= t
+        if not np.array_equal(blocks, _blocks(square).T):
+            if np.unpackbits(packed, axis=1, bitorder="little")[:, n:].any():
+                raise GraphConstructionError("adjacency matrix has a bit set in the row padding")
+            raise GraphConstructionError("adjacency matrix not symmetric")
 
     def bands(self, height: int = BAND):
         """Yield (lo, row_bits(slice(lo, lo + height))) for lo = 0, height, ..."""
@@ -244,6 +232,13 @@ class Graph:
     def degrees(self) -> np.ndarray:
         """All row degrees as an int32 array."""
         return np.bitwise_count(self.words).sum(axis=1, dtype=np.int32)
+
+
+def _blocks(rows: np.ndarray) -> np.ndarray:
+    """Rows 8 i to 8 i + 7 of byte j as the uint64 at [i, j], row r in byte r."""
+    h, w = rows.shape
+    gathered = np.ascontiguousarray(rows.reshape(h // 8, 8, w).transpose(0, 2, 1))
+    return gathered.view(np.uint64).reshape(h // 8, w)
 
 
 def build_graph(code: GolayCode, reps: np.ndarray) -> Graph:
@@ -433,10 +428,11 @@ def _first_bad_pair(g: Graph, rows: np.ndarray, lo: int, lam: int, mu: int) -> V
 def delsarte_bound(v: int, k: int, s) -> int:
     """Ratio bound on coclique size: floor(v / (1 + k / (-s))).
 
-    `s` is the smallest adjacency eigenvalue: an integer of any kind (numpy's
-    too), a float or a Fraction.  With s = p/q exactly (q > 0), the bound is
-    v(-p) / (kq - p), floored in exact integer arithmetic.
+    `v` and `k` are integers (not bools); `s`, the least eigenvalue, is an
+    integer of any kind (numpy's too), a float or a Fraction.  With s = p/q
+    exactly (q > 0), the bound is v(-p) / (kq - p), floored exactly.
     """
+    v, k = integer(v, "vertex count"), integer(k, "degree")
     if k <= 0:
         raise DomainError(f"degree must be positive, got {k}")
     try:

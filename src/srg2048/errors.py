@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check behind DomainError."""
+
+import operator
 
 
 class SrgError(Exception):
@@ -19,6 +21,13 @@ class CodeConstructionError(SrgError, ValueError):
 
 class DomainError(SrgError, ValueError):
     """An argument violated an operation's precondition."""
+
+
+def integer(value, what: str) -> int:
+    """`value` as a Python int, from any integer type but bool; else DomainError."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 class InvalidDistanceError(SrgError):

@@ -22,7 +22,7 @@ from srg2048.coclique import (
     pair_invariant,
     search_maximal,
 )
-from srg2048.coset_graph import DEGREE, N_VERTICES
+from srg2048.coset_graph import DEGREE, N_VERTICES, delsarte_bound
 from srg2048.errors import DomainError, InternalConsistencyError
 from srg2048.io_formats import read_dat, write_dat
 
@@ -60,6 +60,8 @@ def test_vertex_set_rejects_unsorted_and_duplicates():
         VertexSet((1, 1))
     with pytest.raises(DomainError):
         VertexSet((-1, 2))
+    with pytest.raises(DomainError, match="non-negative int: False"):
+        VertexSet((False, True))
 
 
 def test_from_iterable_sorts():
@@ -560,6 +562,27 @@ def test_search_holds_no_bool_matrix(graph):
 def test_search_rejects_bad_budget(graph):
     with pytest.raises(DomainError):
         search_maximal(graph, range(20, 41), budget=0, seed=DEFAULT_SEED)
+
+
+# each numeric argument, as a call on the Petersen graph, and a valid value of it
+_NUMERIC_ARGUMENTS = {
+    "seed": (lambda g, x: search_maximal(g, [3, 4], budget=30, seed=x), 7),
+    "budget": (lambda g, x: search_maximal(g, [3, 4], budget=x, seed=7), 30),
+    "size target": (lambda g, x: search_maximal(g, [x], budget=30, seed=7), 4),
+    "vertex count": (lambda g, x: delsarte_bound(x, 3, -2), 10),
+    "degree": (lambda g, x: delsarte_bound(10, x, -2), 3),
+}
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32, float, bool])
+@pytest.mark.parametrize("name", list(_NUMERIC_ARGUMENTS))
+def test_numeric_arguments_take_any_integer_but_a_bool(petersen, name, kind):
+    call, value = _NUMERIC_ARGUMENTS[name]
+    if kind in (float, bool):
+        with pytest.raises(DomainError, match=f"^{name} must be an integer, got "):
+            call(petersen, kind(value))
+    else:
+        assert call(petersen, kind(value)) == call(petersen, value)
 
 
 def test_search_rejects_bad_targets(graph):

@@ -191,7 +191,7 @@ def _non_systematic_rows(rng):
 
 @pytest.mark.parametrize("systematic", [True, False], ids=["systematic", "non_systematic"])
 def test_weight6_table_matches_full_scan(systematic):
-    # a fresh code object, so the per-code cache is cold and the scan runs
+    # a fresh code object, so the per-code cache is cold and the table is built
     code = build_code() if systematic else build_code(_non_systematic_rows(random.Random(23)))
     z6 = coset_graph.vectors_of_weight(6)
     table = weight6_distance_table(code)
@@ -200,16 +200,16 @@ def test_weight6_table_matches_full_scan(systematic):
 
 
 def test_weight6_scan_holds_no_pair_matrix():
-    code = build_code()  # fresh, so the scan is cold
-    coset_graph.vectors_of_weight(6)  # cached: warm it, so only the scan is traced
+    code = build_code()  # fresh, so the table is cold
+    coset_graph.vectors_of_weight(6)  # cached: warm it, so only the table is traced
     tracemalloc.start()
     try:
         weight6_distance_table(code)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # all 134,596 x 759 pairs at one byte each would be 102 MB; the count's
-    # level buffers, one 64-word column at a time, take about 0.9 MB
+    # all 134,596 x 759 pairs at one byte each would be 102 MB; the table read
+    # off the words, its marks and the sorted five-sets take about 0.6 MB
     assert peak < 2 << 20
 
 
@@ -258,6 +258,24 @@ def test_weight6_guard_without_one_octad(code, drop):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_weight6_table_on_random_weight8_lists(seed):
     _table_agrees_with_the_oracle(_random_weight8(seed, 759))
+
+
+def test_weight6_table_when_the_five_set_count_falls_short(code):
+    # swap one point of the first octad c0 for one outside it: the 35 five-sets
+    # of c0 through p lie in no word now, so the count fails, yet every weight-6
+    # z keeps a five-subset in some word and the table must come out quietly
+    c0 = int(code.weight8[0])
+    p, q = c0 & -c0, ~c0 & (c0 + 1)  # the lowest point of c0 and the lowest outside it
+    weight8 = np.append(code.weight8[1:], np.uint32(c0 ^ p ^ q))
+    fives = set()
+    for c in weight8.tolist():
+        points = [1 << b for b in range(24) if (c >> b) & 1]
+        fives.update(c ^ sum(drop) for drop in itertools.combinations(points, 3))
+    assert len(fives) == 42469
+    assert not _table_agrees_with_the_oracle(weight8)
+    fresh = build_code()
+    fresh.weight8 = weight8
+    assert weight6_distance_census(fresh) == {2: 21252, 4: 113344}
 
 
 @pytest.mark.parametrize(
@@ -580,11 +598,21 @@ def _set_bit(packed, u, v, value):
         packed[u, v >> 3] &= ~np.uint8(1 << (v & 7))
 
 
-@pytest.mark.parametrize("which", ["graph", "petersen", "random300"])
-@pytest.mark.parametrize(
-    "kind, message",
-    [("loop", "adjacency matrix has a loop"), ("asymmetric", "adjacency matrix not symmetric")],
-)
+_ROW_FAULTS = [
+    (kind, message, which)
+    for kind, message in [
+        ("loop", "adjacency matrix has a loop"),
+        ("asymmetric", "adjacency matrix not symmetric"),
+    ]
+    for which in ["graph", "petersen", "random300"]
+] + [
+    # n = 2048 fills its rows: only the smaller graphs have padding
+    ("padding", "adjacency matrix has a bit set in the row padding", which)
+    for which in ["petersen", "random300"]
+]
+
+
+@pytest.mark.parametrize("kind, message, which", _ROW_FAULTS)
 def test_graph_rejects_a_loop_or_an_asymmetric_row(request, which, kind, message):
     g = request.getfixturevalue(which)
     packed = g.packed.copy()
@@ -592,6 +620,8 @@ def test_graph_rejects_a_loop_or_an_asymmetric_row(request, which, kind, message
     lo = u - u % BAND
     if kind == "loop":
         _set_bit(packed, u, u, True)
+    elif kind == "padding":  # the row's last bit, past vertex n - 1; its degree grows
+        _set_bit(packed, u, 8 * packed.shape[1] - 1, True)
     else:  # move one bit of row u inside its band's own columns: its degree is kept
         row = g.row_bits(u)
         _set_bit(packed, u, lo + int(np.flatnonzero(row[lo:])[0]), False)
@@ -601,6 +631,23 @@ def test_graph_rejects_a_loop_or_an_asymmetric_row(request, which, kind, message
         Graph(packed)
     assert str(info.value) == message
 
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 200), seed=st.integers(0, 2**32 - 1), flip=st.booleans())
+def test_graph_accepts_exactly_the_symmetric_matrices(n, seed, flip):
+    # random sizes and entries put the flipped one in any block, full or partial
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random((n, n)) < 0.3, k=1)
+    adj = upper | upper.T
+    if flip and n > 1:
+        u, v = rng.choice(n, 2, replace=False)
+        adj[u, v] = not adj[u, v]
+    if np.array_equal(adj, adj.T):
+        assert np.array_equal(bool_matrix(graph_from_bool_matrix(adj)), adj)
+    else:
+        with pytest.raises(GraphConstructionError, match="^adjacency matrix not symmetric$"):
+            graph_from_bool_matrix(adj)
 
 
 @pytest.mark.parametrize("which", ["cycle5", "random300", "graph"])
