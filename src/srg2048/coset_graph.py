@@ -19,23 +19,15 @@ cross-check:
     w(z) = 6 -> edge iff some weight-8 codeword c has w(z + c) = 2.
 
 A distance outside {2, 4} from a weight-6 z to the 759 weight-8 words is
-treated as a hard error rather than assumed impossible.  The representative
-differences are exactly the 145,499 even vectors of weight at most 6.
-`build_graph` checks the case rule against the syndromes on all of them,
-reading the weight-6 case straight from `weight6_distance_table`.  That
-table is read off the words with its guard: w(z + c) = 14 - 2 |z & c| for
-a weight-8 c, so z is at distance 2 iff it is a word less two points, and
-no z is at 6 or more once the words less three points are all C(24, 5)
-five-sets, a count the octads of S(5, 8, 24) pass.
+treated as a hard error rather than assumed impossible.  `build_graph`
+checks the case rule against the syndromes on all 145,499 representative
+differences, the even vectors of weight at most 6, reading the weight-6
+case from `weight6_distance_table`.
 
 `verify_srg` checks the srg parameters independently of how the graph was
 built: exact common-neighbour counts for all 2,096,128 pairs, from a
-float32 product of the 0/1 adjacency matrix with itself, block by block.
-Each float32 row of the left factor holds two adjacency rows, the second
-scaled by the power of two above the degree k, so one product counts for
-both; the sums stay integers below 2^24, exact in float32, for k < 4096.
-Every block is compared in one step with the expected counts, packed the
-same way: lambda or mu by adjacency, and k on the diagonal.
+float32 product of the adjacency matrix with itself, two rows to a float32
+row, in two 1 MiB tiles gathered from the packed rows through a byte table.
 
 `build_reps` returns the representatives as one ascending uint32 array,
 the one labelling every caller takes: vertex v is the representative at
@@ -48,6 +40,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import weakref
 from typing import NamedTuple
 
 import numpy as np
@@ -67,20 +60,25 @@ N_VERTICES = 2048
 DEGREE = 276
 
 
-@functools.cache
+_held: weakref.WeakValueDictionary[int, np.ndarray] = weakref.WeakValueDictionary()
+
+
 def vectors_of_weight(w: int) -> np.ndarray:
-    """All C(24, w) vectors of weight w, ascending (cached, read-only).
+    """All C(24, w) vectors of weight w, ascending (read-only).
 
     Built in w rounds from [0]: a round sets a new top bit b on every
     vector of the previous round that lies below 2^b.  Taking b upwards
-    keeps each round sorted, and no round holds more than its result.
+    keeps each round sorted, and no round holds more than its result.  A
+    call returns the array an earlier caller still holds; none is kept.
     """
-    values = np.zeros(1, dtype=np.uint32)
-    for _ in range(w):
-        values = np.concatenate(
-            [values[: np.searchsorted(values, 1 << b)] | np.uint32(1 << b) for b in range(VEC_BITS)]
-        )
-    values.setflags(write=False)
+    if (values := _held.get(w)) is None:
+        values = np.zeros(1, dtype=np.uint32)
+        for _ in range(w):
+            values = np.concatenate(
+                [values[: np.searchsorted(values, 1 << b)] | np.uint32(1 << b) for b in range(VEC_BITS)]
+            )
+        values.setflags(write=False)
+        _held[w] = values
     return values
 
 
@@ -115,19 +113,19 @@ def weight6_distance_table(code: GolayCode) -> np.ndarray:
     C(24, 5) = 42,504 values, as the 759 octads of S(5, 8, 24) do.  Only if
     the count falls short are each z's six five-subsets looked up in them.
 
-    Raises InternalConsistencyError if `code.weight8` holds a word of
-    another weight, before any count, and InvalidDistanceError for the
-    ascending-first z with no five-subset in a word, with its distance from
-    a direct scan.  Cached per code, so the build and
+    Raises InternalConsistencyError if `code.weight8` is empty or holds a
+    word of another weight, before any count, and InvalidDistanceError for
+    the ascending-first z with no five-subset in a word, with its distance
+    from a direct scan.  Cached per code, so the build and
     `weight6_distance_census` share one table.
     """
     w8 = code.weight8
+    if not w8.size:
+        raise InternalConsistencyError("weight-8 list is empty")
     odd = np.flatnonzero(np.bitwise_count(w8) != 8)
     if odd.size:
         c = int(w8[odd[0]])
-        raise InternalConsistencyError(
-            f"weight-8 list holds a word of weight {c.bit_count()}: {c:024b}"
-        )
+        raise InternalConsistencyError(f"weight-8 list holds a word of weight {c.bit_count()}: {c:024b}")
     z6 = vectors_of_weight(6)
     # the 8 points of each word, as one-point vectors, and the word less k of them
     _, at = np.nonzero((w8[:, None] >> np.arange(VEC_BITS, dtype=np.uint32)) & 1)
@@ -164,8 +162,8 @@ def row_bytes(n: int) -> int:
     return 8 * -(-n // 64)
 
 
-#: Rows per band: the build packs BAND rows at a time, and `Graph.bands` unpacks
-#: as many for `verify_srg` (the exports take shorter bands).
+#: Rows per band: the build packs BAND rows at a time, and `verify_srg` pairs
+#: as many in one float32 tile (the exports take shorter bands).
 BAND = 256
 
 
@@ -176,7 +174,7 @@ class Graph:
     (packed[u, v >> 3] >> (v & 7)) & 1.  Rows are row_bytes(n) long,
     zero-padded past bit n - 1, so `words` can view them as 64-bit words
     for popcount kernels; for n = 2048 nothing is padded.
-    `bands` unpacks them a band at a time, for `verify_srg` and the exports.
+    `bands` unpacks them a band at a time, for the exports.
 
     The constructor is the one place the structure is checked, for built
     and loaded rows alike: the shape and dtype, then no loop, then symmetry
@@ -288,17 +286,16 @@ def build_graph(code: GolayCode, reps: np.ndarray) -> Graph:
     bad = np.flatnonzero(degrees != DEGREE)
     if bad.size:
         v = int(bad[0])
-        raise GraphConstructionError(
-            f"vertex {v} has degree {int(degrees[v])}, expected {DEGREE}"
-        )
+        raise GraphConstructionError(f"vertex {v} has degree {int(degrees[v])}, expected {DEGREE}")
     return g
 
 
 def _check_case_rule(code: GolayCode, connection: np.ndarray) -> None:
     """The connection set against the case rule on every even z of weight <= 6."""
-    z = np.concatenate([vectors_of_weight(w) for w in (0, 2, 4, 6)])
+    z6 = vectors_of_weight(6)  # held, so a cold table reads these same vectors
     rule = [np.full(math.comb(VEC_BITS, w), w == 2) for w in (0, 2, 4)]
     rule.append(weight6_distance_table(code) == 2)
+    z = np.concatenate([vectors_of_weight(w) for w in (0, 2, 4)] + [z6])
     off = np.flatnonzero(connection[code.syndromes(z)] != np.concatenate(rule))
     if off.size:
         raise InternalConsistencyError(
@@ -340,12 +337,15 @@ def verify_srg(g: Graph) -> SrgParams:
     for k < 4096, so the counts are exact in any order of summation.  The
     band's own blocks also compare pairs (u, v) with v < u; A @ A is
     symmetric, so such a pair is bad only if (v, u) is, in the same band.
+    Each tile is one gather from `g.packed` through a table of the bits of
+    each byte, and the block's tile holds the band's lower half while it is
+    paired: two float32 tiles of BAND // 2 rows (1 MiB each for n = 2048).
 
     Raises DomainError for k >= 4096, before any product, and
     VerificationError for any k outside 0 < k < n - 1, and with a witness
     vertex or pair on any non-constancy: the row-major first bad pair, a
-    lambda mismatch before a mu mismatch in the same row, found by redoing
-    the failing band row by row with exact popcounts.
+    lambda mismatch before a mu mismatch in the same row, found by unpacking
+    the failing band and redoing it row by row with exact popcounts.
     """
     n = g.n
     degrees = g.degrees()
@@ -358,9 +358,7 @@ def verify_srg(g: Graph) -> SrgParams:
             witness=(v,),
         )
     if not 0 < k < n - 1:
-        raise VerificationError(
-            "degenerate graph: needs both adjacent and non-adjacent pairs"
-        )
+        raise VerificationError("degenerate graph: needs both adjacent and non-adjacent pairs")
     if k >= 4096:
         raise DomainError(
             f"degree {k} is too large for exact paired float32 rows, "
@@ -370,49 +368,50 @@ def verify_srg(g: Graph) -> SrgParams:
     row = g.row_bits(0)  # no loop, so the argmax is vertex 0's first neighbour
     first_pairs = (int(np.argmax(row)), 1 + int(np.argmin(row[1:])))
     lam, mu = (int(np.bitwise_count(g.words[0] & g.words[v]).sum()) for v in first_pairs)
+    byte = np.arange(256, dtype=np.uint8)[:, None]
+    table = np.unpackbits(byte, 1, bitorder="little").astype(np.float32)  # bit j of byte b at [b, j]
     height, width = min(BAND, n), min(BAND // 2, n)  # 128-row blocks gave the lowest peak
-    paired = (height + 1) // 2
-    band, block = (np.empty((m, n), dtype=np.float32) for m in (paired, width))
-    product, expected = (np.empty((paired, width), dtype=np.float32) for _ in range(2))
-    offset = np.empty((paired, 1), dtype=np.float32)
-    wrong = np.empty((paired, width), dtype=bool)
-    for lo, rows in g.bands(height):
-        h = len(rows)
-        # rows r and half + r share float32 row r; an odd band's middle row is alone
-        half = (h + 1) // 2
-        a, pairs = band[:half], band[: h - half]
-        np.copyto(pairs, rows[half:])
+    # a band's (height + 1) // 2 paired rows fit in width rows, as does its lower half
+    band, block = (np.empty((width, 8 * row_bytes(n)), dtype=np.float32) for _ in range(2))
+    product, expected = (np.empty((width, width), dtype=np.float32) for _ in range(2))
+
+    def gather(tile: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        out = tile[: hi - lo]  # rows lo to hi - 1; "clip" writes straight into out, the default buffers
+        np.take(table, g.packed[lo:hi], axis=0, out=out.reshape(hi - lo, -1, 8), mode="clip")
+        return out
+
+    for lo in range(0, n, height):
+        h = min(height, n - lo)
+        half = (h + 1) // 2  # rows r and half + r share float32 row r; an odd middle row is alone
+        a, pairs = band[:half], gather(band, lo + half, lo + h)
         pairs *= base
-        np.add(pairs, rows[: h - half], out=pairs)
-        np.copyto(a[h - half :], rows[h - half : half])
-        offset[: h - half] = mu * (1 + base)
-        offset[h - half : half] = mu
+        lower = gather(block, lo, lo + half)
+        np.add(pairs, lower[: h - half], out=pairs)
+        a[h - half :] = lower[h - half :]
         for blo in range(lo, n, width):
-            own = blo < lo + h  # the block's columns are the band's own vertices
-            bits = rows[blo - lo : blo - lo + width] if own else g.row_bits(slice(blo, blo + width))
-            w = len(bits)
-            b, common = block[:w], product[:half, :w]
-            e, x = expected[:half, :w], wrong[:half, :w]
-            np.copyto(b, bits)
+            b = gather(block, blo, min(blo + width, n))
+            w = len(b)
+            common, e = product[:half, :w], expected[:half, :w]
             np.matmul(a, b.T, out=common)
             np.multiply(a[:, blo : blo + w], lam - mu, out=e)
-            e += offset[:half]
-            if own:  # entry (u, u) is the degree k, not mu
+            e += mu * (1 + base)
+            e[h - half :] -= mu * base  # an odd band's middle row is alone
+            if blo < lo + h:  # the band's own vertices: entry (u, u) is the degree k, not mu
                 for first, count, scale in ((0, half, 1), (half, h - half, base)):
                     u = np.arange(max(blo, lo + first), min(blo + w, lo + first + count))
                     e[u - lo - first, u - blo] += (k - mu) * scale
-            if np.not_equal(common, e, out=x).any():
-                raise _first_bad_pair(g, rows, lo, lam, mu)
+            if (common != e).any():
+                raise _first_bad_pair(g, lo, lo + h, lam, mu)
     return SrgParams(n, k, lam, mu)
 
 
-def _first_bad_pair(g: Graph, rows: np.ndarray, lo: int, lam: int, mu: int) -> VerificationError:
-    """The row-major first bad pair among the rows of a band that has one,
+def _first_bad_pair(g: Graph, lo: int, hi: int, lam: int, mu: int) -> VerificationError:
+    """The row-major first bad pair among rows lo to hi - 1, which hold one,
     from exact popcounts: a lambda mismatch before a mu mismatch in a row."""
-    for r in range(len(rows)):
-        u = lo + r
+    rows = g.row_bits(slice(lo, hi))
+    for u in range(lo, hi):
         common = np.bitwise_count(g.words[u] & g.words[u + 1 :]).sum(axis=1)
-        adjacent = rows[r, u + 1 :]
+        adjacent = rows[u - lo, u + 1 :]
         for name, current, flag in (("lambda", lam, adjacent), ("mu", mu, ~adjacent)):
             off = np.flatnonzero(flag & (common != current))
             if off.size:
@@ -429,16 +428,16 @@ def delsarte_bound(v: int, k: int, s) -> int:
     """Ratio bound on coclique size: floor(v / (1 + k / (-s))).
 
     `v` and `k` are integers (not bools); `s`, the least eigenvalue, is an
-    integer of any kind (numpy's too), a float or a Fraction.  With s = p/q
-    exactly (q > 0), the bound is v(-p) / (kq - p), floored exactly.
+    integer of any kind, a finite float or a Fraction, else a DomainError.
+    With s = p/q exactly (q > 0), the bound is v(-p) / (kq - p), floored.
     """
     v, k = integer(v, "vertex count"), integer(k, "degree")
     if k <= 0:
         raise DomainError(f"degree must be positive, got {k}")
     try:
-        p, q = operator.index(s), 1
-    except TypeError:
-        p, q = s.as_integer_ratio()
+        p, q = (operator.index(s), 1) if hasattr(s, "__index__") else s.as_integer_ratio()
+    except (AttributeError, ValueError, OverflowError):
+        raise DomainError(f"smallest eigenvalue must be a finite number, got {s!r}") from None
     if p >= 0:
         raise DomainError(f"smallest eigenvalue must be negative, got {s}")
     return v * -p // (k * q - p)

@@ -10,8 +10,10 @@ exports (the package joins a table of labels), and a plain step-by-step
 greedy run on a bool matrix for the search (the package memoises, skips
 steps whose outcome is fixed and works on packed masks), and `Fraction`
 arithmetic for the ratio bound (the package floors one integer quotient),
-and a record-by-record walk for the vertex-set container (the package
-decodes, looks up and checks every entry of the stream in one pass).
+and popcounts of Python-int rows for every pair of the srg check (the
+package takes a float32 matrix product in tiles), and a record-by-record
+walk for the vertex-set container (the package decodes, looks up and
+checks every entry of the stream in one pass).
 The graph helpers pack small bool matrices and edge lists into `Graph`
 rows, whose constructor checks them; the package itself never holds an
 n x n bool matrix.
@@ -69,6 +71,44 @@ def feasibility_identity(params):
         params.k * (params.k - params.lam - 1),
         (params.v - params.k - 1) * params.mu,
     )
+
+
+def verify_srg_ref(g):
+    """The parameters (v, k, lambda, mu) of g, or the (message, witness) of
+    its first fault, from exact popcounts of every pair of Python-int rows.
+
+    The faults, in the order they are looked for: a degree other than
+    vertex 0's, at the least such vertex; no adjacent or no non-adjacent
+    pair; then the first row u with a pair u < v whose common-neighbour
+    count is not that of vertex 0's first adjacent (lambda) or first
+    non-adjacent (mu) pair, and in it the first lambda mismatch, else the
+    first mu mismatch.
+    """
+    rows = int_rows(g)
+    n = len(rows)
+    k = rows[0].bit_count() if n else 0
+    for v, row in enumerate(rows):
+        if row.bit_count() != k:
+            return f"degree not constant: vertex {v} has {row.bit_count()}, vertex 0 has {k}", (v,)
+    if not 0 < k < n - 1:
+        return "degenerate graph: needs both adjacent and non-adjacent pairs", None
+    first = {rows[0] >> v & 1: v for v in range(n - 1, 0, -1)}  # the least v of each kind
+    expected = {bit: (rows[0] & rows[v]).bit_count() for bit, v in first.items()}
+    for u in range(n):
+        faults = {}
+        for v in range(u + 1, n):
+            bit, common = rows[u] >> v & 1, (rows[u] & rows[v]).bit_count()
+            if common != expected[bit]:
+                faults.setdefault(bit, (v, common))
+        for bit, name in ((1, "lambda"), (0, "mu")):
+            if bit in faults:
+                v, common = faults[bit]
+                return (
+                    f"{name} not constant: pair ({u}, {v}) has {common} common neighbours, "
+                    f"expected {expected[bit]}",
+                    (u, v),
+                )
+    return n, k, expected[1], expected[0]
 
 
 def delsarte_bound_ref(v, k, s):

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -50,6 +51,7 @@ from oracles import (
     rep_of_scan,
     translation_perm,
     vectors_of_weight_ref,
+    verify_srg_ref,
 )
 
 
@@ -201,7 +203,7 @@ def test_weight6_table_matches_full_scan(systematic):
 
 def test_weight6_scan_holds_no_pair_matrix():
     code = build_code()  # fresh, so the table is cold
-    coset_graph.vectors_of_weight(6)  # cached: warm it, so only the table is traced
+    z6 = coset_graph.vectors_of_weight(6)  # held, so the table reads it: only the table is traced
     tracemalloc.start()
     try:
         weight6_distance_table(code)
@@ -211,6 +213,7 @@ def test_weight6_scan_holds_no_pair_matrix():
     # all 134,596 x 759 pairs at one byte each would be 102 MB; the table read
     # off the words, its marks and the sorted five-sets take about 0.6 MB
     assert peak < 2 << 20
+    assert len(z6) == 134596
 
 
 def _random_weight8(seed, count):
@@ -287,6 +290,13 @@ def test_weight6_table_on_one_word(points):
     # z = 63 (points 0-5) is the first weight-6 vector; one word decides its
     # distance, so the guard names 63 itself unless the word holds 5 of its points
     assert _table_agrees_with_the_oracle(np.array([sum(1 << p for p in points)], dtype=np.uint32))
+
+
+def test_empty_weight8_list_is_refused_before_any_count():
+    fresh = build_code()
+    fresh.weight8 = np.zeros(0, dtype=np.uint32)
+    with pytest.raises(InternalConsistencyError, match="^weight-8 list is empty$"):
+        weight6_distance_table(fresh)
 
 
 @pytest.mark.parametrize("weight", [0, 6, 7, 10, 24])
@@ -540,6 +550,70 @@ def test_verify_failures_are_pinned(graph, make, message, witness):
     assert info.value.witness == witness
 
 
+_PALEY_PRIMES = [p for p in range(5, 301, 4) if all(p % d for d in range(2, int(p**0.5) + 1))]
+
+
+@st.composite
+def _regular_graphs(draw):
+    """A regular graph on 5 to 300 vertices, relabelled at random: a circulant
+    (seldom strongly regular) or one of five strongly regular families, left
+    as it is, with one edge moved to another end, or with two edges switched,
+    which keeps every degree.  The sizes end rows inside a byte and a word."""
+    family = draw(st.sampled_from(["circulant", "cliques", "multipartite", "paley", "triangular", "rook"]))
+    if family == "circulant":
+        n = draw(st.integers(5, 300))
+        steps = draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=n // 2))
+        adj = np.isin((np.arange(n)[None, :] - np.arange(n)[:, None]) % n, [*steps, *(n - s for s in steps)])
+    elif family in ("cliques", "multipartite"):  # disjoint cliques and their complement
+        size = draw(st.integers(2, 60))
+        block = np.arange(size * draw(st.integers(max(2, -(-5 // size)), 300 // size))) // size
+        adj = (block[:, None] == block[None, :]) == (family == "cliques")
+    elif family == "paley":
+        p = draw(st.sampled_from(_PALEY_PRIMES))
+        squares = sorted({x * x % p for x in range(1, p)})
+        adj = np.isin((np.arange(p)[None, :] - np.arange(p)[:, None]) % p, squares)
+    elif family == "triangular":  # the 2-subsets of an m-set, joined when they share a point
+        pairs = np.array(list(itertools.combinations(range(draw(st.integers(4, 25))), 2)))
+        adj = (pairs[:, None, :, None] == pairs[None, :, None, :]).sum(axis=(2, 3)) == 1
+    else:  # the m x m rook's graph: joined when they share a row or a column
+        m = draw(st.integers(3, 17))
+        row, col = np.divmod(np.arange(m * m), m)
+        adj = (row[:, None] == row[None, :]) != (col[:, None] == col[None, :])
+    np.fill_diagonal(adj, False)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    perm = rng.permutation(len(adj))
+    adj = adj[perm][:, perm]
+    edit = draw(st.sampled_from(["none", "move", "switch"]))
+    edges = np.argwhere(np.triu(adj))
+    if edit == "move":  # edge ab becomes ac: b loses a neighbour and c gains one
+        a, b = edges[rng.integers(len(edges))]
+        free = np.flatnonzero(~adj[a])
+        free = free[free != a]
+        if free.size:
+            c = rng.choice(free)
+            adj[a, b] = adj[b, a] = False
+            adj[a, c] = adj[c, a] = True
+    elif edit == "switch":  # edges ab, cd become ac, bd
+        for _ in range(50):
+            (a, b), (c, d) = edges[rng.choice(len(edges), 2, replace=False)]
+            if len({a, b, c, d}) == 4 and not adj[a, c] and not adj[b, d]:
+                adj[a, b] = adj[b, a] = adj[c, d] = adj[d, c] = False
+                adj[a, c] = adj[c, a] = adj[b, d] = adj[d, b] = True
+                break
+    return graph_from_bool_matrix(adj)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=_regular_graphs())
+def test_verify_srg_matches_the_popcount_oracle(g):
+    expected = verify_srg_ref(g)
+    try:
+        got = tuple(verify_srg(g))
+    except VerificationError as exc:
+        got = (str(exc), exc.witness)
+    assert got == expected
+
+
 def test_verify_witness_is_the_first_row_across_blocks(graph):
     """Row 1's bad pairs lie only in later column blocks of band 0, while
     row 2 has one in block 0, which the product meets first: the witness
@@ -562,8 +636,10 @@ def test_verify_srg_holds_no_band_wide_buffers(graph):
     finally:
         tracemalloc.stop()
     # a 256 x 2048 float32 product and its bool temporaries per band took 9 MiB,
-    # and a band of 256 float32 rows, one adjacency row each, 4.5 MiB
-    assert peak < 4 * 2**20
+    # a band of 256 float32 rows, one adjacency row each, 4.5 MiB, and the two
+    # 128 x 2048 float32 tiles with each band and block unpacked to bool 3.4 MiB;
+    # the tiles alone are 2 MiB
+    assert peak < 3 * 2**20
 
 
 def test_verify_refuses_a_degree_too_large_for_paired_rows(monkeypatch):
@@ -727,8 +803,15 @@ def test_delsarte_bound_matches_the_rational_formula(v, k, s):
     assert delsarte_bound(v, k, s) == delsarte_bound_ref(v, k, s)
 
 
-@pytest.mark.parametrize("s", [-12, np.int64(-12), np.int32(-12), np.float64(-12.0)])
+_NOT_AN_EIGENVALUE = [float("nan"), float("-inf"), "x", None]
+
+
+@pytest.mark.parametrize("s", [-12, np.int64(-12), np.int32(-12), np.float64(-12.0), *_NOT_AN_EIGENVALUE])
 def test_delsarte_bound_takes_numpy_scalars(s):
+    if any(s is bad for bad in _NOT_AN_EIGENVALUE):
+        with pytest.raises(DomainError, match="^smallest eigenvalue must be a finite number, got "):
+            delsarte_bound(2048, 276, s)
+        return
     assert delsarte_bound(2048, 276, s) == 85
     with pytest.raises(DomainError):
         delsarte_bound(2048, 276, -s)
@@ -785,6 +868,46 @@ def test_build_graph_holds_no_bool_matrix(code, reps, graph):
         tracemalloc.stop()
     # one n x n bool matrix is 4 MiB
     assert peak < N_VERTICES * N_VERTICES
+
+
+def test_cold_build_keeps_only_its_rows_and_table(reps):
+    code = build_code()  # fresh, so the weight-6 table is cold
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g = build_graph(code, reps)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # the rows are 0.5 MiB and the table 0.13 MiB; the 134,596 weight-6
+    # vectors, 0.51 MiB more, are freed with the case rule's differences
+    assert kept < 0.75 * 2**20
+    assert g.n == N_VERTICES
+
+
+def test_cold_build_makes_the_weight6_vectors_once(reps, monkeypatch):
+    made, make = [], coset_graph.vectors_of_weight
+
+    def spy(w):
+        values = make(w)
+        if w == 6:
+            assert not made or made[-1]() is values  # the case rule's, still held
+            made.append(weakref.ref(values))
+        return values
+
+    monkeypatch.setattr(coset_graph, "vectors_of_weight", spy)
+    build_graph(build_code(), reps)  # a fresh code: its table is made here too
+    assert len(made) == 2
+    assert all(ref() is None for ref in made)
+
+
+def test_vectors_of_weight_are_shared_while_held():
+    z6 = coset_graph.vectors_of_weight(6)
+    assert coset_graph.vectors_of_weight(6) is z6
+    assert not z6.flags.writeable
+    held = weakref.ref(z6)
+    del z6
+    assert held() is None
 
 
 def test_build_graph_is_deterministic(code, reps, graph):
