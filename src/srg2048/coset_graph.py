@@ -19,15 +19,25 @@ cross-check:
     w(z) = 6 -> edge iff some weight-8 codeword c has w(z + c) = 2.
 
 A distance outside {2, 4} from a weight-6 z to the 759 weight-8 words is
-treated as a hard error rather than assumed impossible.  `build_graph`
-checks the case rule against the syndromes on all 145,499 representative
-differences, the even vectors of weight at most 6, reading the weight-6
-case from `weight6_distance_table`.
+treated as a hard error rather than assumed impossible.  The representative
+differences are exactly the 145,499 even vectors of weight at most 6.
+`build_graph` checks the case rule against the syndromes on all of them,
+reading the weight-6 case straight from `weight6_distance_table`.  That
+table is read off the words with its guard: w(z + c) = 14 - 2 |z & c| for
+a weight-8 c, so z is at distance 2 iff it is a word less two points, and
+no z is at 6 or more once the words less three points are all C(24, 5)
+five-sets, a count the octads of S(5, 8, 24) pass.
 
 `verify_srg` checks the srg parameters independently of how the graph was
 built: exact common-neighbour counts for all 2,096,128 pairs, from a
-float32 product of the adjacency matrix with itself, two rows to a float32
-row, in two 1 MiB tiles gathered from the packed rows through a byte table.
+float32 product of the 0/1 adjacency matrix with itself, block by block.
+Each float32 row of the left factor holds two adjacency rows, the second
+scaled by the power of two above the degree k, so one product counts for
+both; the sums stay integers below 2^24, exact in float32, for k < 4096.
+Every block is compared in one step with the expected counts, packed the
+same way: lambda or mu by adjacency, and k on the diagonal.  Both factors
+are gathered from the packed rows through a table of the bits of each
+byte, into two float32 tiles of 1 MiB each; no bool band is unpacked.
 
 `build_reps` returns the representatives as one ascending uint32 array,
 the one labelling every caller takes: vertex v is the representative at
@@ -125,15 +135,19 @@ def weight6_distance_table(code: GolayCode) -> np.ndarray:
     odd = np.flatnonzero(np.bitwise_count(w8) != 8)
     if odd.size:
         c = int(w8[odd[0]])
-        raise InternalConsistencyError(f"weight-8 list holds a word of weight {c.bit_count()}: {c:024b}")
+        raise InternalConsistencyError(
+            f"weight-8 list holds a word of weight {c.bit_count()}: {c:024b}"
+        )
     z6 = vectors_of_weight(6)
     # the 8 points of each word, as one-point vectors, and the word less k of them
     _, at = np.nonzero((w8[:, None] >> np.arange(VEC_BITS, dtype=np.uint32)) & 1)
     points = np.uint32(1) << at.astype(np.uint32).reshape(-1, 8)
 
+    subsets = np.arange(256, dtype=np.uint32)  # of 8 positions, as byte masks
+
     def less(k: int) -> np.ndarray:
         # column j of `take` marks the points of the j-th k-subset of 8 positions
-        take = (vectors_of_weight(k)[: math.comb(8, k)] >> np.arange(8, dtype=np.uint32)[:, None]) & 1
+        take = (subsets[np.bitwise_count(subsets) == k] >> np.arange(8, dtype=np.uint32)[:, None]) & 1
         return w8[:, None] ^ points @ take
 
     inside = np.zeros(len(z6), dtype=bool)
@@ -286,7 +300,9 @@ def build_graph(code: GolayCode, reps: np.ndarray) -> Graph:
     bad = np.flatnonzero(degrees != DEGREE)
     if bad.size:
         v = int(bad[0])
-        raise GraphConstructionError(f"vertex {v} has degree {int(degrees[v])}, expected {DEGREE}")
+        raise GraphConstructionError(
+            f"vertex {v} has degree {int(degrees[v])}, expected {DEGREE}"
+        )
     return g
 
 
@@ -358,7 +374,9 @@ def verify_srg(g: Graph) -> SrgParams:
             witness=(v,),
         )
     if not 0 < k < n - 1:
-        raise VerificationError("degenerate graph: needs both adjacent and non-adjacent pairs")
+        raise VerificationError(
+            "degenerate graph: needs both adjacent and non-adjacent pairs"
+        )
     if k >= 4096:
         raise DomainError(
             f"degree {k} is too large for exact paired float32 rows, "
@@ -377,7 +395,7 @@ def verify_srg(g: Graph) -> SrgParams:
 
     def gather(tile: np.ndarray, lo: int, hi: int) -> np.ndarray:
         out = tile[: hi - lo]  # rows lo to hi - 1; "clip" writes straight into out, the default buffers
-        np.take(table, g.packed[lo:hi], axis=0, out=out.reshape(hi - lo, -1, 8), mode="clip")
+        np.take(table, g.packed[lo:hi], axis=0, out=out.reshape(hi - lo, row_bytes(n), 8), mode="clip")
         return out
 
     for lo in range(0, n, height):
