@@ -51,8 +51,8 @@ pick direction and the sorted member tuple to those first vertices of the
 degree order.  It is exact: the eligibility mask is always the valid
 vertices minus the members and their cover, so equal member sets give
 equal degrees, an equal order and equal draws.  Only states with at least
-MEMO_MIN_CANDIDATES candidates enter it, at most MEMO_CAP of them (a few
-MiB); once full it still answers but stops growing.
+MEMO_MIN_CANDIDATES candidates enter it, at most MEMO_CAP of them; once
+full it still answers but stops growing.
 
 Two kinds of step have an outcome fixed in advance, and the search skips
 their work but still makes their random draws, the same calls in the
@@ -74,10 +74,20 @@ step-by-step run:
   from every vertex and recur, while perturbation starts have a few dozen
   candidates and almost never do (1 repeat in 1,009 depth-1 perturbation
   runs at seeds 1-3, budget 2000, against 185 in 188 fresh ones).
+
+What a search holds, for n = 2048: the closed rows and the gather
+scratch, 512 KiB each; the memo, about 2.1 MiB once it holds MEMO_CAP
+entries; one packed key per unique set it has seen, two bytes a member;
+and one int object per vertex, from `_vertex_ints`, built once per n and
+shared by every members list, result, memo entry and pooled set.  Only
+the keys grow with the budget once the memo is full.  After the graph is
+loaded, the peak RSS of a search over sizes 20..72 at seed 5 grows by
+0.3 MiB at budget 2000, 3.5 MiB at 20,000 and 4.7 MiB at 60,000.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -237,6 +247,14 @@ def _closed_rows(words: np.ndarray) -> np.ndarray:
     return closed
 
 
+@functools.cache
+def _vertex_ints(n: int) -> tuple[int, ...]:
+    """The vertices 0..n-1 as Python ints, one object each, kept per n: every
+    vertex the search adds is taken from here, so its members lists, result
+    tuples, memo entries and pool share one int per vertex."""
+    return tuple(range(n))
+
+
 def _degree_step(rng: random.Random, mode: str, q: float) -> bool:
     """Whether this step picks by degree: always for max/min, with
     probability q for blend, never for uniform."""
@@ -278,11 +296,12 @@ def _complete(
     page fault per 4 KiB whenever the allocator hands the memory back to
     the system.
 
-    `memo` maps (min-pick, sorted members) to the first PICK_DEPTH vertices
-    of the stable degree order, and ("run", min-pick, sorted start members)
-    to the result of a depth-1 max/min run (see the module notes); a
-    `depth` beyond PICK_DEPTH bypasses it.  Both kinds hold only states
-    with at least MEMO_MIN_CANDIDATES candidates.
+    Every vertex it adds is the `_vertex_ints(n)` object of that index.
+    `memo` maps (min-pick, sorted members) to a tuple of the first
+    PICK_DEPTH vertices of the stable degree order, and ("run", min-pick,
+    sorted start members) to the result of a depth-1 max/min run (see the
+    module notes); a `depth` beyond PICK_DEPTH bypasses it.  Both kinds
+    hold only states with at least MEMO_MIN_CANDIDATES candidates.
     """
     run = None
     if depth == 1 and mode in ("max", "min") and (
@@ -296,6 +315,7 @@ def _complete(
                 rng.randrange(1)
             return result
     n = words.shape[0]
+    ints = _vertex_ints(n)
     # degrees below 2^15 fit int16, for which the stable argsort is a radix sort
     dtype = np.int16 if n < 1 << 15 else np.int32
     ebytes = emask.view(np.uint8)
@@ -307,7 +327,7 @@ def _complete(
         if m == 0:
             break
         if not _degree_step(rng, mode, q):
-            v = int(cands[rng.randrange(m)])
+            v = ints[cands[rng.randrange(m)]]
         else:
             key = None
             if depth <= PICK_DEPTH and m >= MEMO_MIN_CANDIDATES:
@@ -327,12 +347,12 @@ def _complete(
                             _pick_index(rng, k, depth)
                         else:
                             rng.randrange(k)
-                    members.extend(cands.tolist())
+                    members.extend(map(ints.__getitem__, cands.tolist()))
                     break
                 top = cands[(-degs if mode != "min" else degs).argsort(kind="stable")]
                 if key and len(memo) < MEMO_CAP:
-                    memo[key] = top = top[:PICK_DEPTH].copy()
-            v = int(top[_pick_index(rng, m, depth)])
+                    memo[key] = top = tuple(map(ints.__getitem__, top[:PICK_DEPTH].tolist()))
+            v = ints[top[_pick_index(rng, m, depth)]]
         members.append(v)
         emask &= closed[v]
     else:
@@ -410,7 +430,9 @@ def search_maximal(
 
     found: dict[int, VertexSet] = {}
     pool: dict[int, list[tuple[int, ...]]] = {}
-    seen: set[tuple[int, ...]] = set()
+    # each set seen, as its members packed two bytes apiece while they fit
+    seen: set[bytes] = set()
+    key_dtype = np.uint16 if g.n <= 1 << 16 else np.uint32
 
     def near_missing() -> set[int]:
         """Sizes within FOCUS_WINDOW of a target not found yet."""
@@ -440,11 +462,11 @@ def search_maximal(
                 f"search produced a coclique of size {size} above the bound "
                 f"{hard_cap}; the graph construction must be wrong"
             )
-        key = tuple(members)
+        key = np.array(members, dtype=key_dtype).tobytes()
         if key in seen:
             continue
         seen.add(key)
-        candidate = VertexSet(key)
+        candidate = VertexSet(tuple(members))
         try:
             checked = is_maximal(g, candidate)
         except DomainError:  # not a coclique

@@ -464,11 +464,14 @@ def delsarte_bound(v: int, k: int, s) -> int:
 def srg_eigenvalues(params: SrgParams) -> tuple:
     """The two non-principal eigenvalues, roots of x^2 - (lam-mu)x - (k-mu).
 
-    Returns exact integers when the discriminant is a perfect square,
+    The four parameters are integers (not bools), else a DomainError.
+    Returns exact Python ints when the discriminant is a perfect square,
     floats otherwise; larger root first.
     """
-    b = params.lam - params.mu
-    disc = b * b + 4 * (params.k - params.mu)
+    integer(params.v, "v")
+    k, lam, mu = integer(params.k, "k"), integer(params.lam, "lambda"), integer(params.mu, "mu")
+    b = lam - mu
+    disc = b * b + 4 * (k - mu)
     if disc < 0:
         raise DomainError(f"negative discriminant {disc}: not an srg parameter set")
     root = math.isqrt(disc)

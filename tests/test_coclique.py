@@ -22,7 +22,7 @@ from srg2048.coclique import (
     pair_invariant,
     search_maximal,
 )
-from srg2048.coset_graph import DEGREE, N_VERTICES, delsarte_bound
+from srg2048.coset_graph import DEGREE, N_VERTICES, SrgParams, delsarte_bound, srg_eigenvalues
 from srg2048.errors import DomainError, InternalConsistencyError
 from srg2048.io_formats import read_dat, write_dat
 
@@ -559,6 +559,31 @@ def test_search_holds_no_bool_matrix(graph):
     assert peak < 2 << 20
 
 
+def test_wide_search_keeps_a_small_tracemalloc_peak(graph):
+    # each set seen is one packed key, and every member is one shared int
+    tracemalloc.start()
+    try:
+        _wide_search(graph, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.25 * (1 << 20)
+
+
+def test_search_members_are_the_shared_vertex_ints(graph, monkeypatch):
+    complete, results = coclique._complete, []
+
+    def recorded(*args):
+        results.append(complete(*args))
+        return results[-1]
+
+    monkeypatch.setattr(coclique, "_complete", recorded)
+    _wide_search(graph, 7, budget=500)
+    ints = coclique._vertex_ints(graph.n)
+    assert len(results) == 500
+    assert all(v is ints[v] for members in results for v in members)
+
+
 def test_search_rejects_bad_budget(graph):
     with pytest.raises(DomainError):
         search_maximal(graph, range(20, 41), budget=0, seed=DEFAULT_SEED)
@@ -571,6 +596,10 @@ _NUMERIC_ARGUMENTS = {
     "size target": (lambda g, x: search_maximal(g, [x], budget=30, seed=7), 4),
     "vertex count": (lambda g, x: delsarte_bound(x, 3, -2), 10),
     "degree": (lambda g, x: delsarte_bound(10, x, -2), 3),
+    "v": (lambda g, x: srg_eigenvalues(SrgParams(x, 3, 0, 1)), 10),
+    "k": (lambda g, x: srg_eigenvalues(SrgParams(10, x, 0, 1)), 3),
+    "lambda": (lambda g, x: srg_eigenvalues(SrgParams(10, 3, x, 1)), 0),
+    "mu": (lambda g, x: srg_eigenvalues(SrgParams(10, 3, 0, x)), 1),
 }
 
 

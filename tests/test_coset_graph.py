@@ -842,6 +842,12 @@ def test_eigenvalues_target():
     assert srg_eigenvalues(TARGET_PARAMS) == (20, -12)
 
 
+def test_eigenvalues_of_numpy_parameters_are_python_ints():
+    roots = srg_eigenvalues(SrgParams(*map(np.int64, TARGET_PARAMS)))
+    assert roots == (20, -12)
+    assert [type(x) for x in roots] == [int, int]
+
+
 def test_eigenvalues_solve_quadratic():
     # roots of x^2 - 8x - 240
     r, s = srg_eigenvalues(TARGET_PARAMS)
