@@ -90,7 +90,7 @@ def _generator_bytes(code: golay.GolayCode) -> bytes:
 
 
 def _cache_path(args: argparse.Namespace, code: golay.GolayCode) -> str:
-    if args.cache and args.cache != "auto":
+    if args.cache is not True:
         return args.cache
     digest = zlib.crc32(_generator_bytes(code))
     return os.path.join(default_cache_dir(), f"graph-{digest:08x}.bin")
@@ -359,7 +359,7 @@ def _add_common(p: argparse.ArgumentParser, reads=(), writes=()) -> None:
     p.add_argument(
         "--cache",
         nargs="?",
-        const="auto",
+        const=True,  # no argv string equals it, so a file may be named "auto"
         type=_cache_arg,
         help="reuse/write a graph cache file (default location under "
         "$SRG2048_CACHE_DIR or ~/.cache/srg2048)",
@@ -435,9 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _container_from_cache(args: argparse.Namespace) -> None:
     """`--cache` takes an optional value, so in `check --cache C` it takes
     the container C: use C as the container and the default cache location."""
-    if args.cache in (None, "auto"):
+    if args.cache in (None, True):
         args.usage_error("the following arguments are required: dat")
-    args.dat, args.cache = args.cache, "auto"
+    args.dat, args.cache = args.cache, True
 
 
 def main(argv=None) -> int:

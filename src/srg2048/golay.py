@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CodeConstructionError, DomainError, FormatError, VecParseError
+from .errors import CodeConstructionError, DomainError, FormatError, VecParseError, integer
 from .gf2 import VEC_LIMIT, parse_vec
 
 # Systematic [I | B] generator rows, written in the package's string form.
@@ -91,13 +91,14 @@ class GolayCode:
 def build_code(generators: tuple[int, ...] | None = None) -> GolayCode:
     """Enumerate the span of 12 generator rows and validate the census.
 
-    Raises CodeConstructionError if the rows are dependent (span smaller
+    Raises DomainError for a row that is not an integer (a float, str or
+    bool), and CodeConstructionError if the rows are dependent (span smaller
     than 4096) or if the weight census differs from the extended Golay
     distribution, naming the first offending weight class.
     """
     if generators is None:
         generators = tuple(parse_vec(row) for row in DEFAULT_GENERATOR_ROWS)
-    generators = tuple(int(g) for g in generators)
+    generators = tuple(integer(g, "generator row") for g in generators)
     if len(generators) != CODE_DIMENSION:
         raise CodeConstructionError(
             f"expected {CODE_DIMENSION} generator rows, got {len(generators)}"

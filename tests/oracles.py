@@ -23,6 +23,7 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -30,6 +31,11 @@ from srg2048.coclique import VertexSet
 from srg2048.coset_graph import Graph, row_bytes
 from srg2048.errors import DatFormatError, DomainError, InternalConsistencyError
 from srg2048.io_formats import DAT_MAX_SIZE, DAT_MIN_SIZE, ENTRY_BYTES
+
+# sha256 of each pinned output by name: the one table, which tests/console_contract.sh reads too
+PINS = dict(
+    line.split() for line in (Path(__file__).parent / "data" / "pins.txt").read_text().splitlines()
+)
 
 # enumerated here rather than taken from the package, which builds from them
 _WEIGHT2 = np.array(

@@ -32,7 +32,7 @@ from srg2048.coclique import VertexSet
 from srg2048.golay import DEFAULT_GENERATOR_ROWS
 from srg2048.io_formats import read_dat, write_dat
 
-from oracles import neighbors
+from oracles import PINS, neighbors
 
 
 def test_parse_size_targets():
@@ -479,10 +479,10 @@ POOL = str(Path(__file__).resolve().parents[1] / "srgbench" / "pool.dat")
 
 # sha256 of each output for the 142 sets of srgbench/pool.dat
 POOL_DIGESTS = {
-    "invariants": "6a7fae155bd2df6fa228e1ff2f6349a0a0b1eb38e2cdc85afe5e39ab29ffd3d9",
-    "check": "452548c725508dba24c6ef9e204dc0d18334e5fa239be8fc3672d0d34fa6b2fa",
-    "gap": "161607d41260baea6ad233b58da1df9a5178515cdc6887e29de66e656bf8bf7e",
-    "edges": "3194b978f7f9b566f44ff4d2bc611f1e736f2401aac745dee5f0b11dcf1f7bab",
+    "invariants": PINS["invariants"],
+    "check": PINS["check"],
+    "gap": PINS["gap"],
+    "edges": PINS["edges"],
 }
 # sha256 of each output for tests/data/mixed.dat: an adjacent pair, a size-71
 # coclique that is not maximal, the first size-72 set of pool.dat, and
@@ -490,9 +490,9 @@ POOL_DIGESTS = {
 MIXED = str(Path(__file__).resolve().parent / "data" / "mixed.dat")
 MIXED_DIGESTS = {
     "invariants": "9bff8b6d069f6d671389695d6666bef45f440dab6341b523dd2d0f8c3af95cf1",
-    "check": "8eb3b5eb48e2af2da3c2cef57e77628ce4d2c7ab3094c89273e1b43a9e88af9f",
+    "check": PINS["mixed-check"],
 }
-VERIFY_DIGEST = "ae2280b85089081bc14fdccee000b22b64b5262adb7c0e7823c0870036df8843"
+VERIFY_DIGEST = PINS["verify"]
 
 
 def _sha256(text: str) -> str:
@@ -514,6 +514,21 @@ def test_verify_report_is_pinned_for_other_generator_matrices(monkeypatch, capsy
     assert main(["verify", "--generators", str(Path(MIXED).parent / name)]) == EXIT_OK
     assert _sha256(capsys.readouterr().out) == VERIFY_DIGEST
     assert not np.array_equal(built[0].packed, graph.packed)
+
+
+def test_a_file_named_auto_is_a_path_like_any_other(tmp_path, monkeypatch, capsys, pool_cache):
+    """Only a bare --cache means the default file: `build --cache auto` loads
+    the cache file ./auto, and `check --cache auto` reads the container ./auto."""
+    monkeypatch.setenv("SRG2048_CACHE_DIR", str(tmp_path / "default"))
+    monkeypatch.chdir(tmp_path)
+    shutil.copyfile(pool_cache, "auto")
+    assert main(["build", "--cache", "auto"]) == EXIT_OK
+    assert capsys.readouterr().out.endswith("cache: auto\n")
+    assert not (tmp_path / "default").exists()
+    shutil.copyfile(POOL, "auto")
+    assert main(["check", "--cache", "auto"]) == EXIT_OK
+    assert _sha256(capsys.readouterr().out) == POOL_DIGESTS["check"]
+    assert [p.suffix for p in (tmp_path / "default").iterdir()] == [".bin"]
 
 
 @pytest.fixture(scope="module")
@@ -583,7 +598,7 @@ def test_export_holds_no_whole_output_in_memory(tmp_path, capsys, pool_cache):
 
 
 # sha256 of the cache file of the default generators: 68 + 2048 * 256 bytes
-CACHE_DIGEST = "96a4dbeebd2445fc801028c38ad93d71d9f0e3f3da2278479d15a00914fb0eb4"
+CACHE_DIGEST = PINS["cache"]
 CACHE_SIZE = 524_356
 
 
@@ -665,7 +680,7 @@ def test_unreadable_cache_is_rebuilt_by_verify(tmp_path, capsys, code, reps, gra
 
 
 # sha256 of srgbench/pool.dat
-POOL_FILE_DIGEST = "2f9d7ebfe7789a04b630aba4637c783c8b4ba8ebb0c9204f376ad56180f9664a"
+POOL_FILE_DIGEST = PINS["pool-dat"]
 
 
 def test_container_given_as_its_own_cache_is_left_alone(tmp_path, capsys):

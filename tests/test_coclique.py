@@ -24,9 +24,11 @@ from srg2048.coclique import (
 )
 from srg2048.coset_graph import DEGREE, N_VERTICES, SrgParams, delsarte_bound, srg_eigenvalues
 from srg2048.errors import DomainError, InternalConsistencyError
+from srg2048.golay import build_code
 from srg2048.io_formats import read_dat, write_dat
 
 from oracles import (
+    PINS,
     bitmask,
     bool_matrix,
     complete_ref,
@@ -323,7 +325,7 @@ def test_search_small_graphs_pinned(request, name, seed, expected):
 # off: the benchmark's own search, as written before the search memoised
 # its degree orders
 GOLDEN_WIDE_SEARCH_SHA256 = {
-    1: "19ad5d3aaa76c3f92a4c23971322a2c91834887c698801f5a767ea946708ac9a",
+    1: PINS["search-bench"],
     2048: "552e98f7c23ec3f48a98cdbceac9adace90e7c0150a6100200802f836228d5bb",
 }
 
@@ -589,7 +591,8 @@ def test_search_rejects_bad_budget(graph):
         search_maximal(graph, range(20, 41), budget=0, seed=DEFAULT_SEED)
 
 
-# each numeric argument, as a call on the Petersen graph, and a valid value of it
+# each numeric argument, as a call (on the Petersen graph where it takes one), and a valid value of it
+_ROWS = build_code().generators
 _NUMERIC_ARGUMENTS = {
     "seed": (lambda g, x: search_maximal(g, [3, 4], budget=30, seed=x), 7),
     "budget": (lambda g, x: search_maximal(g, [3, 4], budget=x, seed=7), 30),
@@ -600,14 +603,15 @@ _NUMERIC_ARGUMENTS = {
     "k": (lambda g, x: srg_eigenvalues(SrgParams(10, x, 0, 1)), 3),
     "lambda": (lambda g, x: srg_eigenvalues(SrgParams(10, 3, x, 1)), 0),
     "mu": (lambda g, x: srg_eigenvalues(SrgParams(10, 3, 0, x)), 1),
+    "generator row": (lambda g, x: build_code((x, *_ROWS[1:])).generators, _ROWS[0]),
 }
 
 
-@pytest.mark.parametrize("kind", [np.int64, np.int32, float, bool])
+@pytest.mark.parametrize("kind", [np.int64, np.int32, float, bool, str])
 @pytest.mark.parametrize("name", list(_NUMERIC_ARGUMENTS))
 def test_numeric_arguments_take_any_integer_but_a_bool(petersen, name, kind):
     call, value = _NUMERIC_ARGUMENTS[name]
-    if kind in (float, bool):
+    if kind in (float, bool, str):
         with pytest.raises(DomainError, match=f"^{name} must be an integer, got "):
             call(petersen, kind(value))
     else:
