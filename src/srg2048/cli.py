@@ -18,7 +18,6 @@ import errno
 import os
 import sys
 import tempfile
-import time
 import zlib
 
 import numpy as np
@@ -207,14 +206,11 @@ def _format_census(census: dict[int, int]) -> str:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
     code, reps, g, cache_file, _ = _build_context(args)
-    elapsed = time.perf_counter() - t0
     print(f"codewords: {len(code.codewords)}")
     print(f"weight distribution: {_format_census(code.weight_distribution())}")
     print(f"representatives: {len(reps)}")
     print(f"edges: {int(g.degrees().sum()) // 2}")
-    print(f"build time: {elapsed:.2f}s")
     if cache_file:
         print(f"cache: {cache_file}")
     # a failed write is on stderr already; storing the graph is what build --cache is for
@@ -294,16 +290,13 @@ def cmd_search(args: argparse.Namespace) -> int:
     contiguous = targets == tuple(range(targets[0], targets[-1] + 1))
     label = f"{targets[0]}-{targets[-1]}" if contiguous else ",".join(map(str, targets))
     print(f"seed {args.seed}, budget {args.budget}, sizes {label}")
-    t0 = time.perf_counter()
     results = coclique.search_maximal(g, targets, budget=args.budget, seed=args.seed)
-    elapsed = time.perf_counter() - t0
     achieved = [s.size for s in results]
     missing = sorted(set(targets) - set(achieved))
     print(f"achieved sizes: {' '.join(map(str, achieved)) or 'none'}")
     print(f"missing sizes: {' '.join(map(str, missing)) or 'none'}")
     row = "".join("X" if t in achieved else "." for t in targets)
     print(f"coverage {label}: {row} ({len(achieved)} of {len(targets)} sizes)")
-    print(f"search time: {elapsed:.1f}s")
     for i, s in enumerate(results, start=1):
         if s.size >= LARGE_SET_FLOOR:
             print(_describe_set(g, s, i, LARGE_SET_FLOOR)[0])

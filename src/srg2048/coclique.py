@@ -227,7 +227,7 @@ def check_set(g: Graph, s: VertexSet, pair: bool) -> tuple[bool, bool, dict[int,
         counts[members] = 0
         r = bits.take(np.flatnonzero(counts == 8), axis=1).astype(np.float32)
         zero = (r @ r.T) == 0
-        invariant = (np.count_nonzero(zero) - np.count_nonzero(zero.diagonal())) // 2
+        invariant = int(np.count_nonzero(zero) - np.count_nonzero(zero.diagonal())) // 2
     return independent, independent and 0 not in profile, profile, invariant
 
 

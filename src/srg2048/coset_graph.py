@@ -259,7 +259,7 @@ def build_graph(code: GolayCode, reps: np.ndarray) -> Graph:
     First the connection set D, the syndromes of the weight-2 vectors, is
     checked against the case rule on every difference z of weight 0, 2, 4
     or 6: an edge iff w(z) = 2, or w(z) = 6 and z's weight-6 table entry is
-    2.  Then a syndrome -> vertex index gives the neighbours of u as the
+    2.  Then the syndrome -> vertex index gives the neighbours of u as the
     vertices of syn(u) + d for the 276 d in D; they are scattered into a
     band of BAND bool rows at a time and packed, so the graph never exists
     as a bool matrix.  Raises GraphConstructionError if a neighbour
@@ -274,17 +274,15 @@ def build_graph(code: GolayCode, reps: np.ndarray) -> Graph:
     connection[code.syndromes(WEIGHT2_VECTORS)] = True
     # the case analysis first: its differences are freed before the rows exist
     _check_case_rule(code, connection)
-    syn = _distinct_syndromes(code, reps)
+    syn, vertex = _syndrome_index(code, reps)
     n = len(syn)
-    vertex = np.full(SYNDROME_LIMIT, -1, dtype=np.int16)
-    vertex[syn] = np.arange(n)
     step = np.flatnonzero(connection).astype(np.uint16)
     packed = np.zeros((n, row_bytes(n)), dtype=np.uint8)
     band = np.empty((min(BAND, n), n), dtype=bool)
     for lo in range(0, n, BAND):
         # the neighbours of u are the vertices of syn(u) + d, for d in the connection set
         ends = vertex[syn[lo : lo + BAND, None] ^ step[None, :]]
-        unmapped = np.flatnonzero(ends < 0)
+        unmapped = np.flatnonzero(ends == n)
         if unmapped.size:
             r, j = divmod(int(unmapped[0]), len(step))
             raise GraphConstructionError(
@@ -484,26 +482,27 @@ def srg_eigenvalues(params: SrgParams) -> tuple:
 def check_rep_uniqueness(code: GolayCode, reps: np.ndarray) -> int:
     """Exhaustively confirm no two distinct representatives share a coset.
 
-    x + y lies in the code exactly when syn(x) = syn(y), so comparing the
-    2048 syndromes decides every pair.  Returns the number of pairs;
-    raises InternalConsistencyError with a witness pair on a shared coset.
+    x + y lies in the code exactly when syn(x) = syn(y), so a one-to-one
+    syndrome -> vertex index decides every pair.  Returns the number of
+    pairs, or raises InternalConsistencyError naming two that share a coset.
     """
-    _distinct_syndromes(code, reps)
-    n = len(reps)
-    return n * (n - 1) // 2
+    _syndrome_index(code, reps)
+    return math.comb(len(reps), 2)
 
 
-def _distinct_syndromes(code: GolayCode, reps: np.ndarray) -> np.ndarray:
-    """The representatives' syndromes, after checking that no two are equal;
-    a clash names the least vertex v whose syndrome an earlier vertex has,
-    and the first such earlier vertex."""
+def _syndrome_index(code: GolayCode, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The representatives' syndromes, and the syndrome -> vertex index: the
+    least vertex with each syndrome, or n where none has it.  A vertex that
+    is not its own syndrome's entry shares a coset with that entry; the least
+    such vertex is named, with the entry."""
     syn = code.syndromes(reps)
-    # stable: each run of equal syndromes lists its vertices in order
-    order = np.argsort(syn, kind="stable")
-    ranked = syn[order]
-    clash = order[1:][ranked[1:] == ranked[:-1]]
+    n = len(syn)
+    ranks = np.arange(n, dtype=np.min_scalar_type(-n))  # int16 for 2048 vertices
+    vertex = np.full(SYNDROME_LIMIT, n, dtype=ranks.dtype)
+    np.minimum.at(vertex, syn, ranks)
+    clash = np.flatnonzero(vertex[syn] != ranks)
     if clash.size:
-        v = int(clash.min())
-        first = int(order[np.searchsorted(ranked, syn[v])])
+        v = int(clash[0])
+        first = int(vertex[syn[v]])
         raise InternalConsistencyError(f"representatives {first} and {v} lie in the same coset")
-    return syn
+    return syn, vertex

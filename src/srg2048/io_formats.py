@@ -62,6 +62,11 @@ def gap_trailer(n: int) -> str:
     )
 
 
+def _check_byteorder(byteorder: str) -> None:
+    if byteorder not in _ENTRY_SHIFTS:
+        raise DomainError(f"byteorder must be 'little' or 'big', got {byteorder!r}")
+
+
 def read_dat(data: bytes, reps: np.ndarray, byteorder: str = "little") -> list[VertexSet]:
     """Parse a stream of vertex-set records into VertexSets (vertex indices).
 
@@ -72,8 +77,7 @@ def read_dat(data: bytes, reps: np.ndarray, byteorder: str = "little") -> list[V
     on a record boundary.  The error is that of the first faulty record;
     in a record, its first bad entry comes before a duplicate.
     """
-    if byteorder not in _ENTRY_SHIFTS:
-        raise ValueError(f"byteorder must be 'little' or 'big', got {byteorder!r}")
+    _check_byteorder(byteorder)
     starts: list[int] = []
     pos = 0
     total = len(data)
@@ -122,6 +126,7 @@ def read_dat(data: bytes, reps: np.ndarray, byteorder: str = "little") -> list[V
 def write_dat(sets, reps: np.ndarray, byteorder: str = "little") -> bytes:
     """Serialize vertex sets, vertex v as the encoding reps[v] from the
     ascending representative array; inverse of read_dat for canonical streams."""
+    _check_byteorder(byteorder)
     out = bytearray()
     for i, s in enumerate(sets):
         if not DAT_MIN_SIZE <= s.size <= DAT_MAX_SIZE:

@@ -928,3 +928,54 @@ def test_fuzzed_cache_fields_load_or_are_rejected(
         data = _cache_bytes(code.generators, packed)
     cache.write_bytes(data)
     assert load_graph_cache(str(cache), code, reps) is None
+
+
+# ------------------------------------------------------------- entry points
+
+
+def test_build_and_search_print_the_same_report_on_every_run(tmp_path, capsys, pool_cache):
+    """Fixed arguments give byte-identical stdout: no wall-clock figure, so a
+    cache miss and the hit after it report alike."""
+    runs = [
+        ["build", "--cache", str(tmp_path / "graph.bin")],
+        ["search", "--sizes", "20-24", "--budget", "200", "--seed", "1", "--cache", pool_cache],
+    ]
+    for argv in runs:
+        outs = []
+        for _ in range(2):
+            assert main(argv) == EXIT_OK
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert not re.search(r"\d\.\d+s\b", outs[0])
+
+
+def _console(tmp_path, *argv):
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(golay.__file__).parents[1]),
+        SRG2048_CACHE_DIR=str(tmp_path / "cache"),
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "srg2048", *argv], env=env, capture_output=True, text=True
+    )
+
+
+def test_python_m_verify_prints_the_pinned_report(tmp_path):
+    run = _console(tmp_path, "verify")
+    assert run.returncode == EXIT_OK, run.stderr
+    assert _sha256(run.stdout) == PINS["verify"]
+
+
+def test_python_m_refuses_an_option_its_command_lacks(tmp_path):
+    run = _console(tmp_path, "verify", "--byteorder", "big")
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert "unrecognized arguments: --byteorder big" in run.stderr
+
+
+def test_python_m_reports_an_absent_container_on_one_line(tmp_path):
+    run = _console(tmp_path, "check", str(tmp_path / "absent.dat"))
+    assert run.returncode == EXIT_FORMAT
+    assert run.stdout == ""
+    assert len(run.stderr.splitlines()) == 1
+    assert run.stderr.startswith("file error:")

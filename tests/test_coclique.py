@@ -22,7 +22,16 @@ from srg2048.coclique import (
     pair_invariant,
     search_maximal,
 )
-from srg2048.coset_graph import DEGREE, N_VERTICES, SrgParams, delsarte_bound, srg_eigenvalues
+from srg2048.coset_graph import (
+    DEGREE,
+    N_VERTICES,
+    SrgParams,
+    check_rep_uniqueness,
+    delsarte_bound,
+    srg_eigenvalues,
+    verify_srg,
+    weight6_distance_census,
+)
 from srg2048.errors import DomainError, InternalConsistencyError
 from srg2048.golay import build_code
 from srg2048.io_formats import read_dat, write_dat
@@ -651,3 +660,37 @@ def test_search_profile_identities(graph, search_sets):
         profile = external_profile(graph, s)
         assert sum(profile.values()) == N_VERTICES - s.size
         assert sum(d * c for d, c in profile.items()) == DEGREE * s.size
+
+
+# ------------------------------------------------ types of public results
+
+
+def _python_type(value):
+    """The type of a result, with a dict's key and value types spelled out."""
+    if isinstance(value, dict):
+        return dict, {type(k) for k in value}, {type(v) for v in value.values()}
+    return type(value)
+
+
+def test_public_results_are_python_scalars(code, reps, graph):
+    sets = read_dat(POOL_DAT.read_bytes(), reps)
+    s = next(x for x in sets if x.size == 72)
+    params = verify_srg(graph)
+    found = search_maximal(graph, range(20, 73), budget=5, seed=1)
+    counts = (dict, {int}, {int})
+    results = [
+        (is_coclique(graph, s), bool),
+        (is_maximal(graph, s), bool),
+        (external_profile(graph, s), counts),
+        (pair_invariant(graph, s), int),
+        *zip(check_set(graph, s, pair=True), (bool, bool, counts, int)),
+        (check_rep_uniqueness(code, reps), int),
+        (weight6_distance_census(code), counts),
+        *((field, int) for field in params),
+        *((root, int) for root in srg_eigenvalues(params)),
+        (delsarte_bound(params.v, params.k, srg_eigenvalues(params)[1]), int),
+        (code.weight_distribution(), counts),
+        *((v, int) for x in (sets[0], s, *found) for v in x.members),
+    ]
+    assert [_python_type(value) for value, _ in results] == [want for _, want in results]
+    assert pair_invariant(graph, s) == 336 and [x.size for x in found] == [39, 40]

@@ -268,6 +268,16 @@ def test_byteorder_changes_bytes(reps):
     assert write_dat(sets, reps, "little") != write_dat(sets, reps, "big")
 
 
+@pytest.mark.parametrize("sets", [[], [VertexSet((1, 2))]], ids=["no sets", "one set"])
+@pytest.mark.parametrize("direction", ["read", "write"])
+def test_a_bad_byteorder_is_refused_before_any_work(reps, sets, direction):
+    with pytest.raises(DomainError, match=r"^byteorder must be 'little' or 'big', got 'middle'$"):
+        if direction == "read":
+            read_dat(write_dat(sets, reps), reps, byteorder="middle")
+        else:
+            write_dat(sets, reps, byteorder="middle")
+
+
 # ------------------------------------------------------------------ GAP
 
 
