@@ -14,6 +14,7 @@ is the same file as an input (the cache file included) or another output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import os
 import sys
@@ -457,7 +458,22 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    """The console entry point: `main`, then exit without interpreter teardown.
+
+    Every file a command writes is closed before `main` returns, so only the
+    standard streams are flushed before `os._exit`.  A stdout that cannot take
+    the rest of the output is a file error, as it is while a command prints.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:  # a full device or a closed pipe
+        code = EXIT_FORMAT
+        with contextlib.suppress(OSError):
+            print(f"file error: {exc}", file=sys.stderr)
+    with contextlib.suppress(OSError):
+        sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -37,7 +37,10 @@ both; the sums stay integers below 2^24, exact in float32, for k < 4096.
 Every block is compared in one step with the expected counts, packed the
 same way: lambda or mu by adjacency, and k on the diagonal.  Both factors
 are gathered from the packed rows through a table of the bits of each
-byte, into two float32 tiles of 1 MiB each; no bool band is unpacked.
+byte, into two float32 tiles of 1 MiB each; no bool band is unpacked.  The
+right factor is a block of 128 adjacency columns (2048 x 128): `Graph`
+guarantees symmetry, so column v is row v, and reading the block as
+columns makes each product a plain (NN) matrix multiply.
 
 `build_reps` returns the representatives as one ascending uint32 array,
 the one labelling every caller takes: vertex v is the representative at
@@ -343,8 +346,8 @@ def verify_srg(g: Graph) -> SrgParams:
     The product is taken in float32, block by block, with two adjacency
     rows in each float32 row: a band of BAND rows u becomes BAND // 2 rows
     A[u1] + base * A[u2], where base = 2^bit_length(k) is the power of two
-    above k, so one product with a block of BAND // 2 plain rows v gives
-    c(u1, v) + base * c(u2, v) for both rows at once.  Every block, the
+    above k, so one product with a block of BAND // 2 adjacency columns v
+    gives c(u1, v) + base * c(u2, v) for both rows at once.  Every block, the
     band's own included, is compared in one `not_equal` with the expected
     counts packed the same way: lambda or mu by adjacency, and k at (u, u).
     Every entry and expected value is an integer <= k * (base + 1) < 2^24
@@ -352,8 +355,12 @@ def verify_srg(g: Graph) -> SrgParams:
     band's own blocks also compare pairs (u, v) with v < u; A @ A is
     symmetric, so such a pair is bad only if (v, u) is, in the same band.
     Each tile is one gather from `g.packed` through a table of the bits of
-    each byte, and the block's tile holds the band's lower half while it is
-    paired: two float32 tiles of BAND // 2 rows (1 MiB each for n = 2048).
+    each byte: the band's BAND // 2 paired rows, and the block's BAND // 2
+    adjacency columns as an n x BAND // 2 tile, from those columns' bytes in
+    every packed row.  `Graph` refuses an asymmetric matrix, so column v is
+    row v, and each product is a plain (NN) matrix multiply.  The block's
+    tile holds the band's lower half while it is paired: two float32 tiles
+    of 1 MiB each for n = 2048.
 
     Raises DomainError for k >= 4096, before any product, and
     VerificationError for any k outside 0 < k < n - 1, and with a witness
@@ -386,29 +393,34 @@ def verify_srg(g: Graph) -> SrgParams:
     lam, mu = (int(np.bitwise_count(g.words[0] & g.words[v]).sum()) for v in first_pairs)
     byte = np.arange(256, dtype=np.uint8)[:, None]
     table = np.unpackbits(byte, 1, bitorder="little").astype(np.float32)  # bit j of byte b at [b, j]
-    height, width = min(BAND, n), min(BAND // 2, n)  # 128-row blocks gave the lowest peak
-    # a band's (height + 1) // 2 paired rows fit in width rows, as does its lower half
+    height, width = min(BAND, n), min(BAND // 2, n)  # 128-column blocks keep each tile at 1 MiB
+    # a band's (height + 1) // 2 paired rows fit in width rows, as do its lower half
+    # and a block's n x 8 ceil(width / 8) columns
     band, block = (np.empty((width, 8 * row_bytes(n)), dtype=np.float32) for _ in range(2))
     product, expected = (np.empty((width, width), dtype=np.float32) for _ in range(2))
 
-    def gather(tile: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        out = tile[: hi - lo]  # rows lo to hi - 1; "clip" writes straight into out, the default buffers
-        np.take(table, g.packed[lo:hi], axis=0, out=out.reshape(hi - lo, row_bytes(n), 8), mode="clip")
-        return out
+    def gather(tile: np.ndarray, bits: np.ndarray) -> np.ndarray:
+        # the bits of packed bytes (r, m) as float32 (r, 8 m) at the head of tile;
+        # "clip" writes straight into out, the default buffers
+        r, m = bits.shape
+        out = tile.reshape(-1)[: r * m * 8].reshape(r, m, 8)
+        np.take(table, bits, axis=0, out=out, mode="clip")
+        return out.reshape(r, m * 8)
 
     for lo in range(0, n, height):
         h = min(height, n - lo)
         half = (h + 1) // 2  # rows r and half + r share float32 row r; an odd middle row is alone
-        a, pairs = band[:half], gather(band, lo + half, lo + h)
+        a, pairs = band[:half], gather(band, g.packed[lo + half : lo + h])
         pairs *= base
-        lower = gather(block, lo, lo + half)
+        lower = gather(block, g.packed[lo : lo + half])
         np.add(pairs, lower[: h - half], out=pairs)
         a[h - half :] = lower[h - half :]
-        for blo in range(lo, n, width):
-            b = gather(block, blo, min(blo + width, n))
-            w = len(b)
+        for blo in range(lo, n, width):  # a multiple of 8
+            w = min(width, n - blo)
+            # columns blo to blo + w - 1: Graph() refuses an asymmetric matrix, so they are those rows
+            b = gather(block, g.packed[:, blo // 8 : -(-(blo + w) // 8)])[:, :w]
             common, e = product[:half, :w], expected[:half, :w]
-            np.matmul(a, b.T, out=common)
+            np.matmul(a[:, :n], b, out=common)
             np.multiply(a[:, blo : blo + w], lam - mu, out=e)
             e += mu * (1 + base)
             e[h - half :] -= mu * base  # an odd band's middle row is alone

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import importlib
 import importlib.util
@@ -949,14 +950,12 @@ def test_build_and_search_print_the_same_report_on_every_run(tmp_path, capsys, p
         assert not re.search(r"\d\.\d+s\b", outs[0])
 
 
-def _console(tmp_path, *argv):
-    env = dict(
-        os.environ,
-        PYTHONPATH=str(Path(golay.__file__).parents[1]),
-        SRG2048_CACHE_DIR=str(tmp_path / "cache"),
-    )
+def _console(tmp_path, *argv, stdout=subprocess.PIPE):
+    # stdout block-buffered, as in a shell, so the entry point's own flush writes what is left
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=str(Path(golay.__file__).parents[1]), SRG2048_CACHE_DIR=str(tmp_path / "cache"))
     return subprocess.run(
-        [sys.executable, "-m", "srg2048", *argv], env=env, capture_output=True, text=True
+        [sys.executable, "-m", "srg2048", *argv], env=env, stdout=stdout, stderr=subprocess.PIPE, text=True
     )
 
 
@@ -964,6 +963,24 @@ def test_python_m_verify_prints_the_pinned_report(tmp_path):
     run = _console(tmp_path, "verify")
     assert run.returncode == EXIT_OK, run.stderr
     assert _sha256(run.stdout) == PINS["verify"]
+
+
+def test_python_m_pipes_a_large_report_whole(tmp_path):
+    """The entry point exits without teardown: the 18 kB report, more than
+    stdout's buffer holds, still reaches the pipe whole."""
+    run = _console(tmp_path, "invariants", POOL)
+    assert run.returncode == EXIT_OK, run.stderr
+    assert _sha256(run.stdout) == PINS["invariants"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+def test_python_m_reports_a_stdout_it_cannot_flush(tmp_path):
+    """The verify report stays in stdout's buffer until the entry point
+    flushes it; a write that fails there is a file error on one line."""
+    with open("/dev/full", "w") as full:
+        run = _console(tmp_path, "verify", stdout=full)
+    assert run.returncode == EXIT_FORMAT
+    assert run.stderr == f"file error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
 
 
 def test_python_m_refuses_an_option_its_command_lacks(tmp_path):

@@ -617,6 +617,9 @@ def _regular_graphs(draw):
 @example(g=graph_from_bool_matrix(_paley(257)))
 @example(g=graph_from_bool_matrix(_same_part(27, 19) ^ np.eye(513, dtype=bool)))
 @example(g=graph_from_bool_matrix(~_same_part(19, 27)))
+# the last column block is 9 columns, ending inside a byte, and then 1 column
+@example(g=graph_from_bool_matrix(_paley(137)))
+@example(g=graph_from_bool_matrix(~_same_part(43, 3)))
 def test_verify_srg_matches_the_popcount_oracle(g):
     expected = verify_srg_ref(g)
     try:
@@ -654,20 +657,22 @@ def test_verify_srg_holds_no_band_wide_buffers(graph):
     assert peak < 3 * 2**20
 
 
-def test_verify_refuses_a_degree_too_large_for_paired_rows(monkeypatch):
+def test_verify_refuses_a_degree_too_large_for_paired_rows():
     """K_{4096,4096}: at degree 4096 two rows' packed counts could pass 2^24,
-    so verify_srg refuses before it unpacks a band for the product."""
+    so verify_srg refuses before it gathers a tile for the product."""
     n = 8192
     packed = np.zeros((n, row_bytes(n)), dtype=np.uint8)
     packed[: n // 2, n // 16 :] = packed[n // 2 :, : n // 16] = 0xFF
     g = Graph(packed)
-
-    def no_bands(*args):
-        raise AssertionError("a band was unpacked")
-
-    monkeypatch.setattr(g, "bands", no_bands)
-    with pytest.raises(DomainError, match="^degree 4096 is too large"):
-        verify_srg(g)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="^degree 4096 is too large"):
+            verify_srg(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the degree count takes 1 MiB; one 128 x 8192 float32 tile would take 4 MiB
+    assert peak < 2 * 2**20
 
 
 def test_graph_constructors_reject_bad_input():
