@@ -31,8 +31,19 @@ makes the result maximal by construction; perturbation runs remove up to
 four members of a previously found set and re-extend.  Small target sizes
 (20, 21) are only reachable through the deeper perturbations, which is why
 the removal cap exceeds two.  Every emitted set is re-verified through the
-checking path, deduplicated, and the first set of each size is kept.  For
-a fixed seed the output is a pure function of the inputs.
+checking path, deduplicated, and the first set of each size is kept.  The
+pool of found sets keeps its sizes in an ascending list, each inserted
+when it first appears, so picking a perturbation's source sorts nothing
+and no draw follows a hash order.  For a fixed seed the output is a pure
+function of the inputs.
+
+Every draw from range(n) is `_below(rng, n)`: getrandbits(k), for k the
+bit length of n, repeated until the value is below n.  Those are the calls
+randrange(n) and choice make on CPython 3.10 to 3.13, so the draws and the
+Mersenne Twister's state after them are the ones the search made through
+`random.py`, and the output no longer depends on that module's Python
+code, which a later version may change; a test holds `_below` to randrange
+and choice and pins one stream.  random() is the generator's own C method.
 
 The search never unpacks the adjacency: eligibility is one packed mask in
 the rows' 64-bit word layout.  Each search builds once the *closed* rows,
@@ -42,13 +53,23 @@ from the AND of its kept members' closed rows, the complement of the
 cover `is_maximal` tests.  Candidates are the mask's set bits, unpacked
 once per step.  Residual degrees (neighbours among the still-eligible
 vertices) are recomputed at each degree-guided step as popcounts of the
-candidates' rows ANDed with the mask.
+candidates' rows ANDed with the mask.  The rows are gathered into a scratch
+buffer shaped like the rows; once their popcounts are taken the rows are
+spent, the counts go as float32 into the front of that buffer, and one
+mat-vec with a vector of ones sums each row's (of minus ones for a max
+pick, so that the ascending order is the pick order either way).  A sum
+is at most 64 times the words a row has, below 2^24 for any n whose rows
+fit in memory, so float32 holds it exactly, and the integer degrees and
+their stable order are those of an integer sum.  A run decides once
+whether its steps are degree-guided (a blend run still draws per step)
+and keeps its members ascending, inserting each pick in place, so the
+list is a memo key and the result as it stands and no step sorts.
 
 A degree-guided pick draws from at most the first four vertices of a
 stable sort, so the early states of the max-, min- and blend-runs and of
 perturbations recur across a search.  Each search keeps a memo from the
-pick direction and the sorted member tuple to those first vertices of the
-degree order.  It is exact: the eligibility mask is always the valid
+pick direction and the ascending member tuple to those first vertices of
+the degree order.  It is exact: the eligibility mask is always the valid
 vertices minus the members and their cover, so equal member sets give
 equal degrees, an equal order and equal draws.  Only states with at least
 MEMO_MIN_CANDIDATES candidates enter it, at most MEMO_CAP of them; once
@@ -63,11 +84,11 @@ step-by-step run:
   set E is independent: each pick removes only itself, so all of E joins
   whatever the picks.  The step makes its own draws, then those of an
   m-candidate step for m = |E| - 1 down to 1, and adds E at once.
-- A max or min run of depth 1 draws randrange(1) for its pick count and
+- A max or min run of depth 1 draws from range(1) for its pick count and
   again for its pick, so no draw changes its course: it is a function of
-  its start members.  The memo also maps the direction and the sorted
+  its start members.  The memo also maps the direction and the ascending
   start members to such a run's result, under the same MEMO_CAP, and a
-  repeat makes its 2 * (|result| - |start|) randrange(1) calls and
+  repeat makes its 2 * (|result| - |start|) draws from range(1) and
   returns the result.  Blend and uniform runs, and deeper picks, depend
   on their draws and are never kept.  As for degree orders, only a start
   with at least MEMO_MIN_CANDIDATES candidates is kept: fresh runs start
@@ -76,19 +97,21 @@ step-by-step run:
   runs at seeds 1-3, budget 2000, against 185 in 188 fresh ones).
 
 What a search holds, for n = 2048: the closed rows and the gather
-scratch, 512 KiB each; the memo, about 2.1 MiB once it holds MEMO_CAP
-entries; one packed key per unique set it has seen, two bytes a member;
-and one int object per vertex, from `_vertex_ints`, built once per n and
-shared by every members list, result, memo entry and pooled set.  Only
+scratch, which also takes the float32 counts, 512 KiB each; the memo,
+about 2.1 MiB once it holds MEMO_CAP entries; one packed key per unique
+set it has seen, two bytes a member; and one int object per vertex, from
+`_vertex_ints`, built once per n and shared by every members list,
+result, memo entry and pooled set.  Only
 the keys grow with the budget once the memo is full.  After the graph is
 loaded, the peak RSS of a search over sizes 20..72 at seed 5 grows by
-0.3 MiB at budget 2000, 3.5 MiB at 20,000 and 4.7 MiB at 60,000.
+0.4 MiB at budget 2000, 3.5 MiB at 20,000 and 4.8 MiB at 60,000.
 """
 
 from __future__ import annotations
 
 import functools
 import random
+from bisect import insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -255,16 +278,21 @@ def _vertex_ints(n: int) -> tuple[int, ...]:
     return tuple(range(n))
 
 
-def _degree_step(rng: random.Random, mode: str, q: float) -> bool:
-    """Whether this step picks by degree: always for max/min, with
-    probability q for blend, never for uniform."""
-    return mode in ("max", "min") or (mode == "blend" and rng.random() < q)
+def _below(rng: random.Random, n: int) -> int:
+    """A uniform draw from range(n), n >= 1: getrandbits(k) for k the bit
+    length of n until the value is below n, the calls randrange(n) and
+    choice make, so both the draw and the generator's state are theirs."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
 
 
 def _pick_index(rng: random.Random, m: int, depth: int) -> int:
     """Position in the degree order of an m-candidate step's pick: one of
     the first 1..depth, the count drawn first."""
-    return rng.randrange(min(m, 1 + rng.randrange(max(depth, 1))))
+    return _below(rng, min(m, 1 + _below(rng, max(depth, 1))))
 
 
 def _complete(
@@ -279,8 +307,8 @@ def _complete(
     q: float,
     closed: np.ndarray,
 ) -> tuple[int, ...]:
-    """Extend `members` until no eligible vertex remains (hence maximal);
-    return the result, sorted.
+    """Extend `members`, an ascending list, until no eligible vertex remains
+    (hence maximal); return the result, ascending.
 
     mode "uniform": pick uniformly among eligible vertices.
     mode "max"/"min": pick randomly among the `depth` highest/lowest
@@ -290,34 +318,41 @@ def _complete(
     `emask` is the eligibility mask in the rows' word layout; it is
     updated in place.  `words` are the adjacency rows as 64-bit words and
     `closed` their `_closed_rows`.  A residual degree is popcount(row &
-    emask) over the words.  The candidates' rows are
-    gathered into `scratch`, a buffer shaped like `words` that lives for
-    the whole search: a fresh array of up to n rows at every step costs a
-    page fault per 4 KiB whenever the allocator hands the memory back to
-    the system.
+    emask) summed over the words.  The candidates' rows are gathered into
+    `scratch`, a buffer shaped like `words` that lives for the whole
+    search: a fresh array of up to n rows at every step costs a page fault
+    per 4 KiB whenever the allocator hands the memory back to the system.
+    Once their popcounts are taken the gathered rows are spent, and the
+    counts go, as float32, into the front of the same buffer, where one
+    mat-vec sums each row's.
 
-    Every vertex it adds is the `_vertex_ints(n)` object of that index.
-    `memo` maps (min-pick, sorted members) to a tuple of the first
+    Every vertex it adds is the `_vertex_ints(n)` object of that index,
+    inserted in order, so the members are a memo key and the result as
+    they stand.  `memo` maps (min-pick, members) to a tuple of the first
     PICK_DEPTH vertices of the stable degree order, and ("run", min-pick,
-    sorted start members) to the result of a depth-1 max/min run (see the
-    module notes); a `depth` beyond PICK_DEPTH bypasses it.  Both kinds
-    hold only states with at least MEMO_MIN_CANDIDATES candidates.
+    start members) to the result of a depth-1 max/min run (see the module
+    notes); a `depth` beyond PICK_DEPTH bypasses it.  Both kinds hold only
+    states with at least MEMO_MIN_CANDIDATES candidates.
     """
+    low = mode == "min"
+    guided, blend = low or mode == "max", mode == "blend"
     run = None
-    if depth == 1 and mode in ("max", "min") and (
-        np.bitwise_count(emask).sum() >= MEMO_MIN_CANDIDATES
-    ):
-        run = ("run", mode == "min", tuple(sorted(members)))
+    if depth == 1 and guided and np.bitwise_count(emask).sum() >= MEMO_MIN_CANDIDATES:
+        run = ("run", low, tuple(members))
         result = memo.get(run)
         if result is not None:
-            # each skipped step drew randrange(1) twice: the count, the pick
+            # each skipped step drew from range(1) twice: the count, the pick
             for _ in range(2 * (len(result) - len(members))):
-                rng.randrange(1)
+                _below(rng, 1)
             return result
-    n = words.shape[0]
+    n, n_words = words.shape
     ints = _vertex_ints(n)
     # degrees below 2^15 fit int16, for which the stable argsort is a radix sort
     dtype = np.int16 if n < 1 << 15 else np.int32
+    counts = scratch.view(np.float32).reshape(-1)
+    # summing with weight -1 negates a max pick's degrees, so for either
+    # direction the ascending stable order is the pick order
+    weights = np.full(n_words, 1 if low else -1, dtype=np.float32)
     ebytes = emask.view(np.uint8)
     # a pick leaves eligibility for good, so n picks empty any mask
     for _ in range(n + 1):
@@ -326,39 +361,43 @@ def _complete(
         m = cands.size
         if m == 0:
             break
-        if not _degree_step(rng, mode, q):
-            v = ints[cands[rng.randrange(m)]]
-        else:
+        if guided or (blend and rng.random() < q):
             key = None
             if depth <= PICK_DEPTH and m >= MEMO_MIN_CANDIDATES:
-                key = (mode == "min", tuple(sorted(members)))
+                key = (low, tuple(members))
             top = memo.get(key) if key else None
             if top is None:
                 # "clip" writes straight into out; the default mode buffers
-                rows = np.take(words, cands, axis=0, out=scratch[:m], mode="clip")
+                rows = words.take(cands, axis=0, out=scratch[:m], mode="clip")
                 rows &= emask
-                degs = np.bitwise_count(rows).sum(axis=1, dtype=dtype)
-                if not degs.any():
+                row_counts = counts[: m * n_words].reshape(m, n_words)
+                row_counts[...] = np.bitwise_count(rows)
+                # a sum is at most 64 * n_words < 2^24, so float32 holds it exactly
+                degs = (row_counts @ weights).astype(dtype)
+                if not np.count_nonzero(degs):
                     # the candidates are independent, so all of them join
                     # whatever the order: make the draws of their m steps
                     _pick_index(rng, m, depth)
                     for k in range(m - 1, 0, -1):
-                        if _degree_step(rng, mode, q):
+                        if guided or (blend and rng.random() < q):
                             _pick_index(rng, k, depth)
                         else:
-                            rng.randrange(k)
-                    members.extend(map(ints.__getitem__, cands.tolist()))
+                            _below(rng, k)
+                    members += map(ints.__getitem__, cands.tolist())
+                    members.sort()
                     break
-                top = cands[(-degs if mode != "min" else degs).argsort(kind="stable")]
+                top = cands[degs.argsort(kind="stable")]
                 if key and len(memo) < MEMO_CAP:
                     memo[key] = top = tuple(map(ints.__getitem__, top[:PICK_DEPTH].tolist()))
             v = ints[top[_pick_index(rng, m, depth)]]
-        members.append(v)
+        else:
+            v = ints[cands[_below(rng, m)]]
+        insort(members, v)
         emask &= closed[v]
     else:
         raise InternalConsistencyError("a picked vertex stayed eligible")
     # a tuple, so the memo can hand the same result to every repeat
-    result = tuple(sorted(members))
+    result = tuple(members)
     if run is not None and len(memo) < MEMO_CAP:
         memo[run] = result
     return result
@@ -369,24 +408,24 @@ def _fresh_run(words, scratch, memo, closed, valid, rng) -> tuple[int, ...]:
     if roll < 0.30:
         mode, depth, q = "uniform", 1, 0.0
     elif roll < 0.65:
-        mode, depth, q = "max", rng.choice(FRESH_MAX_DEPTHS), 0.0
+        mode, depth, q = "max", FRESH_MAX_DEPTHS[_below(rng, len(FRESH_MAX_DEPTHS))], 0.0
     elif roll < 0.85:
         mode, depth, q = "blend", 1, 0.3 + 0.6 * rng.random()
     else:
-        mode, depth, q = "min", rng.choice([1, 2]), 0.0
+        mode, depth, q = "min", 1 + _below(rng, 2), 0.0
     return _complete(words, scratch, memo, valid.copy(), [], rng, mode, depth, q, closed)
 
 
 def _perturb_run(
     words, scratch, memo, closed, valid, rng, source: tuple[int, ...]
 ) -> tuple[int, ...]:
-    j = min(rng.choice([1, 2, 2, 3, 3, 4]), MAX_REMOVE, len(source) - 1)
+    j = min((1, 2, 2, 3, 3, 4)[_below(rng, 6)], MAX_REMOVE, len(source) - 1)
     keep = list(source)
     for _ in range(j):
-        keep.pop(rng.randrange(len(keep)))
+        keep.pop(_below(rng, len(keep)))
     emask = valid & np.bitwise_and.reduce(closed[keep], axis=0)
     if rng.random() < 0.6:
-        mode, depth = "max", rng.choice([1, 2])
+        mode, depth = "max", 1 + _below(rng, 2)
     else:
         mode, depth = "uniform", 1
     return _complete(words, scratch, memo, emask, keep, rng, mode, depth, 0.5, closed)
@@ -430,6 +469,7 @@ def search_maximal(
 
     found: dict[int, VertexSet] = {}
     pool: dict[int, list[tuple[int, ...]]] = {}
+    pooled: list[int] = []  # the pool's sizes, ascending
     # each set seen, as its members packed two bytes apiece while they fit
     seen: set[bytes] = set()
     key_dtype = np.uint16 if g.n <= 1 << 16 else np.uint32
@@ -442,12 +482,12 @@ def search_maximal(
     focus = near_missing()
 
     def pool_pick() -> tuple[int, ...]:
-        sizes = sorted(pool)
+        sizes = pooled
         near = [s for s in sizes if s in focus]
         if near and rng.random() < 0.8:
             sizes = near
-        bucket = pool[sizes[rng.randrange(len(sizes))]]
-        return bucket[rng.randrange(len(bucket))]
+        bucket = pool[sizes[_below(rng, len(sizes))]]
+        return bucket[_below(rng, len(bucket))]
 
     for _attempt in range(budget):
         if cfg.stop_when_complete and targets <= found.keys():
@@ -478,9 +518,12 @@ def search_maximal(
         if size not in found:
             found[size] = candidate
             focus = near_missing()
-        bucket = pool.setdefault(size, [])
+        bucket = pool.get(size)
+        if bucket is None:
+            pool[size] = bucket = []
+            insort(pooled, size)
         if len(bucket) < POOL_PER_SIZE:
             bucket.append(members)
         else:
-            bucket[rng.randrange(POOL_PER_SIZE)] = members
+            bucket[_below(rng, POOL_PER_SIZE)] = members
     return [found[s] for s in sorted(found) if s in targets]

@@ -11,7 +11,9 @@ greedy run on a bool matrix for the search (the package memoises, skips
 steps whose outcome is fixed and works on packed masks), and `Fraction`
 arithmetic for the ratio bound (the package floors one integer quotient),
 and popcounts of Python-int rows for every pair of the srg check (the
-package takes a float32 matrix product in tiles), and a record-by-record
+package takes a float32 matrix product in tiles), and the cosets of a
+subgroup of the syndromes for a coclique's profile (the package sums the
+members' adjacency rows), and a record-by-record
 walk for the vertex-set container (the package decodes, looks up and
 checks every entry of the stream in one pass).
 The graph helpers pack small bool matrices and edge lists into `Graph`
@@ -21,6 +23,7 @@ n x n bool matrix.
 
 import itertools
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -168,6 +171,39 @@ def min_coset_distance_bulk(code, zs):
         chunk = zs[lo : lo + 16384]
         out[lo : lo + len(chunk)] = np.bitwise_count(chunk[:, None] ^ w8[None, :]).min(axis=1)
     return out
+
+
+def subgroup_coclique(code, reps, seed):
+    """A subgroup V of the even syndromes that avoids D, the connection set
+    (the syndromes of the weight-2 vectors), and the profile its cosets give.
+
+    V grows from {0}: each even syndrome x, in a seeded shuffled order,
+    joins with its coset x + V unless that meets D.  A difference of two
+    members lies in V, so V is a coclique, and no coset of the final V
+    misses D (it would have joined), so V is maximal.  A vertex w outside
+    V has |N(w) & V| = |D & (w + V)|, the same for the |V| vertices of its
+    coset; the profile is that tally over the cosets, with no rows read.
+    Returns (V as a VertexSet, profile).
+    """
+    syn = code.syndromes(reps).tolist()
+    vertex = dict(zip(syn, range(len(syn))))
+    d = set(code.syndromes(_WEIGHT2).tolist())
+    group = {0}
+    order = sorted(syn)
+    random.Random(seed).shuffle(order)
+    for x in order:
+        if x not in group:
+            coset = {x ^ v for v in group}
+            if not coset & d:
+                group |= coset
+    profile = Counter()
+    rest = set(syn) - group
+    while rest:
+        w = rest.pop()
+        coset = {w ^ v for v in group}
+        rest -= coset
+        profile[len(coset & d)] += len(group)
+    return VertexSet(tuple(sorted(vertex[x] for x in group))), dict(profile)
 
 
 def adjacent_by_translates(code, x, y):

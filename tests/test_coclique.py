@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srg2048 import coclique
@@ -48,6 +48,7 @@ from oracles import (
     is_maximal_ref,
     neighbors,
     pair_invariant_ref,
+    subgroup_coclique,
     translation_perm,
 )
 
@@ -248,7 +249,48 @@ def test_pair_invariant_translation_invariant(code, reps, graph, search_sets):
         assert pair_invariant(graph, mapped) == base
 
 
+@settings(max_examples=12, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_subgroup_cocliques_match_their_coset_profiles(code, reps, graph, seed):
+    # a subgroup of the syndromes avoiding D: its profile is read off its
+    # cosets with no adjacency row, a route independent of check_set's sums
+    s, profile = subgroup_coclique(code, reps, seed)
+    assert s.size in (32, 64)
+    assert check_set(graph, s, pair=False) == (True, True, profile, None)
+    assert is_maximal(graph, s)
+    assert sum(d * c for d, c in profile.items()) == DEGREE * s.size
+
+
 # --------------------------------------------------------------- search
+
+
+# the search's draws, exactly as random.Random makes them, on n up to 2048
+BELOW_NS = (1, 2, 3, 4, 5, 6, 7, 8, 63, 64, 65, 255, 256, 257, 2047, 2048)
+# sha256 of the uint16 stream of 64 rounds of _below over BELOW_NS from Random(2048)
+BELOW_STREAM_SHA256 = "69d34b003c7fa67cdb55b66b0cab32ca69eb16fa64e4748831b5a4d06d74cc0c"
+
+
+@pytest.mark.parametrize("n", BELOW_NS)
+def test_below_is_randrange(n):
+    for seed in range(40):
+        a, b = random.Random(seed), random.Random(seed)
+        assert [coclique._below(a, n) for _ in range(200)] == [b.randrange(n) for _ in range(200)]
+        assert a.getstate() == b.getstate()
+
+
+@pytest.mark.parametrize("seq", [coclique.FRESH_MAX_DEPTHS, (1, 2), (1, 2, 2, 3, 3, 4)])
+def test_below_indexes_as_choice(seq):
+    for seed in range(40):
+        a, b = random.Random(seed), random.Random(seed)
+        got = [seq[coclique._below(a, len(seq))] for _ in range(200)]
+        assert got == [b.choice(seq) for _ in range(200)]
+        assert a.getstate() == b.getstate()
+
+
+def test_below_stream_is_pinned():
+    rng = random.Random(2048)
+    draws = [coclique._below(rng, n) for _ in range(64) for n in BELOW_NS]
+    assert hashlib.sha256(np.array(draws, dtype="<u2").tobytes()).hexdigest() == BELOW_STREAM_SHA256
 
 
 @pytest.fixture(scope="module")
