@@ -166,10 +166,12 @@ def _build_context(args: argparse.Namespace):
     """The one route to every command's files.  After `--generators` is read,
     and before any other file is read or the graph is built: an output (named
     in `args.writes`) that is the same file as an input or as another output
-    is a usage error, the container (named in `args.reads`) is read, and each
-    output is opened for appending, which creates an absent file and truncates
-    none.  Returns code, reps, the graph (through the cache when enabled), the
-    cache file (None when off or unwritable) and the container's bytes."""
+    is a usage error, and the container (named in `args.reads`) is read and,
+    once the representatives are built, parsed, so a malformed one is refused
+    before any output exists.  Then each output is opened for appending,
+    which creates an absent file and truncates none.  Returns code, reps, the
+    graph (through the cache when enabled), the cache file (None when off or
+    unwritable) and the container's sets (none when no file is named)."""
     code = _build_code(args)
     cache_file = _cache_path(args, code) if args.cache else None
     # writing over an input, or one output over another, loses data
@@ -186,10 +188,12 @@ def _build_context(args: argparse.Namespace):
         if path and name in args.reads:
             with open(path, "rb") as fh:
                 data = fh.read()
-        elif path and name in args.writes:
+    reps = coset_graph.build_reps()
+    sets = io_formats.read_dat(data, reps, byteorder=args.byteorder) if args.reads else []
+    for name, path in files.items():
+        if path and name in args.writes:
             with open(path, "ab"):
                 pass
-    reps = coset_graph.build_reps()
     g = load_graph_cache(cache_file, code, reps) if cache_file else None
     if g is None:
         g = coset_graph.build_graph(code, reps)
@@ -199,7 +203,7 @@ def _build_context(args: argparse.Namespace):
             except OSError as exc:  # the graph is built and checked: report and go on
                 print(f"cache: write failed: {cache_file}: {exc.strerror or exc}", file=sys.stderr)
                 cache_file = None
-    return code, reps, g, cache_file, data
+    return code, reps, g, cache_file, sets
 
 
 def _format_census(census: dict[int, int]) -> str:
@@ -262,8 +266,7 @@ def _describe_set(
 
 
 def _check_sets(args: argparse.Namespace, invariant_floor: int) -> int:
-    _, reps, g, _, data = _build_context(args)
-    sets = io_formats.read_dat(data, reps, byteorder=args.byteorder)
+    _, _, g, _, sets = _build_context(args)
     failures = 0
     for i, s in enumerate(sets, start=1):
         line, good = _describe_set(g, s, i, invariant_floor)
@@ -319,8 +322,7 @@ def _write_pieces(path: str, pieces) -> int:
 def cmd_export(args: argparse.Namespace) -> int:
     if not args.gap and not args.edges:
         args.usage_error("nothing to export: pass --gap and/or --edges")
-    _, reps, g, _, data = _build_context(args)
-    sets = io_formats.read_dat(data, reps, byteorder=args.byteorder)  # none without --sets
+    _, _, g, _, sets = _build_context(args)  # no sets without --sets
     if args.gap:
         # gap_pieces checks the sets before _write_pieces truncates the file
         size = _write_pieces(args.gap, io_formats.gap_pieces(g, sets))

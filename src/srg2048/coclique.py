@@ -8,11 +8,10 @@ that one unpack: S is a coclique when its members' counts are all 0.  For
 a coclique S the *external profile* is the census dict d -> number of
 vertices w outside S with exactly d neighbours inside S, one bincount of
 all n counts less one of the members' own; S is maximal exactly when it
-has no key 0.  The search's `is_maximal` needs no profile:
-it ANDs the rows, as 64-bit words, with the set's mask and ORs them into
-a cover.  Two bookkeeping identities
-hold for every coclique of a k-regular graph and are asserted liberally
-in the tests:
+has no key 0.  `is_coclique` and `is_maximal`, the search's re-check
+included, read their verdicts from that same pass.  Two bookkeeping
+identities hold for every coclique of a k-regular graph and are asserted
+liberally in the tests:
 
     sum of the values            = n - |S|
     sum of d * profile[d]        = k * |S|
@@ -45,14 +44,15 @@ Mersenne Twister's state after them are the ones the search made through
 code, which a later version may change; a test holds `_below` to randrange
 and choice and pins one stream.  random() is the generator's own C method.
 
-The search never unpacks the adjacency: eligibility is one packed mask in
-the rows' 64-bit word layout.  Each search builds once the *closed* rows,
+The search's steps never unpack the adjacency (its re-check unpacks only
+a candidate's own rows): eligibility is one packed mask in the rows'
+64-bit word layout.  Each search builds once the *closed* rows,
 ~(N(v) | {v}) in that layout (as large as the rows: 512 KiB for n = 2048), so
 picking v is the one AND `emask &= closed[v]`, and a perturbation starts
-from the AND of its kept members' closed rows, the complement of the
-cover `is_maximal` tests.  Candidates are the mask's set bits, unpacked
-once per step.  Residual degrees (neighbours among the still-eligible
-vertices) are recomputed at each degree-guided step as popcounts of the
+from the AND of its kept members' closed rows: the vertices outside the
+kept set with no neighbour in it.  Candidates are the mask's set bits,
+unpacked once per step.  Residual degrees (neighbours among the
+still-eligible vertices) are recomputed at each degree-guided step as popcounts of the
 candidates' rows ANDed with the mask.  The rows are gathered into a scratch
 buffer shaped like the rows; once their popcounts are taken the rows are
 spent, the counts go as float32 into the front of that buffer, and one
@@ -183,28 +183,18 @@ def _pack(n_words: int, vertices) -> np.ndarray:
     return np.packbits(bits, bitorder="little").view(np.uint64)
 
 
-def _members(g: Graph, s: VertexSet) -> np.ndarray:
-    """The members as an index array, after checking they are vertices of g."""
-    if s.members and s.members[-1] >= g.n:
-        raise DomainError(
-            f"vertex index {s.members[-1]} out of range for a {g.n}-vertex graph"
-        )
-    return np.array(s.members, dtype=np.intp)
-
-
 def is_coclique(g: Graph, s: VertexSet) -> bool:
-    """True iff no two members are adjacent."""
-    members = _members(g, s)
-    return not (g.words[members] & _pack(g.words.shape[1], members)).any()
+    """True iff no two members are adjacent, as `check_set` reads it."""
+    return check_set(g, s, pair=False)[0]
 
 
 def is_maximal(g: Graph, s: VertexSet) -> bool:
-    """True iff every outside vertex has a neighbour in the coclique."""
-    if not is_coclique(g, s):
+    """True iff every outside vertex has a neighbour in the coclique, as
+    `check_set` reads it; a set that is no coclique raises DomainError."""
+    independent, maximal, *_ = check_set(g, s, pair=False)
+    if not independent:
         raise DomainError("maximality is only defined for cocliques")
-    members = _members(g, s)
-    cover = np.bitwise_or.reduce(g.words[members], axis=0) | _pack(g.words.shape[1], members)
-    return int(np.bitwise_count(cover).sum()) == g.n
+    return maximal
 
 
 def external_profile(g: Graph, s: VertexSet) -> dict[int, int]:
@@ -236,7 +226,11 @@ def check_set(g: Graph, s: VertexSet, pair: bool) -> tuple[bool, bool, dict[int,
     exact because every entry is an integer at most n < 2^24.  Zero
     entries off the diagonal count each such pair twice.
     """
-    members = _members(g, s)
+    if s.members and s.members[-1] >= g.n:
+        raise DomainError(
+            f"vertex index {s.members[-1]} out of range for a {g.n}-vertex graph"
+        )
+    members = np.array(s.members, dtype=np.intp)
     bits = np.unpackbits(g.packed[members], axis=1, count=g.n, bitorder="little")
     counts = bits.sum(axis=0, dtype=np.uint8 if members.size < 256 else np.int32)
     own = counts[members]
@@ -442,8 +436,9 @@ def search_maximal(
 
     Returns the first-found set of each achieved target size, ordered by
     size.  Every returned set has been re-verified with is_maximal, which
-    checks the coclique property first.  An exhausted budget with missing
-    sizes is not an error; the result simply lacks those sizes.  On a
+    reads both the coclique and the maximality verdict from one `check_set`
+    pass.  An exhausted budget with missing sizes is not an error; the
+    result simply lacks those sizes.  On a
     2048-vertex graph a target outside [COCLIQUE_SIZE_FLOOR,
     COCLIQUE_SIZE_CAP], which no maximal coclique has, raises DomainError
     before any attempt, and a coclique above the ratio bound raises
@@ -506,7 +501,7 @@ def search_maximal(
         if key in seen:
             continue
         seen.add(key)
-        candidate = VertexSet(tuple(members))
+        candidate = VertexSet(members)
         try:
             checked = is_maximal(g, candidate)
         except DomainError:  # not a coclique

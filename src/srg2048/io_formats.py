@@ -67,6 +67,12 @@ def _check_byteorder(byteorder: str) -> None:
         raise DomainError(f"byteorder must be 'little' or 'big', got {byteorder!r}")
 
 
+def _check_vertices(i: int, s: VertexSet, n: int) -> None:
+    """Refuse set number i (from 0) when it names a vertex >= n."""
+    if s.members and s.members[-1] >= n:
+        raise DomainError(f"set {i + 1} contains vertex {s.members[-1]}, graph has {n}")
+
+
 def read_dat(data: bytes, reps: np.ndarray, byteorder: str = "little") -> list[VertexSet]:
     """Parse a stream of vertex-set records into VertexSets (vertex indices).
 
@@ -134,10 +140,7 @@ def write_dat(sets, reps: np.ndarray, byteorder: str = "little") -> bytes:
                 f"set {i + 1} has size {s.size}, writable sizes are "
                 f"{DAT_MIN_SIZE} to {DAT_MAX_SIZE}"
             )
-        if s.members[-1] >= len(reps):
-            raise DomainError(
-                f"set {i + 1} contains vertex {s.members[-1]}, graph has {len(reps)}"
-            )
+        _check_vertices(i, s, len(reps))
         out.append(s.size)
         for v in s.members:
             out += int(reps[v]).to_bytes(ENTRY_BYTES, byteorder)
@@ -160,10 +163,7 @@ def gap_pieces(g: Graph, sets=()) -> Iterator[str]:
     a set naming a vertex >= g.n raises DomainError before any piece exists.
     """
     for i, s in enumerate(sets):
-        if s.members and s.members[-1] >= g.n:
-            raise DomainError(
-                f"set {i + 1} contains vertex {s.members[-1]}, graph has {g.n}"
-            )
+        _check_vertices(i, s, g.n)
     return _gap_text(g, sets)
 
 

@@ -124,6 +124,12 @@ test ! -s "$T/out"
 expect 3 export --sets "$T/no/dir/x.dat" --gap "$T/g.g"
 test ! -s "$T/out"
 test ! -e "$T/g.g"
+# a malformed --sets container is a format error before the build, and no output file is created
+expect 3 export --sets "$T/dup.dat" --gap "$T/g.g" --edges "$T/e.txt"
+test ! -s "$T/out"
+grep -Fx "format error: duplicate entry for vertex 0 in one record (at byte offset 0)" "$T/err"
+test ! -e "$T/g.g"
+test ! -e "$T/e.txt"
 # a bad generator row is a format error naming the file and the line
 sed '1s/.*/222222222222222222222222/' tests/data/generators-nonsystematic.txt > "$T/bad.txt"
 expect 3 verify --generators "$T/bad.txt"

@@ -229,6 +229,26 @@ def test_export_sets_fail_before_the_outputs_and_the_build(tmp_path, monkeypatch
     assert not gap.exists()
 
 
+def test_export_refuses_a_malformed_container_before_the_outputs_and_the_build(
+    tmp_path, monkeypatch, capsys
+):
+    def no_build(code, reps):
+        raise AssertionError("the graph was built")
+
+    monkeypatch.setattr(coset_graph, "build_graph", no_build)
+    bad = tmp_path / "dup.dat"  # a duplicate in the first record, then a bad size (99)
+    bad.write_bytes(b"\x02\x00\x00\x00\x00\x00\x00\x63")
+    gap, edges = tmp_path / "g.g", tmp_path / "e.txt"
+    argv = ["export", "--sets", str(bad), "--gap", str(gap), "--edges", str(edges)]
+    assert main(argv) == EXIT_FORMAT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "format error: duplicate entry for vertex 0 in one record (at byte offset 0)\n"
+    )
+    assert not gap.exists() and not edges.exists()
+
+
 @pytest.mark.parametrize("sets", [[], ["--sets", "absent.dat"]])
 def test_export_without_outputs_is_usage_error(tmp_path, monkeypatch, capsys, sets):
     """Raised before the --sets container is read or the graph is built."""

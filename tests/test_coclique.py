@@ -133,10 +133,18 @@ def _reference_cases(request, reps, case):
             VertexSet(c) for k in range(g.n + 1) for c in itertools.combinations(range(g.n), k)
         ]
     g = request.getfixturevalue("graph")
-    if case == "pool":
+    if case in ("pool", "perturbed"):
         sets = read_dat(POOL_DAT.read_bytes(), reps)
         assert len(sets) == 142
-        return g, sets
+        if case == "pool":
+            return g, sets
+        # each set less its first member (a coclique, not maximal), and
+        # each set plus a neighbour of its first member (no coclique)
+        return g, [
+            VertexSet(t)
+            for s in sets
+            for t in (s.members[1:], tuple(sorted((*s, int(neighbors(g, s.members[0])[0])))))
+        ]
     if case == "empty":
         return g, [VertexSet(())]
     if case == "neighbourhood":  # 276 members: vertex 0 counts 276, past uint8
@@ -145,7 +153,7 @@ def _reference_cases(request, reps, case):
 
 
 @pytest.mark.parametrize(
-    "case", ["pool", "petersen", "cycle5", "empty", "singleton", "neighbourhood"]
+    "case", ["pool", "perturbed", "petersen", "cycle5", "empty", "singleton", "neighbourhood"]
 )
 def test_packed_checks_match_int_row_references(request, reps, case):
     g, sets = _reference_cases(request, reps, case)
@@ -169,6 +177,9 @@ def test_packed_checks_match_int_row_references(request, reps, case):
         assert profile[DEGREE] == 1
     if case == "pool":
         assert all(is_maximal(g, s) for s in sets)
+    if case == "perturbed":
+        verdicts = [check_set(g, s, pair=False)[:2] for s in sets]
+        assert verdicts == [(True, False), (False, False)] * 142
 
 
 # ------------------------------------------------------------- profiles
@@ -566,11 +577,11 @@ def test_repeated_depth_one_runs_match_the_reference(graph, graph_bits, monkeypa
 
 
 def test_search_checks_each_candidate_once(graph, monkeypatch):
-    calls = {"is_coclique": 0, "is_maximal": 0}
+    calls = {"check_set": 0, "is_coclique": 0, "is_maximal": 0}
     for name in calls:
-        def counted(*args, _fn=getattr(coclique, name), _name=name):
+        def counted(*args, _fn=getattr(coclique, name), _name=name, **kwargs):
             calls[_name] += 1
-            return _fn(*args)
+            return _fn(*args, **kwargs)
 
         monkeypatch.setattr(coclique, name, counted)
     candidates = set()
@@ -586,8 +597,8 @@ def test_search_checks_each_candidate_once(graph, monkeypatch):
         graph, range(20, 73), budget=300, seed=7,
         config=SearchConfig(stop_when_complete=False),
     )
-    # is_maximal runs the coclique check itself; nothing runs it twice
-    assert calls == {"is_coclique": len(candidates), "is_maximal": len(candidates)}
+    # is_maximal reads both verdicts from one check_set pass; nothing checks twice
+    assert calls == {"check_set": len(candidates), "is_coclique": 0, "is_maximal": len(candidates)}
 
 
 @pytest.mark.parametrize("kind", ["adjacent pair", "not maximal"])
