@@ -2,7 +2,8 @@
 
 Subcommands: build, verify, check, search, invariants, export.  All runs
 are batch and reproducible: the search seed and budget default to fixed,
-documented values, and reports use stable line formats.
+documented values, and reports use stable line formats.  A command's
+handler, files and `--byteorder` are declared once, with its parser.
 
 Exit codes: 0 success; 3 data-format or file error, and `build --cache`
 when the cache cannot be written; 4 verification or check failure; 5 the
@@ -147,11 +148,6 @@ def load_graph_cache(
     return g if (g.degrees() == coset_graph.DEGREE).all() else None
 
 
-def _build_code(args: argparse.Namespace) -> golay.GolayCode:
-    generators = golay.read_generator_file(args.generators) if args.generators else None
-    return golay.build_code(generators)
-
-
 def _file_key(path: str):
     """What names the file at `path`: its device and inode when it exists,
     else its resolved absolute path, so two spellings of one file agree."""
@@ -172,7 +168,7 @@ def _build_context(args: argparse.Namespace):
     which creates an absent file and truncates none.  Returns code, reps, the
     graph (through the cache when enabled), the cache file (None when off or
     unwritable) and the container's sets (none when no file is named)."""
-    code = _build_code(args)
+    code = golay.build_code(golay.read_generator_file(args.generators) if args.generators else None)
     cache_file = _cache_path(args, code) if args.cache else None
     # writing over an input, or one output over another, loses data
     files = {"generators": args.generators, "cache": cache_file}
@@ -184,16 +180,14 @@ def _build_context(args: argparse.Namespace):
             if other != name and name in args.writes:
                 args.usage_error(f"--{name} {path} is the same file as --{other} {files[other]}")
     data = b""
-    for name, path in files.items():
-        if path and name in args.reads:
-            with open(path, "rb") as fh:
-                data = fh.read()
+    for path in filter(None, map(files.get, args.reads)):
+        with open(path, "rb") as fh:
+            data = fh.read()
     reps = coset_graph.build_reps()
     sets = io_formats.read_dat(data, reps, byteorder=args.byteorder) if args.reads else []
-    for name, path in files.items():
-        if path and name in args.writes:
-            with open(path, "ab"):
-                pass
+    for path in filter(None, map(files.get, args.writes)):
+        with open(path, "ab"):
+            pass
     g = load_graph_cache(cache_file, code, reps) if cache_file else None
     if g is None:
         g = coset_graph.build_graph(code, reps)
@@ -265,11 +259,18 @@ def _describe_set(
     return ", ".join(parts), maximal
 
 
-def _check_sets(args: argparse.Namespace, invariant_floor: int) -> int:
+def cmd_check(args: argparse.Namespace) -> int:
+    """check and invariants, which differ only in `args.invariant_floor`."""
+    if args.dat is None:
+        # `--cache` takes an optional value, so in `check --cache C` it takes
+        # the container C: use C as the container and the default cache file
+        if args.cache in (None, True):
+            args.usage_error("the following arguments are required: dat")
+        args.dat, args.cache = args.cache, True
     _, _, g, _, sets = _build_context(args)
     failures = 0
     for i, s in enumerate(sets, start=1):
-        line, good = _describe_set(g, s, i, invariant_floor)
+        line, good = _describe_set(g, s, i, args.invariant_floor)
         print(line)
         if not good:
             failures += 1
@@ -278,14 +279,6 @@ def _check_sets(args: argparse.Namespace, invariant_floor: int) -> int:
         f"{failures} failures"
     )
     return EXIT_OK if failures == 0 else EXIT_VERIFY
-
-
-def cmd_check(args: argparse.Namespace) -> int:
-    return _check_sets(args, invariant_floor=LARGE_SET_FLOOR)
-
-
-def cmd_invariants(args: argparse.Namespace) -> int:
-    return _check_sets(args, invariant_floor=0)
 
 
 def cmd_search(args: argparse.Namespace) -> int:
@@ -333,24 +326,18 @@ def cmd_export(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "build": cmd_build,
-    "verify": cmd_verify,
-    "check": cmd_check,
-    "search": cmd_search,
-    "invariants": cmd_invariants,
-    "export": cmd_export,
-}
-
-
 def _cache_arg(text: str) -> str:
     if not text:
         raise argparse.ArgumentTypeError("empty path: pass --cache alone for the default file")
     return text
 
 
-def _add_common(p: argparse.ArgumentParser, reads=(), writes=()) -> None:
-    p.set_defaults(reads=reads, writes=writes, usage_error=p.error)
+def _add_common(p: argparse.ArgumentParser, run, reads=(), writes=()) -> None:
+    """Declare a command with its parser: `run` is its handler, and `reads`
+    and `writes` name the arguments that hold the files it reads and writes
+    (see `_build_context`).  A command that names a file of either kind
+    takes `--byteorder`, the entry byte order of its `.dat` files."""
+    p.set_defaults(run=run, reads=reads, writes=writes, usage_error=p.error)
     p.add_argument("--generators", help="generator matrix file (12 lines of 24 '0'/'1')")
     p.add_argument(
         "--cache",
@@ -360,6 +347,13 @@ def _add_common(p: argparse.ArgumentParser, reads=(), writes=()) -> None:
         help="reuse/write a graph cache file (default location under "
         "$SRG2048_CACHE_DIR or ~/.cache/srg2048)",
     )
+    if reads or writes:
+        p.add_argument(
+            "--byteorder",
+            choices=("little", "big"),
+            default="little",
+            help="entry byte order of .dat files (default little)",
+        )
 
 
 def _size_targets_arg(text: str) -> tuple[int, ...]:
@@ -387,18 +381,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="build the graph (optionally into a cache)")
-    _add_common(p)
+    _add_common(p, cmd_build)
 
     p = sub.add_parser("verify", help="verify code, representatives and srg parameters")
-    _add_common(p)
+    _add_common(p, cmd_verify)
 
-    for name, text in (
-        ("check", "check the vertex sets in a .dat file"),
-        ("invariants", "like check, pair invariant for every set"),
+    for name, text, floor in (
+        ("check", "check the vertex sets in a .dat file", LARGE_SET_FLOOR),
+        ("invariants", "like check, pair invariant for every set", 0),
     ):
         p = sub.add_parser(name, help=text)
         p.add_argument("dat", nargs="?", help="path to the vertex-set container")
-        _add_common(p, reads=("dat",))
+        p.set_defaults(invariant_floor=floor)
+        _add_common(p, cmd_check, reads=("dat",))
 
     p = sub.add_parser("search", help="search maximal cocliques and write a .dat file")
     p.add_argument("--out", help="output .dat path")
@@ -410,38 +405,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=coclique.DEFAULT_SEED)
     p.add_argument("--budget", type=_budget_arg, default=coclique.DEFAULT_BUDGET)
-    _add_common(p, writes=("out",))
+    _add_common(p, cmd_search, writes=("out",))
 
     p = sub.add_parser("export", help="write the GAP file and/or an edge list")
     p.add_argument("--sets", help=".dat file whose sets go into the MIS list")
     p.add_argument("--gap", help="output path of the GAP text file")
     p.add_argument("--edges", help="output path of the plain edge list")
-    _add_common(p, reads=("sets",), writes=("gap", "edges"))
-
-    for name in ("check", "invariants", "search", "export"):  # the commands that take a .dat
-        sub.choices[name].add_argument(
-            "--byteorder",
-            choices=("little", "big"),
-            default="little",
-            help="entry byte order of .dat files (default little)",
-        )
+    _add_common(p, cmd_export, reads=("sets",), writes=("gap", "edges"))
     return parser
-
-
-def _container_from_cache(args: argparse.Namespace) -> None:
-    """`--cache` takes an optional value, so in `check --cache C` it takes
-    the container C: use C as the container and the default cache location."""
-    if args.cache in (None, True):
-        args.usage_error("the following arguments are required: dat")
-    args.dat, args.cache = args.cache, True
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "dat", "") is None:
-        _container_from_cache(args)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return EXIT_FORMAT

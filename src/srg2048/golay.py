@@ -44,6 +44,9 @@ EXPECTED_WEIGHT_DISTRIBUTION: dict[int, int] = {0: 1, 8: 759, 12: 2576, 16: 759,
 CODE_DIMENSION = 12
 CODE_SIZE = 1 << CODE_DIMENSION
 SYNDROME_LIMIT = 1 << CODE_DIMENSION  # one syndrome bit per generator row
+# the most characters a generator file may hold: a valid one has about 300, and
+# reading LIMIT + 1 takes one 8 KiB chunk, as iterating over the lines does
+GENERATOR_FILE_LIMIT = 1 << 12
 
 
 def census(values: np.ndarray) -> dict[int, int]:
@@ -133,14 +136,19 @@ def build_code(generators: tuple[int, ...] | None = None) -> GolayCode:
 def read_generator_file(path: str) -> tuple[int, ...]:
     """Read 12 generator rows (one 24-character '0'/'1' line each, blank
     lines skipped) from an ASCII text file; FormatError for any other content,
-    naming the file and, for a bad row, its line (blank lines counted)."""
+    naming the file and, for a bad row, its line (blank lines counted).  No
+    more than GENERATOR_FILE_LIMIT + 1 characters are read, so an endless
+    input is refused too."""
     try:
         with open(path, "r", encoding="ascii") as fh:
-            lines = [line.strip() for line in fh]
+            text = fh.read(GENERATOR_FILE_LIMIT + 1)
     except UnicodeDecodeError:
         raise FormatError(f"{path}: not an ASCII text file") from None
+    if len(text) > GENERATOR_FILE_LIMIT:
+        raise FormatError(f"{path}: longer than {GENERATOR_FILE_LIMIT} characters")
     rows = []
-    for i, line in enumerate(lines, start=1):
+    # split on "\n" alone, as file iteration does; splitlines also splits on form feeds
+    for i, line in enumerate(map(str.strip, text.split("\n")), start=1):
         if line:
             try:
                 rows.append(parse_vec(line))

@@ -131,8 +131,11 @@ def read_dat(data: bytes, reps: np.ndarray, byteorder: str = "little") -> list[V
 
 def write_dat(sets, reps: np.ndarray, byteorder: str = "little") -> bytes:
     """Serialize vertex sets, vertex v as the encoding reps[v] from the
-    ascending representative array; inverse of read_dat for canonical streams."""
+    ascending representative array, its bytes laid out by the same
+    `_ENTRY_SHIFTS` table that read_dat decodes; inverse of read_dat for
+    canonical streams."""
     _check_byteorder(byteorder)
+    shifts = _ENTRY_SHIFTS[byteorder]
     out = bytearray()
     for i, s in enumerate(sets):
         if not DAT_MIN_SIZE <= s.size <= DAT_MAX_SIZE:
@@ -142,8 +145,7 @@ def write_dat(sets, reps: np.ndarray, byteorder: str = "little") -> bytes:
             )
         _check_vertices(i, s, len(reps))
         out.append(s.size)
-        for v in s.members:
-            out += int(reps[v]).to_bytes(ENTRY_BYTES, byteorder)
+        out += ((reps[list(s.members), None] >> shifts) & 0xFF).astype(np.uint8).tobytes()
     return bytes(out)
 
 

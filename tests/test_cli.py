@@ -5,6 +5,7 @@ import importlib.util
 import io
 import os
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -565,13 +566,35 @@ def test_check_path_output_is_pinned(capsys, pool_cache, command):
     assert _sha256(capsys.readouterr().out) == POOL_DIGESTS[command]
 
 
-def test_check_reads_a_big_endian_container(tmp_path, monkeypatch, capsys, reps):
-    monkeypatch.setenv("SRG2048_CACHE_DIR", str(tmp_path))
+def _big_endian_pool(tmp_path, reps) -> Path:
     big = tmp_path / "pool-big.dat"
     big.write_bytes(write_dat(read_dat(Path(POOL).read_bytes(), reps), reps, byteorder="big"))
     assert big.read_bytes() != Path(POOL).read_bytes()
-    assert main(["check", "--byteorder", "big", str(big), "--cache"]) == EXIT_OK
-    assert _sha256(capsys.readouterr().out) == POOL_DIGESTS["check"]
+    return big
+
+
+@pytest.mark.parametrize("command", ["check", "invariants"])
+def test_check_reads_a_big_endian_container(tmp_path, monkeypatch, capsys, reps, command):
+    monkeypatch.setenv("SRG2048_CACHE_DIR", str(tmp_path))
+    big = _big_endian_pool(tmp_path, reps)
+    assert main([command, "--byteorder", "big", str(big), "--cache"]) == EXIT_OK
+    assert _sha256(capsys.readouterr().out) == POOL_DIGESTS[command]
+
+
+def test_search_writes_a_big_endian_container(tmp_path, capsys, pool_cache, reps):
+    little, big = tmp_path / "little.dat", tmp_path / "big.dat"
+    argv = ["search", "--sizes", "20-24", "--budget", "200", "--seed", "1", "--cache", pool_cache]
+    assert main([*argv, "--out", str(little)]) == EXIT_OK
+    assert main([*argv, "--byteorder", "big", "--out", str(big)]) == EXIT_OK
+    assert big.read_bytes() != little.read_bytes()
+    assert big.read_bytes() == write_dat(read_dat(little.read_bytes(), reps), reps, byteorder="big")
+
+
+def test_export_reads_a_big_endian_container(tmp_path, capsys, pool_cache, reps):
+    big, gap = _big_endian_pool(tmp_path, reps), tmp_path / "pool.g"
+    argv = ["export", "--sets", str(big), "--byteorder", "big", "--gap", str(gap)]
+    assert main([*argv, "--cache", pool_cache]) == EXIT_OK
+    assert _sha256(gap.read_text()) == POOL_DIGESTS["gap"]
 
 
 @pytest.mark.parametrize("command", ["build", "verify"])
@@ -970,12 +993,31 @@ def test_build_and_search_print_the_same_report_on_every_run(tmp_path, capsys, p
         assert not re.search(r"\d\.\d+s\b", outs[0])
 
 
+# the child's address-space cap: an unbounded read fails there as a MemoryError
+# within seconds instead of exhausting the machine's memory
+CONSOLE_MEMORY = 1 << 30
+
+
+def _cap_memory():
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    soft = CONSOLE_MEMORY if hard == resource.RLIM_INFINITY else min(CONSOLE_MEMORY, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
 def _console(tmp_path, *argv, stdout=subprocess.PIPE):
     # stdout block-buffered, as in a shell, so the entry point's own flush writes what is left
     env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
     env.update(PYTHONPATH=str(Path(golay.__file__).parents[1]), SRG2048_CACHE_DIR=str(tmp_path / "cache"))
+    # OpenBLAS reserves about 40 MiB of address space per thread, so on a many-core
+    # host its default thread count alone would pass the cap
+    env.update(OPENBLAS_NUM_THREADS="1")
     return subprocess.run(
-        [sys.executable, "-m", "srg2048", *argv], env=env, stdout=stdout, stderr=subprocess.PIPE, text=True
+        [sys.executable, "-m", "srg2048", *argv],
+        env=env,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        preexec_fn=_cap_memory,
     )
 
 
@@ -1008,6 +1050,16 @@ def test_python_m_refuses_an_option_its_command_lacks(tmp_path):
     assert run.returncode == 2
     assert run.stdout == ""
     assert "unrecognized arguments: --byteorder big" in run.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs an endless device")
+def test_python_m_refuses_an_endless_generator_file(tmp_path):
+    """An endless --generators input is refused after GENERATOR_FILE_LIMIT
+    characters, before the graph is built, not read until memory runs out."""
+    run = _console(tmp_path, "verify", "--generators", "/dev/zero")
+    assert run.returncode == EXIT_FORMAT
+    assert run.stdout == ""
+    assert run.stderr == f"format error: /dev/zero: longer than {golay.GENERATOR_FILE_LIMIT} characters\n"
 
 
 def test_python_m_reports_an_absent_container_on_one_line(tmp_path):

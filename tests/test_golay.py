@@ -9,6 +9,7 @@ from srg2048.gf2 import VEC_LIMIT, parse_vec
 from srg2048.golay import (
     DEFAULT_GENERATOR_ROWS,
     EXPECTED_WEIGHT_DISTRIBUTION,
+    GENERATOR_FILE_LIMIT,
     build_code,
     read_generator_file,
 )
@@ -161,6 +162,29 @@ def test_generator_file_error_counts_blank_lines(tmp_path):
     rows[1] = "2" * 24
     path.write_text("\n\n" + "\n".join(rows) + "\n")
     with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: line 4: invalid character"):
+        read_generator_file(str(path))
+
+
+def test_generator_file_over_the_limit_is_refused(tmp_path, code):
+    path = tmp_path / "gens.txt"
+    text = "\n".join(DEFAULT_GENERATOR_ROWS) + "\n"
+    path.write_text(text + "\n" * (GENERATOR_FILE_LIMIT - len(text)))
+    assert read_generator_file(str(path)) == code.generators
+    with open(path, "a") as fh:
+        fh.write("\n")
+    message = f"{path}: longer than {GENERATOR_FILE_LIMIT} characters"
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        read_generator_file(str(path))
+
+
+def test_generator_file_lines_end_only_at_newlines(tmp_path):
+    """A form feed is whitespace inside a line, not a line break, as when
+    iterating over the file: the bad row is still on line 2."""
+    path = tmp_path / "gens.txt"
+    rows = list(DEFAULT_GENERATOR_ROWS)
+    rows[1] = "2" * 24
+    path.write_text("\f" + "\n".join(rows) + "\n")
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: line 2: invalid character"):
         read_generator_file(str(path))
 
 
