@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
+import io
 import os
 import sys
 import tempfile
@@ -26,6 +27,7 @@ import numpy as np
 
 from . import coclique, coset_graph, golay, io_formats
 from .errors import (
+    DatFormatError,
     FormatError,
     GraphConstructionError,
     InvalidDistanceError,
@@ -42,6 +44,9 @@ EXIT_DISTANCE = 5
 CACHE_MAGIC = b"srg2048 graph v3"
 # bytes before the rows: the magic, 12 generator rows and the rows' CRC-32
 CACHE_HEAD = len(CACHE_MAGIC) + 12 * 4 + 4
+
+# bytes of a container read at a time; a malformed record ends the read
+_CHUNK = 1 << 16
 
 # check and search report the pair invariant for sets at least this large
 LARGE_SET_FLOOR = 72
@@ -162,9 +167,10 @@ def _build_context(args: argparse.Namespace):
     """The one route to every command's files.  After `--generators` is read,
     and before any other file is read or the graph is built: an output (named
     in `args.writes`) that is the same file as an input or as another output
-    is a usage error, and the container (named in `args.reads`) is read and,
-    once the representatives are built, parsed, so a malformed one is refused
-    before any output exists.  Then each output is opened for appending,
+    is a usage error, and the container (named in `args.reads`) is parsed as
+    it is read, once the representatives are built, so a malformed one is
+    refused before any output exists, and an endless one at its first faulty
+    record.  Then each output is opened for appending,
     which creates an absent file and truncates none.  Returns code, reps, the
     graph (through the cache when enabled), the cache file (None when off or
     unwritable) and the container's sets (none when no file is named)."""
@@ -179,12 +185,11 @@ def _build_context(args: argparse.Namespace):
             other = keys.setdefault(_file_key(path), name)
             if other != name and name in args.writes:
                 args.usage_error(f"--{name} {path} is the same file as --{other} {files[other]}")
-    data = b""
-    for path in filter(None, map(files.get, args.reads)):
-        with open(path, "rb") as fh:
-            data = fh.read()
     reps = coset_graph.build_reps()
-    sets = io_formats.read_dat(data, reps, byteorder=args.byteorder) if args.reads else []
+    sets = []
+    for name in args.reads:  # a container that is not named is an empty one
+        with open(files[name], "rb") if files[name] else io.BytesIO() as fh:
+            sets = _read_container(fh, reps, args.byteorder)
     for path in filter(None, map(files.get, args.writes)):
         with open(path, "ab"):
             pass
@@ -198,6 +203,34 @@ def _build_context(args: argparse.Namespace):
                 print(f"cache: write failed: {cache_file}: {exc.strerror or exc}", file=sys.stderr)
                 cache_file = None
     return code, reps, g, cache_file, sets
+
+
+def _read_container(fh, reps: np.ndarray, byteorder: str) -> list:
+    """The sets of a container, read from `fh` _CHUNK bytes at a time.  The
+    whole records of each chunk, and a bad size byte after them, go through
+    `io_formats.read_dat`, so reading stops at the first faulty record; a
+    partial record is carried over to the next chunk, and is a truncated one
+    at the end of the stream.  Offsets in messages count from the start."""
+    sets, start, data = [], 0, b""
+
+    def parse(records: bytes) -> list:
+        try:
+            return io_formats.read_dat(records, reps, byteorder=byteorder)
+        except DatFormatError as exc:
+            raise DatFormatError(exc.reason, offset=start + exc.offset) from None
+
+    while chunk := fh.read(_CHUNK):
+        data += chunk
+        end = 0  # the end of the whole records in data
+        while end < len(data) and io_formats.DAT_MIN_SIZE <= data[end] <= io_formats.DAT_MAX_SIZE:
+            if end + 1 + data[end] * io_formats.ENTRY_BYTES > len(data):
+                break
+            end += 1 + data[end] * io_formats.ENTRY_BYTES
+        # a bad size byte is parsed too, and refused after the records before it
+        bad_size = end < len(data) and not io_formats.DAT_MIN_SIZE <= data[end] <= io_formats.DAT_MAX_SIZE
+        sets += parse(data[: end + bad_size])
+        start, data = start + end, data[end:]
+    return sets + parse(data)
 
 
 def _format_census(census: dict[int, int]) -> str:

@@ -31,16 +31,18 @@ five-sets, a count the octads of S(5, 8, 24) pass.
 `verify_srg` checks the srg parameters independently of how the graph was
 built: exact common-neighbour counts for all 2,096,128 pairs, from a
 float32 product of the 0/1 adjacency matrix with itself, block by block.
-Each float32 row of the left factor holds two adjacency rows, the second
-scaled by the power of two above the degree k, so one product counts for
-both; the sums stay integers below 2^24, exact in float32, for k < 4096.
-Every block is compared in one step with the expected counts, packed the
-same way: lambda or mu by adjacency, and k on the diagonal.  Both factors
-are gathered from the packed rows through a table of the bits of each
-byte, into two float32 tiles of 1 MiB each; no bool band is unpacked.  The
-right factor is a block of 128 adjacency columns (2048 x 128): `Graph`
+Each float32 row of the left factor packs three adjacency rows, weighted
+1, b and b^2 for the power of two b above the degree k, when every packed
+count then stays below 2^24, exact in float32 (else two rows).  One block
+per band is rotated so that no diagonal k has weight b^2, and a wrong
+count cannot round onto an expected one.  Every block is compared in one
+step with the expected counts, packed the same way.  Both factors are
+gathered from the packed rows through a table of the bits of each byte,
+into two float32 tiles of 1 MiB each; no bool band is unpacked.  The right
+factor is a block of 128 adjacency columns (2048 x 128): `Graph`
 guarantees symmetry, so column v is row v, and reading the block as
-columns makes each product a plain (NN) matrix multiply.
+columns makes each product a plain (NN) matrix multiply.  The target graph
+takes 51 such products.
 
 `build_reps` returns the representatives as one ascending uint32 array,
 the one labelling every caller takes: vertex v is the representative at
@@ -179,8 +181,8 @@ def row_bytes(n: int) -> int:
     return 8 * -(-n // 64)
 
 
-#: Rows per band: the build packs BAND rows at a time, and `verify_srg` pairs
-#: as many in one float32 tile (the exports take shorter bands).
+#: Rows per band: the build packs BAND rows at a time (the exports take
+#: shorter bands).
 BAND = 256
 
 
@@ -343,24 +345,33 @@ def verify_srg(g: Graph) -> SrgParams:
     and the first non-adjacent pair in row-major order, and every pair
     u < v is compared with them.
 
-    The product is taken in float32, block by block, with two adjacency
-    rows in each float32 row: a band of BAND rows u becomes BAND // 2 rows
-    A[u1] + base * A[u2], where base = 2^bit_length(k) is the power of two
-    above k, so one product with a block of BAND // 2 adjacency columns v
-    gives c(u1, v) + base * c(u2, v) for both rows at once.  Every block, the
-    band's own included, is compared in one `not_equal` with the expected
-    counts packed the same way: lambda or mu by adjacency, and k at (u, u).
-    Every entry and expected value is an integer <= k * (base + 1) < 2^24
-    for k < 4096, so the counts are exact in any order of summation.  The
-    band's own blocks also compare pairs (u, v) with v < u; A @ A is
-    symmetric, so such a pair is bad only if (v, u) is, in the same band.
-    Each tile is one gather from `g.packed` through a table of the bits of
-    each byte: the band's BAND // 2 paired rows, and the block's BAND // 2
-    adjacency columns as an n x BAND // 2 tile, from those columns' bytes in
-    every packed row.  `Graph` refuses an asymmetric matrix, so column v is
-    row v, and each product is a plain (NN) matrix multiply.  The block's
-    tile holds the band's lower half while it is paired: two float32 tiles
-    of 1 MiB each for n = 2048.
+    The product is taken in float32, block by block, with s adjacency rows
+    in each float32 row.  A band is s slots of w rows (w = 128, or less for
+    a small graph, so that it still fills every slot), and its float32 row
+    r is A[lo + r] + b A[lo + w + r] + b^2 A[lo + 2w + r], for the power of
+    two b = 2^bit_length(k) above k: one product with a block of w
+    adjacency columns v gives the s rows' counts against v as base-b digits.
+    Every block, the band's own included, is compared in one `not_equal`
+    with the expected counts packed the same way: lambda or mu by
+    adjacency, and k at (u, u).  s is 3 if max(lambda, mu, 1) b^2 +
+    k (1 + b) < 2^24, else 2, for which k (1 + b) < 2^24 as k < 4096: every
+    tile entry and expected value is an integer below 2^24, exact in
+    float32.  The top slot's own block would hold k b^2 on its diagonal, so
+    from that block on the tile is rotated in place to A[T2] + b A[T0] +
+    b^2 A[T1]: times b, less b^3 A[T2], plus A[T2], each step exact.  A
+    wrong count is still seen: an exact packed sum below 2^24 has digits,
+    each at most k < b, that differ from the expected ones, and a float32
+    sum of non-negative terms whose exact value is 2^24 or more cannot round
+    below 2^24, which is above every expected value.  The band's own blocks
+    also compare pairs (u, v) with v < u; A @ A is symmetric, so such a pair
+    is bad only if (v, u) is, in the same band.  Each tile is one gather
+    from `g.packed` through a table of the bits of each byte: a slot's w
+    rows, and the block's w adjacency columns as an n x w tile, from those
+    columns' bytes in every packed row.  `Graph` refuses an asymmetric
+    matrix, so column v is row v, and each product is a plain (NN) matrix
+    multiply.  The block's tile holds each upper slot while it is added,
+    and the top slot while the tile rotates: two float32 tiles of 1 MiB
+    each, and 51 products, for n = 2048.
 
     Raises DomainError for k >= 4096, before any product, and
     VerificationError for any k outside 0 < k < n - 1, and with a witness
@@ -391,11 +402,12 @@ def verify_srg(g: Graph) -> SrgParams:
     row = g.row_bits(0)  # no loop, so the argmax is vertex 0's first neighbour
     first_pairs = (int(np.argmax(row)), 1 + int(np.argmin(row[1:])))
     lam, mu = (int(np.bitwise_count(g.words[0] & g.words[v]).sum()) for v in first_pairs)
+    slots = 3 if max(lam, mu, 1) * base**2 + k * (1 + base) < 1 << 24 else 2
     byte = np.arange(256, dtype=np.uint8)[:, None]
     table = np.unpackbits(byte, 1, bitorder="little").astype(np.float32)  # bit j of byte b at [b, j]
-    height, width = min(BAND, n), min(BAND // 2, n)  # 128-column blocks keep each tile at 1 MiB
-    # a band's (height + 1) // 2 paired rows fit in width rows, as do its lower half
-    # and a block's n x 8 ceil(width / 8) columns
+    # 128-column blocks keep each tile at 1 MiB; a multiple of 8 keeps them on byte bounds
+    width = min(128, 8 * -(-n // (8 * slots)))
+    # a slot's rows fit in width rows, as do a block's n x width columns
     band, block = (np.empty((width, 8 * row_bytes(n)), dtype=np.float32) for _ in range(2))
     product, expected = (np.empty((width, width), dtype=np.float32) for _ in range(2))
 
@@ -407,29 +419,35 @@ def verify_srg(g: Graph) -> SrgParams:
         np.take(table, bits, axis=0, out=out, mode="clip")
         return out.reshape(r, m * 8)
 
-    for lo in range(0, n, height):
-        h = min(height, n - lo)
-        half = (h + 1) // 2  # rows r and half + r share float32 row r; an odd middle row is alone
-        a, pairs = band[:half], gather(band, g.packed[lo + half : lo + h])
-        pairs *= base
-        lower = gather(block, g.packed[lo : lo + half])
-        np.add(pairs, lower[: h - half], out=pairs)
-        a[h - half :] = lower[h - half :]
+    for lo in range(0, n, slots * width):
+        counts = [min(width, n - f) for f in range(lo, min(n, lo + slots * width), width)]
+        a = gather(band, g.packed[lo : lo + counts[0]])
+        for j, count in enumerate(counts[1:], 1):  # slot j's rows at weight base^j
+            rows = gather(block, g.packed[lo + j * width : lo + j * width + count])
+            rows *= base**j
+            a[:count] += rows
+        weights = [base**j for j in range(len(counts))]
         for blo in range(lo, n, width):  # a multiple of 8
             w = min(width, n - blo)
+            if slots == 3 and blo == lo + 2 * width:  # to A[T2] + base A[T0] + base^2 A[T1]
+                top = gather(block, g.packed[blo : blo + counts[2]])
+                a *= base
+                top *= base**3
+                a[: counts[2]] -= top
+                top /= base**3
+                a[: counts[2]] += top
+                weights = [base, base**2, 1]
             # columns blo to blo + w - 1: Graph() refuses an asymmetric matrix, so they are those rows
             b = gather(block, g.packed[:, blo // 8 : -(-(blo + w) // 8)])[:, :w]
-            common, e = product[:half, :w], expected[:half, :w]
+            common, e = product[: counts[0], :w], expected[: counts[0], :w]
             np.matmul(a[:, :n], b, out=common)
             np.multiply(a[:, blo : blo + w], lam - mu, out=e)
-            e += mu * (1 + base)
-            e[h - half :] -= mu * base  # an odd band's middle row is alone
-            if blo < lo + h:  # the band's own vertices: entry (u, u) is the degree k, not mu
-                for first, count, scale in ((0, half, 1), (half, h - half, base)):
-                    u = np.arange(max(blo, lo + first), min(blo + w, lo + first + count))
-                    e[u - lo - first, u - blo] += (k - mu) * scale
+            for j, (count, weight) in enumerate(zip(counts, weights)):
+                e[:count] += mu * weight
+                if blo == lo + j * width:  # slot j's own block: entry (u, u) is the degree k, not mu
+                    e[np.arange(count), np.arange(count)] += (k - mu) * weight
             if (common != e).any():
-                raise _first_bad_pair(g, lo, lo + h, lam, mu)
+                raise _first_bad_pair(g, lo, lo + sum(counts), lam, mu)
     return SrgParams(n, k, lam, mu)
 
 

@@ -63,11 +63,12 @@ class VerificationError(SrgError):
 class DatFormatError(FormatError):
     """Malformed vertex-set container data.
 
-    `offset` is the byte position at which the problem was detected.
+    `offset` is the byte position at which the problem was detected, and
+    `reason` the message without it.
     """
 
     def __init__(self, message: str, offset: int | None = None):
-        self.offset = offset
+        self.reason, self.offset = message, offset
         if offset is not None:
             message = f"{message} (at byte offset {offset})"
         super().__init__(message)

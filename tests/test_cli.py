@@ -31,6 +31,7 @@ from srg2048.cli import (
     save_graph_cache,
 )
 from srg2048.coclique import VertexSet
+from srg2048.errors import DatFormatError
 from srg2048.golay import DEFAULT_GENERATOR_ROWS
 from srg2048.io_formats import read_dat, write_dat
 
@@ -248,6 +249,66 @@ def test_export_refuses_a_malformed_container_before_the_outputs_and_the_build(
         "format error: duplicate entry for vertex 0 in one record (at byte offset 0)\n"
     )
     assert not gap.exists() and not edges.exists()
+
+
+def _pool_faults():
+    """pool.dat with one fault in a middle record, past the first chunks,
+    of each kind read_dat refuses, and cut short by one byte."""
+    data = Path(POOL).read_bytes()
+    starts = [0]
+    while starts[-1] < len(data):
+        starts.append(starts[-1] + 1 + 3 * data[starts[-1]])
+    mid = starts[len(starts) // 2]
+    return [
+        data[:mid] + b"\x01" + data[mid:],  # a size below 2
+        data[: mid + 4] + b"\xff\xff\xff" + data[mid + 7 :],  # a second entry that is no representative
+        data[: mid + 4] + data[mid + 1 : mid + 4] + data[mid + 7 :],  # the first entry twice
+        data[:-1],
+    ]
+
+
+@pytest.mark.parametrize("chunk", [7, 100, 1 << 16])
+def test_container_read_in_chunks_agrees_with_read_dat(monkeypatch, reps, chunk):
+    """Whatever the chunk boundaries, the sets are read_dat's sets of the
+    whole stream, and a fault is its message at its absolute offset."""
+    monkeypatch.setattr(cli, "_CHUNK", chunk)
+    data = Path(POOL).read_bytes()
+    assert cli._read_container(io.BytesIO(data), reps, "little") == read_dat(data, reps)
+    for bad in _pool_faults():
+        with pytest.raises(DatFormatError) as want:
+            read_dat(bad, reps)
+        with pytest.raises(DatFormatError) as got:
+            cli._read_container(io.BytesIO(bad), reps, "little")
+        assert (str(got.value), got.value.offset) == (str(want.value), want.value.offset)
+
+
+class _Endless:
+    """A file that reads `head`, then `tail` again and again without end."""
+
+    def __init__(self, head: bytes, tail: bytes):
+        self.buffer, self.tail, self.reads = head, tail, 0
+
+    def read(self, size: int) -> bytes:
+        while len(self.buffer) < size:
+            self.buffer += self.tail * (size // len(self.tail) + 1)
+        piece, self.buffer = self.buffer[:size], self.buffer[size:]
+        self.reads += 1
+        return piece
+
+
+def test_endless_container_is_refused_at_its_first_faulty_record(reps):
+    """pool.dat, then a record of two entries that are no representatives,
+    repeated without end: the read stops in the chunk that holds the first
+    one, with read_dat's message and offset for the finite prefix."""
+    data = Path(POOL).read_bytes()
+    bad = b"\x02" + b"\xff" * 6
+    with pytest.raises(DatFormatError) as want:
+        read_dat(data + bad, reps)
+    endless = _Endless(data, bad)
+    with pytest.raises(DatFormatError) as got:
+        cli._read_container(endless, reps, "little")
+    assert (str(got.value), got.value.offset) == (str(want.value), want.value.offset)
+    assert endless.reads == 1 + len(data) // cli._CHUNK
 
 
 @pytest.mark.parametrize("sets", [[], ["--sets", "absent.dat"]])
@@ -1060,6 +1121,22 @@ def test_python_m_refuses_an_endless_generator_file(tmp_path):
     assert run.returncode == EXIT_FORMAT
     assert run.stdout == ""
     assert run.stderr == f"format error: /dev/zero: longer than {golay.GENERATOR_FILE_LIMIT} characters\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs an endless device")
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "/dev/zero"], ["invariants", "/dev/zero"], ["export", "--sets", "/dev/zero", "--gap", "graph.g"]],
+    ids=["check", "invariants", "export"],
+)
+def test_python_m_refuses_an_endless_container(tmp_path, argv):
+    """An endless container is refused at its first faulty record, here its
+    first size byte, before any output exists, not read until memory runs out."""
+    run = _console(tmp_path, *(str(tmp_path / a) if a == "graph.g" else a for a in argv))
+    assert run.returncode == EXIT_FORMAT
+    assert run.stdout == ""
+    assert run.stderr == "format error: set size 0 is not in the range from 2 to 85 (at byte offset 0)\n"
+    assert not any(tmp_path.iterdir())
 
 
 def test_python_m_reports_an_absent_container_on_one_line(tmp_path):

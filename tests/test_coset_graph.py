@@ -520,28 +520,54 @@ def _cliques_and(n, size, edges, labels):
             "lambda not constant: pair (0, 37) has 43 common neighbours, expected 44",
             (0, 37),
         ),
-        (  # K4s and a cube on 128..135: the bad rows are the second rows of their
-            # float32 rows (128 + r shares row r), and the first bad pair lies in
-            # the band's own columns
+        (  # K4s and a cube on 128..135: n = 264 makes the slots 88 rows wide, so
+            # the bad rows lie in the middle slot (88 + r shares float32 row r),
+            # and the first bad pair in that slot's own block
             lambda g: _cliques_and(264, 4, _CUBE, range(128, 136)),
             "lambda not constant: pair (128, 129) has 0 common neighbours, expected 2",
             (128, 129),
         ),
-        (  # the same, but row 128's cube neighbours lie in a block past the band
+        (  # the same, but row 128's cube neighbours lie in the top slot, 256..383,
+            # whose own block is the rotated one
             lambda g: _cliques_and(520, 4, _CUBE, [128, *range(300, 307)]),
             "lambda not constant: pair (128, 300) has 0 common neighbours, expected 2",
             (128, 300),
         ),
-        (  # triangles and a pentagon on 262..266: the last band, 256..268, has 13
-            # rows, and row 262 is its middle row, the one with no second row
+        (  # triangles and a pentagon on 262..266: n = 269 makes the slots 96 rows
+            # wide, the top slot, 192..268, holds 77 of them, and the first bad
+            # pair lies in its rotated own block
             lambda g: _cliques_and(269, 3, [(i, (i + 1) % 5) for i in range(5)], range(262, 267)),
             "lambda not constant: pair (262, 263) has 0 common neighbours, expected 1",
             (262, 263),
+        ),
+        (  # from n = 369 the slots are 128 rows wide: a cube on 200..207, in the
+            # middle slot's own block, 128..255
+            lambda g: _cliques_and(392, 4, _CUBE, range(200, 208)),
+            "lambda not constant: pair (200, 201) has 0 common neighbours, expected 2",
+            (200, 201),
+        ),
+        (  # a cube on 256..263, in the top slot's rotated own block, 256..383
+            lambda g: _cliques_and(392, 4, _CUBE, range(256, 264)),
+            "lambda not constant: pair (256, 257) has 0 common neighbours, expected 2",
+            (256, 257),
+        ),
+        (  # a cube on 384..391, the last band, a single slot of 8 rows
+            lambda g: _cliques_and(392, 4, _CUBE, range(384, 392)),
+            "lambda not constant: pair (384, 385) has 0 common neighbours, expected 2",
+            (384, 385),
+        ),
+        (  # complete 27-partite, parts of 19: k = 494, lambda = 475, mu = 494 and
+            # b = 512 pass 2^24 in three slots, so this takes two; two edges switched
+            # in the last parts, so the rows before 475 must compare equal
+            lambda g: _switched(graph_from_bool_matrix(~_same_part(19, 27)), 494, 475, 495, 476),
+            "lambda not constant: pair (475, 476) has 492 common neighbours, expected 475",
+            (475, 476),
         ),
     ],
     ids=[
         "prism", "cube", "lambda-first", "late-band", "toggle", "switch-mu", "switch-lambda",
         "second-row-diagonal", "second-row-off-diagonal", "odd-middle-row",
+        "middle-slot-block", "top-slot-block", "last-band-single-slot", "two-slot-fallback",
     ],
 )
 def test_verify_failures_are_pinned(graph, make, message, witness):
@@ -655,6 +681,16 @@ def test_verify_srg_holds_no_band_wide_buffers(graph):
     # 128 x 2048 float32 tiles with each band and block unpacked to bool 3.4 MiB;
     # the tiles alone are 2 MiB
     assert peak < 3 * 2**20
+
+
+def test_verify_srg_packs_three_rows_for_the_target_graph(graph, monkeypatch):
+    """Bands of 384 rows take 16 + 13 + 10 + 7 + 4 blocks, and the last 128
+    rows one: 51 products, where two rows per float32 row took 72."""
+    products = []
+    matmul = np.matmul
+    monkeypatch.setattr(np, "matmul", lambda *args, **kwargs: products.append(1) or matmul(*args, **kwargs))
+    assert verify_srg(graph) == TARGET_PARAMS
+    assert len(products) == 51
 
 
 def test_verify_refuses_a_degree_too_large_for_paired_rows():
