@@ -10,6 +10,7 @@ when the cache cannot be written; 4 verification or check failure; 5 the
 internal invalid-distance guard fired; 2 usage, from argparse or from
 `_build_context`, the one route to every command's files, when an output
 is the same file as an input (the cache file included) or another output.
+A container is read by `io_formats.read_dat_stream`, which owns its format.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import numpy as np
 
 from . import coclique, coset_graph, golay, io_formats
 from .errors import (
-    DatFormatError,
     FormatError,
     GraphConstructionError,
     InvalidDistanceError,
@@ -44,9 +44,6 @@ EXIT_DISTANCE = 5
 CACHE_MAGIC = b"srg2048 graph v3"
 # bytes before the rows: the magic, 12 generator rows and the rows' CRC-32
 CACHE_HEAD = len(CACHE_MAGIC) + 12 * 4 + 4
-
-# bytes of a container read at a time; a malformed record ends the read
-_CHUNK = 1 << 16
 
 # check and search report the pair invariant for sets at least this large
 LARGE_SET_FLOOR = 72
@@ -189,7 +186,7 @@ def _build_context(args: argparse.Namespace):
     sets = []
     for name in args.reads:  # a container that is not named is an empty one
         with open(files[name], "rb") if files[name] else io.BytesIO() as fh:
-            sets = _read_container(fh, reps, args.byteorder)
+            sets = io_formats.read_dat_stream(fh, reps, args.byteorder)
     for path in filter(None, map(files.get, args.writes)):
         with open(path, "ab"):
             pass
@@ -203,34 +200,6 @@ def _build_context(args: argparse.Namespace):
                 print(f"cache: write failed: {cache_file}: {exc.strerror or exc}", file=sys.stderr)
                 cache_file = None
     return code, reps, g, cache_file, sets
-
-
-def _read_container(fh, reps: np.ndarray, byteorder: str) -> list:
-    """The sets of a container, read from `fh` _CHUNK bytes at a time.  The
-    whole records of each chunk, and a bad size byte after them, go through
-    `io_formats.read_dat`, so reading stops at the first faulty record; a
-    partial record is carried over to the next chunk, and is a truncated one
-    at the end of the stream.  Offsets in messages count from the start."""
-    sets, start, data = [], 0, b""
-
-    def parse(records: bytes) -> list:
-        try:
-            return io_formats.read_dat(records, reps, byteorder=byteorder)
-        except DatFormatError as exc:
-            raise DatFormatError(exc.reason, offset=start + exc.offset) from None
-
-    while chunk := fh.read(_CHUNK):
-        data += chunk
-        end = 0  # the end of the whole records in data
-        while end < len(data) and io_formats.DAT_MIN_SIZE <= data[end] <= io_formats.DAT_MAX_SIZE:
-            if end + 1 + data[end] * io_formats.ENTRY_BYTES > len(data):
-                break
-            end += 1 + data[end] * io_formats.ENTRY_BYTES
-        # a bad size byte is parsed too, and refused after the records before it
-        bad_size = end < len(data) and not io_formats.DAT_MIN_SIZE <= data[end] <= io_formats.DAT_MAX_SIZE
-        sets += parse(data[: end + bad_size])
-        start, data = start + end, data[end:]
-    return sets + parse(data)
 
 
 def _format_census(census: dict[int, int]) -> str:
@@ -396,14 +365,19 @@ def _size_targets_arg(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _budget_arg(text: str) -> int:
-    try:
-        budget = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if budget < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {budget}")
-    return budget
+def _int_at_least(floor: int):
+    """The argparse type of an integer option whose least value is `floor`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"must be at least {floor}, got {value}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -436,8 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="20-40",
         help="targets, e.g. 20-40, 72 or 20,25-30 (default 20-40)",
     )
-    p.add_argument("--seed", type=int, default=coclique.DEFAULT_SEED)
-    p.add_argument("--budget", type=_budget_arg, default=coclique.DEFAULT_BUDGET)
+    p.add_argument("--seed", type=_int_at_least(0), default=coclique.DEFAULT_SEED)
+    p.add_argument("--budget", type=_int_at_least(1), default=coclique.DEFAULT_BUDGET)
     _add_common(p, cmd_search, writes=("out",))
 
     p = sub.add_parser("export", help="write the GAP file and/or an edge list")

@@ -443,13 +443,16 @@ def search_maximal(
     COCLIQUE_SIZE_CAP], which no maximal coclique has, raises DomainError
     before any attempt, and a coclique above the ratio bound raises
     InternalConsistencyError; any other graph allows sizes 0 to n.
-    The seed, budget and targets must be integers, not bools (DomainError).
+    The seed, budget and targets must be integers, not bools, the budget
+    positive and the seed non-negative (DomainError).
     """
     cfg = config or SearchConfig()
     targets = {integer(t, "size target") for t in size_targets}
     budget, seed = integer(budget, "budget"), integer(seed, "seed")
     if budget <= 0:
         raise DomainError(f"budget must be positive, got {budget}")
+    if seed < 0:  # random.Random(seed) would seed from abs(seed)
+        raise DomainError(f"seed must be non-negative, got {seed}")
     floor, hard_cap = (COCLIQUE_SIZE_FLOOR, COCLIQUE_SIZE_CAP) if g.n == N_VERTICES else (0, g.n)
     if any(t < floor or t > hard_cap for t in targets):
         raise DomainError(

@@ -20,6 +20,9 @@ stream in that canonical order round-trips byte-exactly.
 The reader walks the size bytes alone in Python, then decodes, looks up,
 sorts and duplicate-checks every entry of the stream in one numpy pass.
 Its error names the byte offset of the first fault in stream order.
+`read_dat_stream` reads a container file a chunk at a time through
+`read_dat`, which the CLI uses, so an endless file is refused at its first
+faulty record.  Both take their record boundaries from one walk, `_records`.
 
 The GAP export is a text file defining `A` (the n adjacency lists,
 1-based) and `MIS` (the vertex-number lists of the given sets), followed by
@@ -45,6 +48,7 @@ from .errors import DatFormatError, DomainError
 DAT_MIN_SIZE = 2
 DAT_MAX_SIZE = COCLIQUE_SIZE_CAP
 ENTRY_BYTES = 3
+_CHUNK = 1 << 16  # bytes of a container file read at a time
 EXPORT_BAND = 32  # rows per unpack and per piece in the exports: 64 KiB of bool rows, ~45 KB of text
 # bit position of each entry byte, in stream order
 _ENTRY_SHIFTS = {
@@ -73,6 +77,23 @@ def _check_vertices(i: int, s: VertexSet, n: int) -> None:
         raise DomainError(f"set {i + 1} contains vertex {s.members[-1]}, graph has {n}")
 
 
+def _records(data: bytes) -> tuple[list[int], int, bool]:
+    """The one walk over a stream's size bytes: the start of each whole
+    record, the end of the last, and whether the byte there is a bad size;
+    if not, any bytes after the end are a truncated record."""
+    starts: list[int] = []
+    pos = 0
+    while pos < len(data):
+        if not DAT_MIN_SIZE <= data[pos] <= DAT_MAX_SIZE:
+            return starts, pos, True
+        end = pos + 1 + data[pos] * ENTRY_BYTES
+        if end > len(data):
+            break
+        starts.append(pos)
+        pos = end
+    return starts, pos, False
+
+
 def read_dat(data: bytes, reps: np.ndarray, byteorder: str = "little") -> list[VertexSet]:
     """Parse a stream of vertex-set records into VertexSets (vertex indices).
 
@@ -84,15 +105,7 @@ def read_dat(data: bytes, reps: np.ndarray, byteorder: str = "little") -> list[V
     in a record, its first bad entry comes before a duplicate.
     """
     _check_byteorder(byteorder)
-    starts: list[int] = []
-    pos = 0
-    total = len(data)
-    while pos < total and DAT_MIN_SIZE <= data[pos] <= DAT_MAX_SIZE:
-        end = pos + 1 + data[pos] * ENTRY_BYTES
-        if end > total:
-            break
-        starts.append(pos)
-        pos = end
+    starts, pos, bad_size = _records(data)
     # the whole records before pos, in one pass
     n = len(reps)
     stream = np.frombuffer(data, dtype=np.uint8, count=pos)
@@ -116,17 +129,35 @@ def read_dat(data: bytes, reps: np.ndarray, byteorder: str = "little") -> list[V
     if same.size:
         r, v = divmod(int(keys[same[0]]), n)
         raise DatFormatError(f"duplicate entry for vertex {v} in one record", offset=starts[r])
-    if pos < total:  # the walk stopped at a bad size or a truncated record
+    if pos < len(data):
         size = data[pos]
         raise DatFormatError(
             f"set size {size} is not in the range from {DAT_MIN_SIZE} to {DAT_MAX_SIZE}"
-            if not DAT_MIN_SIZE <= size <= DAT_MAX_SIZE
-            else f"truncated record: need {1 + size * ENTRY_BYTES} bytes, stream has {total - pos}",
+            if bad_size
+            else f"truncated record: need {1 + size * ENTRY_BYTES} bytes, stream has {len(data) - pos}",
             offset=pos,
         )
     members = (keys % n).tolist()
     ends = np.cumsum(sizes).tolist()
     return [VertexSet(tuple(members[e - k : e])) for k, e in zip(sizes.tolist(), ends)]
+
+
+def read_dat_stream(fh, reps: np.ndarray, byteorder: str = "little") -> list[VertexSet]:
+    """`read_dat` of the binary file `fh`, read _CHUNK bytes at a time.  The
+    whole records of each chunk, and a bad size byte after them, go through
+    read_dat, so an endless stream is refused at its first faulty record; a
+    partial record is carried over, and is a truncated one at the end.  The
+    offset in an error counts from the start of the stream."""
+    sets, start, data = [], 0, b""
+    try:
+        while chunk := fh.read(_CHUNK):
+            data += chunk
+            _, end, bad_size = _records(data)
+            sets += read_dat(data[: end + bad_size], reps, byteorder=byteorder)
+            start, data = start + end, data[end:]
+        return sets + read_dat(data, reps, byteorder=byteorder)
+    except DatFormatError as exc:
+        raise DatFormatError(exc.reason, offset=start + exc.offset) from None
 
 
 def write_dat(sets, reps: np.ndarray, byteorder: str = "little") -> bytes:

@@ -40,6 +40,9 @@ PINS = dict(
     line.split() for line in (Path(__file__).parent / "data" / "pins.txt").read_text().splitlines()
 )
 
+# 142 maximal cocliques of sizes 20..66 and 72, shipped with the benchmark
+POOL_DAT = Path(__file__).resolve().parents[1] / "srgbench" / "pool.dat"
+
 # enumerated here rather than taken from the package, which builds from them
 _WEIGHT2 = np.array(
     [(1 << a) | (1 << b) for a, b in itertools.combinations(range(24), 2)], dtype=np.uint32
@@ -158,6 +161,18 @@ def rep_of_scan(code, reps, x):
     if found.size == 0:
         raise InternalConsistencyError(f"no representative found for {x:024b}")
     return int(found[0])
+
+
+def walsh_hadamard(values):
+    """The Walsh–Hadamard transform of a length-2^m integer vector: entry a
+    is the sum over x of values[x] * (-1)^popcount(a & x)."""
+    out = np.array(values, dtype=np.int64)
+    h = 1
+    while h < len(out):
+        pairs = out.reshape(-1, 2, h)
+        pairs[:, 0], pairs[:, 1] = pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]
+        h *= 2
+    return out
 
 
 def min_coset_distance_bulk(code, zs):

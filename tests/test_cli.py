@@ -31,11 +31,10 @@ from srg2048.cli import (
     save_graph_cache,
 )
 from srg2048.coclique import VertexSet
-from srg2048.errors import DatFormatError
 from srg2048.golay import DEFAULT_GENERATOR_ROWS
 from srg2048.io_formats import read_dat, write_dat
 
-from oracles import PINS, neighbors
+from oracles import PINS, POOL_DAT, neighbors
 
 
 def test_parse_size_targets():
@@ -79,6 +78,17 @@ def test_search_bad_sizes_is_usage_error(capsys, sizes, message):
     err = capsys.readouterr().err
     assert argv[-2] in err and message in err
     assert "Traceback" not in err
+
+
+def test_search_refuses_a_negative_seed(tmp_path, capsys):
+    # a usage error, not the search of the seed's absolute value
+    out = tmp_path / "F"
+    with pytest.raises(SystemExit) as info:
+        main(["search", "--sizes", "30-34", "--budget", "300", "--seed", "-5", "--out", str(out)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --seed: must be at least 0, got -5" in err
+    assert not out.exists()
 
 
 def test_search_reports_coverage_and_large_sets(capsys):
@@ -249,66 +259,6 @@ def test_export_refuses_a_malformed_container_before_the_outputs_and_the_build(
         "format error: duplicate entry for vertex 0 in one record (at byte offset 0)\n"
     )
     assert not gap.exists() and not edges.exists()
-
-
-def _pool_faults():
-    """pool.dat with one fault in a middle record, past the first chunks,
-    of each kind read_dat refuses, and cut short by one byte."""
-    data = Path(POOL).read_bytes()
-    starts = [0]
-    while starts[-1] < len(data):
-        starts.append(starts[-1] + 1 + 3 * data[starts[-1]])
-    mid = starts[len(starts) // 2]
-    return [
-        data[:mid] + b"\x01" + data[mid:],  # a size below 2
-        data[: mid + 4] + b"\xff\xff\xff" + data[mid + 7 :],  # a second entry that is no representative
-        data[: mid + 4] + data[mid + 1 : mid + 4] + data[mid + 7 :],  # the first entry twice
-        data[:-1],
-    ]
-
-
-@pytest.mark.parametrize("chunk", [7, 100, 1 << 16])
-def test_container_read_in_chunks_agrees_with_read_dat(monkeypatch, reps, chunk):
-    """Whatever the chunk boundaries, the sets are read_dat's sets of the
-    whole stream, and a fault is its message at its absolute offset."""
-    monkeypatch.setattr(cli, "_CHUNK", chunk)
-    data = Path(POOL).read_bytes()
-    assert cli._read_container(io.BytesIO(data), reps, "little") == read_dat(data, reps)
-    for bad in _pool_faults():
-        with pytest.raises(DatFormatError) as want:
-            read_dat(bad, reps)
-        with pytest.raises(DatFormatError) as got:
-            cli._read_container(io.BytesIO(bad), reps, "little")
-        assert (str(got.value), got.value.offset) == (str(want.value), want.value.offset)
-
-
-class _Endless:
-    """A file that reads `head`, then `tail` again and again without end."""
-
-    def __init__(self, head: bytes, tail: bytes):
-        self.buffer, self.tail, self.reads = head, tail, 0
-
-    def read(self, size: int) -> bytes:
-        while len(self.buffer) < size:
-            self.buffer += self.tail * (size // len(self.tail) + 1)
-        piece, self.buffer = self.buffer[:size], self.buffer[size:]
-        self.reads += 1
-        return piece
-
-
-def test_endless_container_is_refused_at_its_first_faulty_record(reps):
-    """pool.dat, then a record of two entries that are no representatives,
-    repeated without end: the read stops in the chunk that holds the first
-    one, with read_dat's message and offset for the finite prefix."""
-    data = Path(POOL).read_bytes()
-    bad = b"\x02" + b"\xff" * 6
-    with pytest.raises(DatFormatError) as want:
-        read_dat(data + bad, reps)
-    endless = _Endless(data, bad)
-    with pytest.raises(DatFormatError) as got:
-        cli._read_container(endless, reps, "little")
-    assert (str(got.value), got.value.offset) == (str(want.value), want.value.offset)
-    assert endless.reads == 1 + len(data) // cli._CHUNK
 
 
 @pytest.mark.parametrize("sets", [[], ["--sets", "absent.dat"]])
@@ -558,7 +508,7 @@ def test_check_without_container_is_usage_error(capsys, argv):
 
 # ---------------------------------------------- outputs of the check path
 
-POOL = str(Path(__file__).resolve().parents[1] / "srgbench" / "pool.dat")
+POOL = str(POOL_DAT)
 
 # sha256 of each output for the 142 sets of srgbench/pool.dat
 POOL_DIGESTS = {

@@ -2,7 +2,6 @@ import hashlib
 import itertools
 import random
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +37,7 @@ from srg2048.io_formats import read_dat, write_dat
 
 from oracles import (
     PINS,
+    POOL_DAT,
     bitmask,
     bool_matrix,
     complete_ref,
@@ -51,10 +51,6 @@ from oracles import (
     subgroup_coclique,
     translation_perm,
 )
-
-# 142 maximal cocliques of sizes 20..66 and 72, shipped with the benchmark
-POOL_DAT = Path(__file__).resolve().parents[1] / "srgbench" / "pool.dat"
-
 
 # ------------------------------------------------------------- VertexSet
 
@@ -247,17 +243,23 @@ def test_pair_invariant_leaves_members_out_of_w8(graph):
     assert pair_invariant(graph, s) == pair_invariant_ref(int_rows(graph), s)
 
 
-def test_pair_invariant_translation_invariant(code, reps, graph, search_sets):
+def test_pair_invariant_translation_invariant(code, reps, graph):
+    # an even translation is an automorphism, so it keeps every set verdict:
+    # each of the pool's 142 sets keeps its whole report under three of them
     rng = random.Random(23)
-    s = search_sets[len(search_sets) // 2]
-    base = pair_invariant(graph, s)
-    for _ in range(2):
+    perms = []
+    for _ in range(3):
         t = rng.randrange(1 << 24)
         if bin(t).count("1") % 2 == 1:
             t ^= 1
-        perm = translation_perm(code, reps, t)
-        mapped = VertexSet(tuple(sorted(int(perm[v]) for v in s.members)))
-        assert pair_invariant(graph, mapped) == base
+        perms.append(translation_perm(code, reps, t))
+    for s in read_dat(POOL_DAT.read_bytes(), reps):
+        report = check_set(graph, s, pair=True)
+        assert report[3] == pair_invariant(graph, s)
+        for perm in perms:
+            mapped = VertexSet(tuple(sorted(perm[list(s.members)].tolist())))
+            assert check_set(graph, mapped, pair=True) == report
+            assert is_maximal(graph, mapped) == is_maximal(graph, s)
 
 
 @settings(max_examples=12, deadline=None)
@@ -651,6 +653,16 @@ def test_search_members_are_the_shared_vertex_ints(graph, monkeypatch):
 def test_search_rejects_bad_budget(graph):
     with pytest.raises(DomainError):
         search_maximal(graph, range(20, 41), budget=0, seed=DEFAULT_SEED)
+
+
+def test_search_refuses_a_negative_seed(graph, monkeypatch):
+    # random.Random seeds from abs(seed), so -5 would repeat the search of 5
+    def no_attempt(*args):
+        raise AssertionError("an attempt was made")
+
+    monkeypatch.setattr(coclique, "_fresh_run", no_attempt)
+    with pytest.raises(DomainError, match="^seed must be non-negative, got -5$"):
+        search_maximal(graph, range(30, 35), budget=300, seed=-5)
 
 
 # each numeric argument, as a call (on the Petersen graph where it takes one), and a valid value of it

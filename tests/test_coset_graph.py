@@ -4,7 +4,9 @@ import itertools
 import random
 import tracemalloc
 import weakref
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,7 +39,7 @@ from srg2048.errors import (
     VerificationError,
 )
 from srg2048.gf2 import parse_vec
-from srg2048.golay import DEFAULT_GENERATOR_ROWS, build_code, census
+from srg2048.golay import DEFAULT_GENERATOR_ROWS, build_code, census, read_generator_file
 
 from oracles import (
     adjacent_by_translates,
@@ -53,6 +55,7 @@ from oracles import (
     translation_perm,
     vectors_of_weight_ref,
     verify_srg_ref,
+    walsh_hadamard,
 )
 
 
@@ -887,6 +890,43 @@ def test_eigenvalues_of_numpy_parameters_are_python_ints():
     roots = srg_eigenvalues(SrgParams(*map(np.int64, TARGET_PARAMS)))
     assert roots == (20, -12)
     assert [type(x) for x in roots] == [int, int]
+
+
+def _from_connection_set(d, syn):
+    """What the connection set d alone says of the Cayley graph on the
+    vertex syndromes syn.  Two vertices whose syndromes differ by z have as
+    many common neighbours as d has pairs with difference z, so the pair
+    counts are k at 0, λ on d, μ on the other vertex syndromes and 0 on the
+    rest.  Each eigenvalue is a character sum over d, a Walsh–Hadamard
+    entry of d's indicator; the vertex syndromes are an index-2 subgroup of
+    the 4096, so each appears twice.  Returns the distinct counts on each of
+    the four parts, and the census of the 4096 entries."""
+    counts = np.bincount((d[:, None] ^ d[None, :]).ravel(), minlength=1 << 12)
+    part = np.zeros(1 << 12, dtype=np.intp)  # 0: the rest, 1: other vertices, 2: d, 3: zero
+    part[syn], part[d], part[0] = 1, 2, 3
+    values = tuple(sorted(set(counts[part == p].tolist())) for p in range(4))
+    indicator = np.zeros(1 << 12, dtype=np.int64)
+    indicator[d] = 1
+    return values, Counter(walsh_hadamard(indicator).tolist())
+
+
+@pytest.mark.parametrize(
+    "generators", [None, "generators-nonsystematic.txt", "generators-bench-seed1.txt"]
+)
+def test_lambda_mu_and_spectrum_from_the_connection_set_alone(reps, generators):
+    data = Path(__file__).parent / "data"
+    code = build_code(read_generator_file(str(data / generators)) if generators else None)
+    d, syn = code.syndromes(WEIGHT2_VECTORS), code.syndromes(reps)
+    params = verify_srg(build_graph(code, reps))
+    r, s = srg_eigenvalues(params)
+    values, spectrum = _from_connection_set(d, syn)
+    assert values == ([0], [params.mu], [params.lam], [params.k]) == ([0], [36], [44], [276])
+    assert spectrum == {params.k: 2, r: 1518, s: 2576} == {276: 2, 20: 1518, -12: 2576}
+    # one syndrome of d swapped for another vertex's: both routes see it
+    swapped = d.copy()
+    swapped[0] = np.setdiff1d(syn, d)[1]  # [0] is the zero syndrome
+    bad_values, bad_spectrum = _from_connection_set(swapped, syn)
+    assert bad_values != values and bad_spectrum != spectrum
 
 
 def test_eigenvalues_solve_quadratic():

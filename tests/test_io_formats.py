@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from srg2048 import io_formats
 from srg2048.coclique import VertexSet
 from srg2048.coset_graph import DEGREE, N_VERTICES
 from srg2048.errors import DatFormatError, DomainError
@@ -17,10 +18,17 @@ from srg2048.io_formats import (
     gap_pieces,
     gap_trailer,
     read_dat,
+    read_dat_stream,
     write_dat,
 )
 
-from oracles import export_edge_list_ref, export_gap_ref, graph_from_edges, read_dat_ref
+from oracles import (
+    POOL_DAT,
+    export_edge_list_ref,
+    export_gap_ref,
+    graph_from_edges,
+    read_dat_ref,
+)
 
 
 # ------------------------------------------------------------------ DAT
@@ -211,6 +219,66 @@ def test_read_dat_matches_the_record_by_record_reader(reps, records, byteorder, 
     assert _read_outcome(read_dat, data, reps, byteorder) == _read_outcome(
         read_dat_ref, data, reps, byteorder
     )
+
+
+def _pool_faults():
+    """pool.dat with one fault in a middle record, past the first chunks,
+    of each kind read_dat refuses, and cut short by one byte."""
+    data = POOL_DAT.read_bytes()
+    starts = [0]
+    while starts[-1] < len(data):
+        starts.append(starts[-1] + 1 + 3 * data[starts[-1]])
+    mid = starts[len(starts) // 2]
+    return [
+        data[:mid] + b"\x01" + data[mid:],  # a size below 2
+        data[: mid + 4] + b"\xff\xff\xff" + data[mid + 7 :],  # a second entry that is no representative
+        data[: mid + 4] + data[mid + 1 : mid + 4] + data[mid + 7 :],  # the first entry twice
+        data[:-1],
+    ]
+
+
+@pytest.mark.parametrize("chunk", [7, 100, 1 << 16])
+def test_container_read_in_chunks_agrees_with_read_dat(monkeypatch, reps, chunk):
+    """Whatever the chunk boundaries, the sets are read_dat's sets of the
+    whole stream, and a fault is its message at its absolute offset."""
+    monkeypatch.setattr(io_formats, "_CHUNK", chunk)
+    data = POOL_DAT.read_bytes()
+    assert read_dat_stream(io.BytesIO(data), reps) == read_dat(data, reps)
+    for bad in _pool_faults():
+        with pytest.raises(DatFormatError) as want:
+            read_dat(bad, reps)
+        with pytest.raises(DatFormatError) as got:
+            read_dat_stream(io.BytesIO(bad), reps)
+        assert (str(got.value), got.value.offset) == (str(want.value), want.value.offset)
+
+
+class _Endless:
+    """A file that reads `head`, then `tail` again and again without end."""
+
+    def __init__(self, head: bytes, tail: bytes):
+        self.buffer, self.tail, self.reads = head, tail, 0
+
+    def read(self, size: int) -> bytes:
+        while len(self.buffer) < size:
+            self.buffer += self.tail * (size // len(self.tail) + 1)
+        piece, self.buffer = self.buffer[:size], self.buffer[size:]
+        self.reads += 1
+        return piece
+
+
+def test_endless_container_is_refused_at_its_first_faulty_record(reps):
+    """pool.dat, then a record of two entries that are no representatives,
+    repeated without end: the read stops in the chunk that holds the first
+    one, with read_dat's message and offset for the finite prefix."""
+    data = POOL_DAT.read_bytes()
+    bad = b"\x02" + b"\xff" * 6
+    with pytest.raises(DatFormatError) as want:
+        read_dat(data + bad, reps)
+    endless = _Endless(data, bad)
+    with pytest.raises(DatFormatError) as got:
+        read_dat_stream(endless, reps)
+    assert (str(got.value), got.value.offset) == (str(want.value), want.value.offset)
+    assert endless.reads == 1 + len(data) // io_formats._CHUNK
 
 
 def test_write_size_two_is_seven_bytes(reps):
